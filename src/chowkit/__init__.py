@@ -8,7 +8,7 @@ double-ramification classes over formal boundary symbols on moduli of
 pointed curves.
 """
 
-from .arith import Rational, bernoulli, binomial, double_factorial, factorial
+from .arith import bernoulli, binomial, double_factorial, factorial
 from .dr import (
     DivisorSymbol,
     FormalClass,
@@ -76,7 +76,6 @@ __all__ = [
     "ParseError",
     "Polynomial",
     "RING_VARS",
-    "Rational",
     "RingContext",
     "VerificationReport",
     "alpha",

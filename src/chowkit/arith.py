@@ -11,11 +11,7 @@ import math
 import threading
 from fractions import Fraction
 
-__all__ = ["Rational", "bernoulli", "binomial", "double_factorial", "factorial"]
-
-#: Scalar field used throughout the package.
-Rational = Fraction
-
+__all__ = ["bernoulli", "binomial", "double_factorial", "factorial"]
 
 def factorial(n: int) -> int:
     if n < 0:

@@ -6,16 +6,13 @@ Exit codes:
     2   usage or input errors: bad flags, malformed expressions, bad weights
 
 Output is deterministic — no timing, timestamps or environment data is ever
-printed — so identical invocations produce byte-identical output.  Set the
-``CHOWKIT_CACHE_DIR`` environment variable to persist ring echelon data
-between runs.
+printed — so identical invocations produce byte-identical output.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 from .dr import dr_class, serialize, specialize_compact_type
@@ -68,19 +65,15 @@ def _usage_error(message: str) -> int:
     return 2
 
 
-def _cache_dir() -> str | None:
-    return os.environ.get("CHOWKIT_CACHE_DIR") or None
-
-
 # ------------------------------------------------------------------ verify
 
 
 _VERIFIERS = {
-    "main": lambda g, cache: [verify_main(g, cache)],
-    "eta": lambda g, cache: [verify_eta_alpha(g)],
-    "triangular": lambda g, cache: [verify_triangular(g, cache)],
-    "invariance": lambda g, cache: verify_invariance(g, cache),
-    "all": lambda g, cache: verify_all(g, cache),
+    "main": lambda g: [verify_main(g)],
+    "eta": lambda g: [verify_eta_alpha(g)],
+    "triangular": lambda g: [verify_triangular(g)],
+    "invariance": lambda g: verify_invariance(g),
+    "all": lambda g: verify_all(g),
 }
 
 
@@ -88,8 +81,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.max_genus is None and args.genus is None:
         return _usage_error("verify needs --genus or --max-genus")
     genera = list(range(1, args.max_genus + 1)) if args.max_genus else [args.genus]
-    cache = _cache_dir()
-    reports = [report for g in genera for report in _VERIFIERS[args.which](g, cache)]
+    reports = [report for g in genera for report in _VERIFIERS[args.which](g)]
     all_hold = all(report.holds for report in reports)
     if args.json:
         _emit_json(
@@ -114,7 +106,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_ring(args: argparse.Namespace) -> int:
-    ctx = make_context(args.genus, _cache_dir())
+    ctx = make_context(args.genus)
     g = args.genus
     if args.action == "dims":
         dims = [ctx.dim_graded(k) for k in range(2 * g)]

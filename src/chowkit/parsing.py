@@ -11,6 +11,10 @@ Grammar (whitespace is insignificant between tokens)::
 Note that unary minus lives at the ``base`` level, so it binds *before*
 exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 :mod:`chowkit.poly` is aware of this and never emits ambiguous output.
+
+Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
+deeper input is rejected with a :class:`ParseError` instead of exhausting
+the interpreter stack.
 """
 
 from __future__ import annotations
@@ -22,6 +26,9 @@ from .poly import Polynomial, RING_VARS, Vars
 __all__ = ["ParseError", "parse"]
 
 _SYMBOLS = set("+-*^/()")
+
+#: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
+MAX_DEPTH = 100
 
 
 class ParseError(ValueError):
@@ -62,6 +69,7 @@ class _Parser:
     def __init__(self, text: str, variables: Vars):
         self.tokens = _tokenize(text)
         self.pos = 0
+        self.depth = 0
         self.vars = variables
 
     def peek(self) -> tuple[str, str, int]:
@@ -101,10 +109,19 @@ class _Parser:
             return base ** int(value)
         return base
 
+    def nested(self, parse, position: int) -> Polynomial:
+        """Run ``parse`` one nesting level deeper."""
+        if self.depth >= MAX_DEPTH:
+            raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", position)
+        self.depth += 1
+        result = parse()
+        self.depth -= 1
+        return result
+
     def parse_base(self) -> Polynomial:
         kind, value, position = self.next()
         if kind == "-":
-            return -self.parse_base()
+            return -self.nested(self.parse_base, position)
         if kind == "number":
             if self.peek()[0] == "/":
                 self.next()
@@ -118,7 +135,7 @@ class _Parser:
                 raise ParseError(f"unknown variable {value!r}", position)
             return Polynomial.variable(self.vars, value)
         if kind == "(":
-            inner = self.parse_expr()
+            inner = self.nested(self.parse_expr, position)
             self.expect(")")
             return inner
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)

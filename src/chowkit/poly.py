@@ -25,7 +25,7 @@ descending order (leading term first); quotient-ring reduction in
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Iterator, Mapping, Union
+from typing import Iterable, Mapping, Union
 
 __all__ = [
     "INVARIANT_VARS",
@@ -115,9 +115,6 @@ class Polynomial:
 
     def __len__(self) -> int:
         return len(self._terms)
-
-    def __iter__(self) -> Iterator[tuple[Exponents, Fraction]]:
-        return iter(self.sorted_terms())
 
     def total_degree(self) -> int:
         """Largest total degree among terms (0 for the zero polynomial)."""

@@ -7,8 +7,9 @@ formal variable ``n``.  The coefficient of ``n^(g-l)`` is homogeneous of
 total degree ``g`` and of secondary (d-)grade ``l``, for ``l = g .. -g``.
 
 A :class:`RingContext` carries the relations together with per-degree
-reduced row echelon data for the ideal, computed on demand and optionally
-persisted to disk.  Reduction columns are ordered by *ascending* graded
+reduced row echelon data for the ideal, computed on demand.  Every relation
+is homogeneous in the d-grade as well, so each degree is eliminated one
+d-grade block at a time.  Reduction columns are ordered by *ascending* graded
 lexicographic order, so echelon pivots eliminate the smallest monomials and
 the surviving canonical basis consists of the largest ones; in the top
 degree ``2g-2`` the survivor is the ``T1*T2``-balanced monomial, which is
@@ -21,11 +22,8 @@ the distinguished invariant classes — live at module level.
 
 from __future__ import annotations
 
-import os
-import pickle
 import threading
 from fractions import Fraction
-from pathlib import Path
 from typing import Iterable, Mapping, NamedTuple, Sequence
 
 from .arith import factorial
@@ -207,7 +205,7 @@ class RingContext:
     per-degree echelon data is computed once under a lock and shared.
     """
 
-    def __init__(self, genus: int, cache_dir: "str | os.PathLike | None" = None):
+    def __init__(self, genus: int):
         if not isinstance(genus, int) or genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         self.genus = genus
@@ -216,11 +214,6 @@ class RingContext:
         self.relations = tuple(self._relations_by_grade[l] for l in self.relation_grades)
         self._degrees: dict[int, _DegreeData] = {}
         self._lock = threading.Lock()
-        self._cache_file: Path | None = None
-        if cache_dir is not None:
-            directory = Path(cache_dir)
-            self._cache_file = directory / f"chowkit-echelon-v1-g{genus}.pickle"
-            self._load_cache()
 
     # ------------------------------------------------------------- relations
 
@@ -251,55 +244,42 @@ class RingContext:
             if data is None:
                 data = self._build_degree(k)
                 self._degrees[k] = data
-                self._save_cache()
             return data
 
     def _build_degree(self, k: int) -> _DegreeData:
-        mons = _monomials(k)
+        """Eliminate the degree-``k`` part of the ideal block by block.
+
+        A relation of d-grade ``l`` times a monomial of d-grade ``d`` only
+        touches columns of d-grade ``l + d``, so the blocks share no columns
+        and each is reduced on its own columns.  The reduced echelon form is
+        unique, hence the merged rows equal those of one whole-degree
+        elimination.
+        """
         if k < self.genus:
             return _DegreeData(k, [], [])
-        index = {m: i for i, m in enumerate(mons)}
-        raw: list[list[Fraction]] = []
-        for rel in self.relations:
+        mons = _monomials(k)
+        columns: dict[int, list[int]] = {}
+        for i, m in enumerate(mons):
+            columns.setdefault(d_grade(m), []).append(i)
+        local = {mons[i]: j for block in columns.values() for j, i in enumerate(block)}
+        blocks: dict[int, list[list[Fraction]]] = {}
+        for l, rel in zip(self.relation_grades, self.relations):
             for m in _monomials(k - self.genus):
-                row = [Fraction(0)] * len(mons)
+                grade = l + d_grade(m)
+                row = [Fraction(0)] * len(columns[grade])
                 for e, c in rel.terms.items():
-                    row[index[(0, e[1] + m[1], e[2] + m[2], e[3] + m[3])]] = c
-                raw.append(row)
-        rows, pivots = rref(raw)
-        return _DegreeData(k, rows, pivots)
-
-    def _load_cache(self) -> None:
-        if self._cache_file is None or not self._cache_file.exists():
-            return
-        try:
-            with open(self._cache_file, "rb") as handle:
-                payload = pickle.load(handle)
-            if payload.get("version") != 1 or payload.get("genus") != self.genus:
-                return
-            for k, (rows, pivots) in payload["degrees"].items():
-                self._degrees[int(k)] = _DegreeData(int(k), rows, pivots)
-        except Exception:
-            # The cache is purely an accelerator; a corrupt or foreign file
-            # must never break the computation.
-            self._degrees = {}
-
-    def _save_cache(self) -> None:
-        if self._cache_file is None:
-            return
-        payload = {
-            "version": 1,
-            "genus": self.genus,
-            "degrees": {k: (d.rows, d.pivots) for k, d in self._degrees.items()},
-        }
-        try:
-            self._cache_file.parent.mkdir(parents=True, exist_ok=True)
-            scratch = self._cache_file.with_suffix(".tmp")
-            with open(scratch, "wb") as handle:
-                pickle.dump(payload, handle)
-            os.replace(scratch, self._cache_file)
-        except OSError:
-            pass
+                    row[local[(0, e[1] + m[1], e[2] + m[2], e[3] + m[3])]] = c
+                blocks.setdefault(grade, []).append(row)
+        echelon: list[tuple[int, list[Fraction]]] = []
+        for grade, raw in blocks.items():
+            block = columns[grade]
+            for row, pivot in zip(*rref(raw)):
+                full = [Fraction(0)] * len(mons)
+                for i, value in zip(block, row):
+                    full[i] = value
+                echelon.append((block[pivot], full))
+        echelon.sort(key=lambda item: item[0])
+        return _DegreeData(k, [row for _, row in echelon], [pivot for pivot, _ in echelon])
 
     # ------------------------------------------------------------- reduction
 
@@ -476,11 +456,6 @@ class RingContext:
         return {t: solution[i] for i, t in enumerate(triples)}, kernel
 
 
-def make_context(genus: int, cache_dir: "str | os.PathLike | None" = None) -> RingContext:
-    """Create the exact ring model for one genus.
-
-    ``cache_dir`` (or the ``CHOWKIT_CACHE_DIR`` environment variable, honored
-    by the command line interface) enables persistence of the per-degree
-    echelon data between runs; the files are versioned and safe to delete.
-    """
-    return RingContext(genus, cache_dir)
+def make_context(genus: int) -> RingContext:
+    """Create the exact ring model for one genus."""
+    return RingContext(genus)

@@ -248,11 +248,11 @@ def _report(name: str, genus: int, residual: Polynomial, started: float) -> Veri
 # -------------------------------------------------------------- verifiers
 
 
-def verify_main(genus: int, cache_dir=None) -> VerificationReport:
+def verify_main(genus: int) -> VerificationReport:
     """Check the main identity: the assembled alpha combination reduces to
     the zero-section class in the quotient ring."""
     started = time.perf_counter()
-    ctx = make_context(genus, cache_dir)
+    ctx = make_context(genus)
     residual = ctx.normal_form(assemble_main_rhs(ctx, "alpha") - boundary_zero_section(ctx))
     return _report("main_identity", genus, residual, started)
 
@@ -276,12 +276,12 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     return _report("eta_alpha_expansion", genus, lhs - rhs, started)
 
 
-def verify_triangular(genus: int, cache_dir=None) -> VerificationReport:
+def verify_triangular(genus: int) -> VerificationReport:
     """Check the triangularity identity: substituting ``T1`` for the shifted
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
     started = time.perf_counter()
-    ctx = make_context(genus, cache_dir)
+    ctx = make_context(genus)
     table = coefficient_table(genus)
     total = Polynomial.zero(RING_VARS)
     for (a, b, c), value in table.alpha.items():
@@ -302,7 +302,7 @@ def _invariance_checks(ctx: RingContext) -> list[tuple[str, Polynomial, bool]]:
     ]
 
 
-def verify_invariance(genus: int, cache_dir=None) -> list[VerificationReport]:
+def verify_invariance(genus: int) -> list[VerificationReport]:
     """Check shift invariance for the distinguished classes, and involution
     invariance for those that have it.
 
@@ -312,7 +312,7 @@ def verify_invariance(genus: int, cache_dir=None) -> list[VerificationReport]:
     gluing: its involution-symmetrization lies in that subring, the class
     itself does not.
     """
-    ctx = make_context(genus, cache_dir)
+    ctx = make_context(genus)
     reports = []
     for label, cls, check_involution in _invariance_checks(ctx):
         started = time.perf_counter()
@@ -325,11 +325,11 @@ def verify_invariance(genus: int, cache_dir=None) -> list[VerificationReport]:
     return reports
 
 
-def verify_all(genus: int, cache_dir=None) -> list[VerificationReport]:
+def verify_all(genus: int) -> list[VerificationReport]:
     """Every verification at one genus, in deterministic order."""
     return [
-        verify_main(genus, cache_dir),
+        verify_main(genus),
         verify_eta_alpha(genus),
-        verify_triangular(genus, cache_dir),
-        *verify_invariance(genus, cache_dir),
+        verify_triangular(genus),
+        *verify_invariance(genus),
     ]

@@ -64,7 +64,7 @@ def test_verify_rejects_genus_zero(capsys):
 
 
 def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
-    def failing(genus, cache=None):
+    def failing(genus):
         return VerificationReport(
             name="main_identity",
             genus=genus,
@@ -83,7 +83,7 @@ def test_quiet_suppresses_output_but_keeps_code(capsys, monkeypatch):
     code, out, _ = run(capsys, ["verify", "--genus", "2", "--which", "main", "--quiet"])
     assert code == 0 and out == ""
 
-    def failing(genus, cache=None):
+    def failing(genus):
         return VerificationReport(
             name="main_identity", genus=genus, holds=False, residual=Polynomial.variable(RING_VARS, "P")
         )
@@ -131,6 +131,22 @@ def test_ring_reduce_parse_error(capsys):
     code, _, err = run(capsys, ["ring", "--genus", "2", "reduce", "P^^2"])
     assert code == 2
     assert "cannot parse" in err
+
+
+def test_ring_reduce_deep_nesting_is_usage_error():
+    import subprocess
+    import sys
+
+    for expr in ("(" * 3000 + "P" + ")" * 3000, "(" + "-" * 5000 + "P)"):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowkit", "ring", "--genus", "2", "reduce", expr],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert "cannot parse" in proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stdout == ""
 
 
 def test_ring_reduce_unknown_variable(capsys):
@@ -250,16 +266,6 @@ def test_help_exits_zero(capsys):
 def test_unknown_choice_is_usage_error(capsys):
     code, _, _ = run(capsys, ["ring", "--genus", "2", "explode"])
     assert code == 2
-
-
-def test_cache_dir_environment(capsys, monkeypatch, tmp_path):
-    monkeypatch.setenv("CHOWKIT_CACHE_DIR", str(tmp_path))
-    code, first, _ = run(capsys, ["ring", "--genus", "3", "dims"])
-    assert code == 0
-    cached = [f.name for f in tmp_path.iterdir()]
-    assert cached == ["chowkit-echelon-v1-g3.pickle"]
-    code, second, _ = run(capsys, ["ring", "--genus", "3", "dims"])
-    assert code == 0 and first == second
 
 
 def test_module_entry_point():

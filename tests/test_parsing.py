@@ -6,6 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowkit import INVARIANT_VARS, ParseError, Polynomial, RING_VARS, format_polynomial, parse
+from chowkit.parsing import MAX_DEPTH
 from test_poly import random_poly
 
 
@@ -64,6 +65,22 @@ def test_syntax_error_positions():
         parse("T1 T2")
     with pytest.raises(ParseError):
         parse("T1 $ T2")
+
+
+def test_nesting_depth_limit():
+    assert parse("(" * MAX_DEPTH + "P" + ")" * MAX_DEPTH) == parse("P")
+    assert parse("-" * MAX_DEPTH + "P") == parse("P")
+    with pytest.raises(ParseError) as info:
+        parse("(" * (MAX_DEPTH + 1) + "P" + ")" * (MAX_DEPTH + 1))
+    assert info.value.position == MAX_DEPTH
+    # Parentheses and unary minus share one depth count.
+    with pytest.raises(ParseError) as info:
+        parse("-(" * (MAX_DEPTH // 2) + "-P" + ")" * (MAX_DEPTH // 2))
+    assert info.value.position == MAX_DEPTH
+    # Inputs far past the limit fail the same way, not with RecursionError.
+    for text in ("(" * 3000 + "P" + ")" * 3000, "(" + "-" * 5000 + "P)"):
+        with pytest.raises(ParseError):
+            parse(text)
 
 
 def test_division_only_inside_rationals():

@@ -34,7 +34,7 @@ from chowkit import (
     restrict_zero,
     shift,
 )
-from chowkit.linalg import determinant, rank
+from chowkit.linalg import determinant, rank, rref
 from test_poly import random_poly
 
 F = Fraction
@@ -174,7 +174,7 @@ def test_dims_fixture_genus_3():
     assert [ctx.dim_graded(k) for k in range(6)] == [1, 3, 6, 3, 1, 0]
 
 
-@pytest.mark.parametrize("g", range(1, 7))
+@pytest.mark.parametrize("g", range(1, 11))
 def test_dims_structure(g):
     ctx = make_context(g)
     for k in range(g):
@@ -184,6 +184,27 @@ def test_dims_structure(g):
     assert ctx.dim_graded(2 * g - 2) == 1
     assert ctx.dim_graded(2 * g - 1) == 0
     assert ctx.dim_graded(2 * g + 3) == 0
+
+
+@pytest.mark.parametrize("g", range(1, 7))
+def test_blockwise_echelon_matches_whole_degree_rref(g):
+    # Reference: every shifted relation as one dense row over all monomials
+    # of the degree, eliminated in a single rref.
+    ctx = make_context(g)
+    for k in range(2 * g + 1):
+        data = ctx._degree_data(k)
+        index = {m: i for i, m in enumerate(data.monomials)}
+        shifts = [(a, b, k - g - a - b) for a in range(k - g + 1) for b in range(k - g - a + 1)]
+        raw = []
+        for rel in ctx.relations:
+            for a, b, c in shifts:
+                row = [F(0)] * len(data.monomials)
+                for (_, x, y, z), coeff in rel.terms.items():
+                    row[index[(0, x + a, y + b, z + c)]] = coeff
+                raw.append(row)
+        rows, pivots = rref(raw)
+        assert data.rows == tuple(tuple(r) for r in rows)
+        assert data.pivots == tuple(pivots)
 
 
 @pytest.mark.parametrize("g", range(1, 6))
@@ -489,30 +510,3 @@ def test_express_not_in_span():
     ctx = make_context(3)
     with pytest.raises(NotInSpanError):
         ctx.express_in_invariants(parse("P"), degree=1)
-
-
-# ------------------------------------------------------------------ caching
-
-
-def test_disk_cache_round_trip(tmp_path):
-    first = make_context(3, tmp_path)
-    dims = [first.dim_graded(k) for k in range(6)]
-    files = list(tmp_path.iterdir())
-    assert len(files) == 1 and files[0].suffix == ".pickle"
-    second = make_context(3, tmp_path)
-    assert [second.dim_graded(k) for k in range(6)] == dims
-    assert second.normal_form(parse("P^2 + T1*P")) == first.normal_form(parse("P^2 + T1*P"))
-
-
-def test_disk_cache_corruption_is_ignored(tmp_path):
-    target = tmp_path / "chowkit-echelon-v1-g2.pickle"
-    target.write_bytes(b"not a pickle at all")
-    ctx = make_context(2, tmp_path)
-    assert format_polynomial(ctx.normal_form(parse("P^2"))) == "-2*T1*T2"
-
-
-def test_cache_isolated_between_genera(tmp_path):
-    make_context(2, tmp_path).dim_graded(2)
-    make_context(3, tmp_path).dim_graded(2)
-    names = sorted(f.name for f in tmp_path.iterdir())
-    assert names == ["chowkit-echelon-v1-g2.pickle", "chowkit-echelon-v1-g3.pickle"]
