@@ -236,8 +236,9 @@ def _build_parser() -> argparse.ArgumentParser:
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
     p_verify = subparsers.add_parser("verify", parents=[common], help="run exact identity verifications")
-    p_verify.add_argument("--genus", type=_positive_int, help="genus to verify")
-    p_verify.add_argument("--max-genus", type=_positive_int, help="verify every genus from 1 to this bound")
+    scope = p_verify.add_mutually_exclusive_group()
+    scope.add_argument("--genus", type=_positive_int, help="genus to verify")
+    scope.add_argument("--max-genus", type=_positive_int, help="verify every genus from 1 to this bound")
     p_verify.add_argument(
         "--which",
         choices=sorted(_VERIFIERS),

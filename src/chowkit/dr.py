@@ -40,7 +40,7 @@ from math import gcd
 from typing import Iterable, Mapping, Sequence
 
 from .arith import factorial
-from .poly import Scalar
+from .poly import Scalar, coeff_latex, combine, signed_sum
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -443,12 +443,7 @@ def dr_class(genus: int, weights: Sequence[int]) -> FormalClass:
     theta = theta_pullback(genus, weights)
     irr = boundary_pullback(genus, weights)
     glue = gluing_pullback(genus, weights)
-    table = coefficient_table(genus)
-    theta_powers = {a: theta ** a for a in range(genus + 1)}
-    total = FormalClass.zero(genus, weights)
-    for (a, b, c), value in table.eta.items():
-        total = total + value * (theta_powers[a] * irr ** b * glue ** c)
-    return total
+    return combine(coefficient_table(genus).eta, (theta, irr, glue))
 
 
 def specialize_compact_type(cls: FormalClass) -> FormalClass:
@@ -465,13 +460,7 @@ def specialize_compact_type(cls: FormalClass) -> FormalClass:
 # -------------------------------------------------------------- serialization
 
 
-def _coeff_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(abs(value.numerator))
-    return rf"\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
-
-
-def _term_latex(term: Term) -> str:
+def _term_latex(term: Term) -> list[str]:
     pieces = []
     for symbol, power in term:
         rendered = symbol.latex()
@@ -482,7 +471,7 @@ def _term_latex(term: Term) -> str:
             pieces.append(f"({rendered})^{{{power}}}")
         else:
             pieces.append(f"{rendered}^{{{power}}}")
-    return " ".join(pieces)
+    return pieces
 
 
 def serialize(cls: FormalClass, mode: str = "json") -> str:
@@ -503,23 +492,7 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
         }
         return json.dumps(payload, indent=2)
     if mode == "latex":
-        if cls.is_zero():
-            return "0"
-        chunks = []
-        for position, (term, coeff) in enumerate(cls.sorted_terms()):
-            magnitude = abs(coeff)
-            body = _term_latex(term) if term else None
-            if body is None:
-                rendered = _coeff_latex(magnitude)
-            elif magnitude == 1:
-                rendered = body
-            else:
-                rendered = f"{_coeff_latex(magnitude)} {body}"
-            if position == 0:
-                chunks.append(f"-{rendered}" if coeff < 0 else rendered)
-            else:
-                chunks.append(f" - {rendered}" if coeff < 0 else f" + {rendered}")
-        return "".join(chunks)
+        return signed_sum(((coeff, _term_latex(term)) for term, coeff in cls.sorted_terms()), coeff_latex, " ")
     raise ValueError(f"unknown serialization mode {mode!r}")
 
 

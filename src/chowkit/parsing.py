@@ -8,6 +8,8 @@ Grammar (whitespace is insignificant between tokens)::
     base     := rational | var | '(' expr ')' | '-' base
     rational := int ('/' nat)?
 
+Integer literals are runs of the ASCII digits ``0-9``.
+
 Note that unary minus lives at the ``base`` level, so it binds *before*
 exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 :mod:`chowkit.poly` is aware of this and never emits ambiguous output.
@@ -26,6 +28,9 @@ from .poly import Polynomial, RING_VARS, Vars
 __all__ = ["ParseError", "parse"]
 
 _SYMBOLS = set("+-*^/()")
+# Literals are ASCII only: str.isdigit also accepts superscripts and other
+# scripts' digits, which int() either rejects or silently converts.
+_DIGITS = set("0123456789")
 
 #: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
 MAX_DEPTH = 100
@@ -49,9 +54,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
         elif ch in _SYMBOLS:
             tokens.append((ch, ch, i))
             i += 1
-        elif ch.isdigit():
+        elif ch in _DIGITS:
             start = i
-            while i < len(text) and text[i].isdigit():
+            while i < len(text) and text[i] in _DIGITS:
                 i += 1
             tokens.append(("number", text[start:i], start))
         elif ch.isalpha() or ch == "_":

@@ -25,23 +25,27 @@ descending order (leading term first); quotient-ring reduction in
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Iterable, Mapping, Union
+from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 __all__ = [
     "INVARIANT_VARS",
     "RING_VARS",
     "Polynomial",
     "Scalar",
+    "coeff_latex",
+    "combine",
     "d_grade",
     "d_graded_piece",
     "format_polynomial",
     "graded_lex_key",
     "polynomial_from_json",
+    "signed_sum",
 ]
 
 Exponents = tuple[int, ...]
 Vars = tuple[str, ...]
 Scalar = Union[Fraction, int]
+T = TypeVar("T")
 
 RING_VARS: Vars = ("xi", "T1", "P", "T2")
 INVARIANT_VARS: Vars = ("Theta", "D", "Delta")
@@ -243,40 +247,53 @@ class Polynomial:
             if isinstance(value, Polynomial):
                 target = value.vars
                 break
-        table: dict[str, Polynomial] = {}
+        table: list[Polynomial] = []
         for name in self.vars:
             value = images.get(name)
             if value is None:
-                table[name] = Polynomial.variable(target, name)
+                table.append(Polynomial.variable(target, name))
             elif isinstance(value, Polynomial):
                 if value.vars != target:
                     raise ValueError(f"substitution images use mixed variable sets: {value.vars} vs {target}")
-                table[name] = value
+                table.append(value)
             else:
-                table[name] = Polynomial.constant(target, value)
-        result = Polynomial.zero(target)
-        for exps, coeff in self._terms.items():
-            term = Polynomial.constant(target, coeff)
-            for name, power in zip(self.vars, exps):
-                if power:
-                    term = term * table[name] ** power
-            result = result + term
-        return result
+                table.append(Polynomial.constant(target, value))
+        # combine() takes its unit from the first image; a polynomial over no
+        # variables is a constant and maps to itself.
+        return combine(self._terms, table) if table else self
 
     def evaluate(self, values: Mapping[str, Scalar]) -> Fraction:
         """Evaluate at a rational point; every variable must be assigned."""
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"missing values for variables {missing}")
-        point = [Fraction(values[v]) for v in self.vars]
-        total = Fraction(0)
-        for exps, coeff in self._terms.items():
-            product = coeff
-            for base, power in zip(point, exps):
-                if power:
-                    product *= base**power
-            total += product
-        return total
+        if not self.vars:
+            return self.coefficient(())
+        return combine(self._terms, [Fraction(values[v]) for v in self.vars])
+
+
+def combine(terms: Mapping[Exponents, Scalar], images: Sequence[T]) -> T:
+    """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping.
+
+    Works for any type with ``+``, ``*`` and ``**``.  Each power
+    ``images[i]**e`` is taken once and shared between terms, with ``**`` so
+    that a type's own power method is used; factors with exponent 0 are
+    skipped and a constant term uses ``images[0]**0``, so ``images`` must
+    not be empty.  An empty mapping gives ``images[0]**0 * 0``.
+    """
+    powers: list[dict[int, T]] = [{} for _ in images]
+    total = None
+    for exps, coeff in terms.items():
+        term = None
+        for image, cache, e in zip(images, powers, exps):
+            if e:
+                power = cache.get(e)
+                if power is None:
+                    power = cache[e] = image**e
+                term = power if term is None else term * power
+        term = (images[0] ** 0 if term is None else term) * coeff
+        total = term if total is None else total + term
+    return images[0] ** 0 * 0 if total is None else total
 
 
 # -------------------------------------------------------------------- d-grading
@@ -307,15 +324,34 @@ def d_graded_piece(p: Polynomial, l: int) -> Polynomial:
 _LATEX_NAMES = {"xi": r"\xi", "Theta": r"\Theta", "Delta": r"\Delta"}
 
 
-def _coeff_text(value: Fraction) -> str:
-    return str(value)
+def coeff_latex(magnitude: Fraction) -> str:
+    """LaTeX for a nonnegative rational: an integer or a ``\\frac``."""
+    if magnitude.denominator == 1:
+        return str(magnitude.numerator)
+    return rf"\frac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
 
 
-def _coeff_latex(value: Fraction) -> str:
-    if value.denominator == 1:
-        return str(value.numerator)
-    sign = "-" if value < 0 else ""
-    return rf"{sign}\frac{{{abs(value.numerator)}}}{{{value.denominator}}}"
+def signed_sum(terms: Iterable[tuple[Fraction, list[str]]], render_coeff, separator: str) -> str:
+    """Join ``(coeff, pieces)`` terms as ``a + b - c`` (``"0"`` when empty).
+
+    A term's body is ``render_coeff(|coeff|)`` followed by its pieces, all
+    joined by ``separator``; a unit coefficient is left out when there are
+    pieces.
+    """
+    chunks: list[str] = []
+    for coeff, pieces in terms:
+        magnitude = abs(coeff)
+        if not pieces:
+            body = render_coeff(magnitude)
+        elif magnitude == 1:
+            body = separator.join(pieces)
+        else:
+            body = separator.join([render_coeff(magnitude), *pieces])
+        if chunks:
+            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+        else:
+            chunks.append(f"-{body}" if coeff < 0 else body)
+    return "".join(chunks) or "0"
 
 
 def _term_pieces(exps: Exponents, variables: Vars, latex: bool) -> list[str]:
@@ -334,46 +370,21 @@ def _term_pieces(exps: Exponents, variables: Vars, latex: bool) -> list[str]:
 
 
 def _format_text(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for position, (exps, coeff) in enumerate(p.sorted_terms()):
-        magnitude = abs(coeff)
+    terms = []
+    for exps, coeff in p.sorted_terms():
         pieces = _term_pieces(exps, p.vars, latex=False)
         # A leading negative unit coefficient is kept explicit when the first
         # variable carries an exponent: unary minus binds before '^' in the
         # expression grammar, so "-T1^2" would re-parse as (-T1)^2.
-        if not pieces:
-            body = _coeff_text(magnitude)
-        elif magnitude == 1 and not (position == 0 and coeff < 0 and "^" in pieces[0]):
-            body = "*".join(pieces)
-        else:
-            body = "*".join([_coeff_text(magnitude), *pieces])
-        if position == 0:
-            chunks.append(f"-{body}" if coeff < 0 else body)
-        else:
-            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(chunks)
+        if not terms and coeff == -1 and pieces and "^" in pieces[0]:
+            pieces = ["1", *pieces]
+        terms.append((coeff, pieces))
+    return signed_sum(terms, str, "*")
 
 
 def _format_latex(p: Polynomial) -> str:
-    if p.is_zero():
-        return "0"
-    chunks: list[str] = []
-    for position, (exps, coeff) in enumerate(p.sorted_terms()):
-        magnitude = abs(coeff)
-        pieces = _term_pieces(exps, p.vars, latex=True)
-        if not pieces:
-            body = _coeff_latex(magnitude)
-        elif magnitude == 1:
-            body = " ".join(pieces)
-        else:
-            body = " ".join([_coeff_latex(magnitude), *pieces])
-        if position == 0:
-            chunks.append(f"-{body}" if coeff < 0 else body)
-        else:
-            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
-    return "".join(chunks)
+    terms = ((coeff, _term_pieces(exps, p.vars, latex=True)) for exps, coeff in p.sorted_terms())
+    return signed_sum(terms, coeff_latex, " ")
 
 
 def _json_dict(p: Polynomial) -> dict:

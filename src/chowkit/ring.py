@@ -24,11 +24,11 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Iterable, Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .arith import factorial
 from .linalg import rref, solve
-from .poly import Polynomial, RING_VARS, Scalar, d_grade, graded_lex_key
+from .poly import Polynomial, RING_VARS, combine, d_grade
 
 __all__ = [
     "InvariantGenerators",
@@ -160,6 +160,19 @@ def degree_triples(k: int) -> list[tuple[int, int, int]]:
     return [(k - b - 2 * c, b, c) for c in range(k // 2 + 1) for b in range(k - 2 * c + 1)]
 
 
+def _basis_images(
+    basis: str, theta: Polynomial, boundary: Polynomial, gluing: Polynomial
+) -> tuple[Polynomial, Polynomial, Polynomial]:
+    """The images of ``(a, b, c)`` exponents in the ``"alpha"`` basis,
+    ``(theta - boundary/8, boundary, gluing - 2*theta*boundary)``, or in the
+    ``"eta"`` basis, ``(theta, boundary, gluing)``."""
+    if basis == "alpha":
+        return theta - boundary / 8, boundary, gluing - 2 * theta * boundary
+    if basis == "eta":
+        return theta, boundary, gluing
+    raise ValueError(f"unknown basis {basis!r}; expected 'alpha' or 'eta'")
+
+
 def invariant_basis_element(triple: tuple[int, int, int], basis: str = "alpha") -> Polynomial:
     """The canonical-variable polynomial attached to ``(a, b, c)``.
 
@@ -167,12 +180,7 @@ def invariant_basis_element(triple: tuple[int, int, int], basis: str = "alpha") 
     ``"eta"`` basis: ``theta^a * boundary^b * gluing^c``.
     """
     a, b, c = triple
-    theta, boundary, gluing = invariant_generators()
-    if basis == "alpha":
-        return (theta - boundary / 8) ** a * boundary ** b * q_class() ** c
-    if basis == "eta":
-        return theta ** a * boundary ** b * gluing ** c
-    raise ValueError(f"unknown basis {basis!r}; expected 'alpha' or 'eta'")
+    return combine({(a, b, c): 1}, _basis_images(basis, *invariant_generators()))
 
 
 # ----------------------------------------------------------------- ring context
@@ -214,6 +222,7 @@ class RingContext:
         self.relations = tuple(self._relations_by_grade[l] for l in self.relation_grades)
         self._degrees: dict[int, _DegreeData] = {}
         self._lock = threading.Lock()
+        self._past_top_vanishes: bool | None = None
 
     # ------------------------------------------------------------- relations
 
@@ -290,6 +299,8 @@ class RingContext:
             by_degree.setdefault(sum(exps), {})[exps] = coeff
         out: dict[Exponents, Fraction] = {}
         for k, piece in by_degree.items():
+            if k >= 2 * self.genus - 1 and self._vanishes_past_top():
+                continue
             data = self._degree_data(k)
             vector = [Fraction(0)] * len(data.monomials)
             for exps, coeff in piece.items():
@@ -303,6 +314,13 @@ class RingContext:
                 if value:
                     out[data.monomials[i]] = value
         return out
+
+    def _vanishes_past_top(self) -> bool:
+        """Whether ``R_{2g-1} = 0``.  R is generated in degree 1, so then
+        ``R_k = 0`` for every ``k >= 2g-1`` too; checked once per context."""
+        if self._past_top_vanishes is None:
+            self._past_top_vanishes = not self.basis(2 * self.genus - 1)
+        return self._past_top_vanishes
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of ``p`` in the quotient ring.

@@ -23,15 +23,15 @@ from fractions import Fraction
 from functools import lru_cache
 
 from .arith import bernoulli, double_factorial, factorial
-from .poly import INVARIANT_VARS, Polynomial, RING_VARS, format_polynomial
+from .poly import INVARIANT_VARS, Polynomial, RING_VARS, combine, format_polynomial
 from .ring import (
     P,
     RingContext,
     T1,
     T2,
+    _basis_images,
     degree_triples,
     extra_shift_invariant,
-    invariant_basis_element,
     invariant_generators,
     involution,
     make_context,
@@ -187,14 +187,8 @@ def boundary_zero_section(ctx: RingContext) -> Polynomial:
 def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     """The invariant-basis combination predicted to equal the zero-section
     class, as a raw (unreduced) polynomial in the canonical variables."""
-    table = coefficient_table(ctx.genus)
-    coeffs = table.alpha if basis == "alpha" else table.eta if basis == "eta" else None
-    if coeffs is None:
-        raise ValueError(f"unknown basis {basis!r}; expected 'alpha' or 'eta'")
-    total = Polynomial.zero(RING_VARS)
-    for triple, value in coeffs.items():
-        total = total + value * invariant_basis_element(triple, basis)
-    return total
+    images = _basis_images(basis, *invariant_generators())
+    return combine(getattr(coefficient_table(ctx.genus), basis), images)
 
 
 # -------------------------------------------------------------- reports
@@ -263,16 +257,10 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     ``sum alpha * (Theta - D/8)^a D^b (Delta - 2 Theta D)^c`` equals
     ``sum eta * Theta^a D^b Delta^c`` identically."""
     started = time.perf_counter()
-    theta = Polynomial.variable(INVARIANT_VARS, "Theta")
-    boundary = Polynomial.variable(INVARIANT_VARS, "D")
-    gluing = Polynomial.variable(INVARIANT_VARS, "Delta")
+    free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
     table = coefficient_table(genus)
-    lhs = Polynomial.zero(INVARIANT_VARS)
-    for (a, b, c), value in table.alpha.items():
-        lhs = lhs + value * ((theta - boundary / 8) ** a * boundary ** b * (gluing - 2 * theta * boundary) ** c)
-    rhs = Polynomial.zero(INVARIANT_VARS)
-    for (a, b, c), value in table.eta.items():
-        rhs = rhs + value * (theta ** a * boundary ** b * gluing ** c)
+    lhs = combine(table.alpha, _basis_images("alpha", *free))
+    rhs = combine(table.eta, _basis_images("eta", *free))
     return _report("eta_alpha_expansion", genus, lhs - rhs, started)
 
 
@@ -281,12 +269,8 @@ def verify_triangular(genus: int) -> VerificationReport:
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
     started = time.perf_counter()
-    ctx = make_context(genus)
-    table = coefficient_table(genus)
-    total = Polynomial.zero(RING_VARS)
-    for (a, b, c), value in table.alpha.items():
-        total = total + value * (T1 ** a * (-2 * T2) ** b * (4 * T1 * T2 - P * P) ** c)
-    return _report("triangular_identity", genus, ctx.normal_form(total), started)
+    total = combine(coefficient_table(genus).alpha, (T1, -2 * T2, 4 * T1 * T2 - P * P))
+    return _report("triangular_identity", genus, make_context(genus).normal_form(total), started)
 
 
 def _invariance_checks(ctx: RingContext) -> list[tuple[str, Polynomial, bool]]:

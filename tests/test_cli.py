@@ -2,6 +2,8 @@
 
 import json
 
+import pytest
+
 from chowkit.cli import main
 from chowkit.zero_section import VerificationReport
 from chowkit.poly import Polynomial, RING_VARS
@@ -55,6 +57,13 @@ def test_verify_needs_a_genus(capsys):
     code, _, err = run(capsys, ["verify"])
     assert code == 2
     assert "needs --genus or --max-genus" in err
+
+
+def test_verify_genus_and_max_genus_exclude_each_other(capsys):
+    code, out, err = run(capsys, ["verify", "--genus", "2", "--max-genus", "3"])
+    assert code == 2
+    assert out == ""
+    assert "not allowed with" in err
 
 
 def test_verify_rejects_genus_zero(capsys):
@@ -147,6 +156,14 @@ def test_ring_reduce_deep_nesting_is_usage_error():
         assert "cannot parse" in proc.stderr
         assert "Traceback" not in proc.stderr
         assert proc.stdout == ""
+
+
+def test_ring_reduce_non_ascii_digits(capsys):
+    for expr in ("T1^\u00b2", "\u0663*T1"):
+        code, out, err = run(capsys, ["ring", "--genus", "2", "reduce", expr])
+        assert code == 2
+        assert out == ""
+        assert "cannot parse" in err and "position" in err
 
 
 def test_ring_reduce_unknown_variable(capsys):
@@ -266,6 +283,24 @@ def test_help_exits_zero(capsys):
 def test_unknown_choice_is_usage_error(capsys):
     code, _, _ = run(capsys, ["ring", "--genus", "2", "explode"])
     assert code == 2
+
+
+GOLDEN_STDOUT_SHA256 = {
+    ("verify", "--max-genus", "5", "--json"): "f3592c23d1b833fa2360c045b469443e9c3bda30ce0ceed342b61f425ce83e59",
+    ("ring", "--genus", "6", "pairing"): "b3a2af28372edbbf199a81737be5ab77ce0c077713393e662e7597c8ef1ab4a2",
+    ("ring", "--genus", "4", "reduce", "(xi+T1-P+2*T2)^7"): "3f17eb1c833e262dade44c42d33631bd27704841d5f09571f1f7235b4809f971",
+    ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "latex"): "7a106dbb07584048e96bf94238cbf615eaaf6fcd894e34eb75a25d6eb1dc9bfe",
+    ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "json"): "c7793ed7c162cd7a61c0974fa3e7cceda1dcc01f79398d8e72fc10e36e470356",
+}
+
+
+@pytest.mark.parametrize("argv", list(GOLDEN_STDOUT_SHA256), ids=" ".join)
+def test_golden_stdout(capsys, argv):
+    import hashlib
+
+    code, out, _ = run(capsys, list(argv))
+    assert code == 0
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == GOLDEN_STDOUT_SHA256[argv]
 
 
 def test_module_entry_point():

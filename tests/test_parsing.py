@@ -106,3 +106,12 @@ def test_parse_format_round_trip_random():
     for text in ("-T1", "-xi^2", "-1/2*P^3", "-xi*T1^2"):
         p = parse(text)
         assert parse(format_polynomial(p)) == p
+
+
+def test_literals_are_ascii_digits_only():
+    # Superscripts and other scripts' digits pass str.isdigit but are not
+    # literals of the grammar.
+    for text, position in (("T1^²", 3), ("٣*T1", 0), ("2٣", 1), ("T1^1¹", 4)):
+        with pytest.raises(ParseError) as info:
+            parse(text)
+        assert info.value.position == position

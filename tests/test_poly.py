@@ -199,3 +199,62 @@ def test_evaluate_requires_all_variables():
     p = parse("T1 + P")
     with pytest.raises(ValueError):
         p.evaluate({"T1": 1})
+
+
+# -------------------------------------------------------------------- combine
+
+
+def naive_combine(terms, images, zero):
+    total = zero
+    for exps, coeff in terms.items():
+        term = images[0] ** 0
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        total = total + coeff * term
+    return total
+
+
+def combine_cases():
+    from chowkit import boundary_pullback, gluing_pullback, theta_pullback
+    from chowkit.dr import FormalClass
+
+    rng = random.Random(61)
+    free = [Polynomial.variable(INVARIANT_VARS, v) for v in INVARIANT_VARS]
+    polys = [random_poly(rng, RING_VARS, max_exp=2, terms=3) for _ in range(3)]
+    weights = (2, -1, -1)
+    theta, irr, glue = (f(2, weights) for f in (theta_pullback, boundary_pullback, gluing_pullback))
+    return [
+        (free, Polynomial.zero(INVARIANT_VARS)),
+        ([free[0] - free[1] / 8, free[1], free[2] - 2 * free[0] * free[1]], Polynomial.zero(INVARIANT_VARS)),
+        (polys, Polynomial.zero(RING_VARS)),
+        ([theta, irr, glue], FormalClass.zero(2, weights)),
+        ([theta * irr + glue, irr, theta], FormalClass.zero(2, weights)),
+        ([Fraction(3, 2), Fraction(-2), Fraction(5, 7)], Fraction(0)),
+    ]
+
+
+@pytest.mark.parametrize("case", range(6))
+def test_combine_matches_naive_sum(case):
+    from chowkit.poly import combine
+
+    images, zero = combine_cases()[case]
+    rng = random.Random(case)
+    terms = {(0, 0, 0): Fraction(-5, 3)}
+    for _ in range(6):
+        terms[tuple(rng.randint(0, 2) for _ in range(3))] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+    assert combine(terms, images) == naive_combine(terms, images, zero)
+    assert combine({(0, 0, 0): 4}, images) == naive_combine({(0, 0, 0): 4}, images, zero)
+    assert combine({}, images) == zero
+
+
+def test_substitute_and_evaluate_of_zero():
+    zero = Polynomial.zero(RING_VARS)
+    image = Polynomial.variable(INVARIANT_VARS, "D")
+    assert zero.substitute({v: image for v in RING_VARS}) == Polynomial.zero(INVARIANT_VARS)
+    value = zero.evaluate({v: 3 for v in RING_VARS})
+    assert value == 0 and isinstance(value, Fraction)
+    constant = parse("3/2", ())
+    assert constant.substitute({}) == constant
+    assert constant.evaluate({}) == Fraction(3, 2)
+    assert parse("0", ()).evaluate({}) == 0

@@ -138,6 +138,13 @@ def test_odd_poincare_powers_vanish(g):
         assert ctx.is_zero(monomial)
 
 
+def test_degrees_past_the_top_vanish_without_elimination():
+    ctx = make_context(3)
+    assert ctx.normal_form(parse("(T1+P)^60")).is_zero()
+    assert ctx.normal_form(parse("xi*(T1+P)^60 + P")) == parse("P")
+    assert max(ctx._degrees) == 2 * 3 - 1
+
+
 def test_normal_form_is_linear_and_idempotent():
     ctx = make_context(3)
     rng = random.Random(52)
