@@ -163,8 +163,9 @@ def cmd_ring(args: argparse.Namespace) -> int:
     # action == "reduce"
     if args.expr is None:
         return _usage_error("ring reduce needs an expression argument")
+    # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero once R_(2g-1) is.
     try:
-        polynomial = parse(args.expr)
+        polynomial = parse(args.expr, max_degree=2 * g - 1 if ctx._vanishes_past_top() else None)
     except ParseError as exc:
         return _usage_error(f"cannot parse expression: {exc}")
     reduced = format_polynomial(ctx.normal_form(polynomial))

@@ -33,14 +33,15 @@ polarization pullback divided by ``g!``.
 from __future__ import annotations
 
 import json
+from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
-from math import gcd
-from typing import Iterable, Mapping, Sequence
+from functools import cache
+from itertools import combinations
+from math import comb, lcm
+from operator import mul
 
-from .arith import factorial
-from .poly import Scalar, coeff_latex, combine, signed_sum
+from .poly import Scalar, coeff_latex, signed_sum
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -136,84 +137,87 @@ class DivisorSymbol:
             payload["power"] = power
         return payload
 
-    def __hash__(self) -> int:
-        # Symbols sit inside millions of dictionary keys during products;
-        # caching the hash avoids rebuilding the field tuple on every probe.
-        cached = getattr(self, "_hash", None)
-        if cached is None:
-            cached = hash((self.kind, self.index, self.genus_part, self.points))
-            object.__setattr__(self, "_hash", cached)
-        return cached
-
 
 Term = tuple[tuple[DivisorSymbol, int], ...]
-
-# Interning registry: products run their inner loops over small integer ids
-# instead of symbol objects, which keeps the dictionary churn cheap.
-_symbol_ids: dict[DivisorSymbol, int] = {}
-_symbols_by_id: list[DivisorSymbol] = []
+# A term over a symbol table: ``(id, power, id, power, ...)`` with increasing
+# ids.  Tables list symbols in ``sort_key`` order, so keys sort like terms.
+Key = tuple[int, ...]
 
 
-def _symbol_id(symbol: DivisorSymbol) -> int:
-    sid = _symbol_ids.get(symbol)
-    if sid is None:
-        sid = len(_symbols_by_id)
-        _symbol_ids[symbol] = sid
-        _symbols_by_id.append(symbol)
-    return sid
+def _key(powers: Mapping[int, int]) -> Key:
+    return tuple(x for i in sorted(powers) if powers[i] for x in (i, powers[i]))
 
 
-def _term_key(term: Term) -> tuple:
-    return tuple((symbol.sort_key(), power) for symbol, power in term)
+def _pairs(key: Key) -> Iterable[tuple[int, int]]:
+    return zip(key[::2], key[1::2])
 
 
-def _normalize_term(powers: Mapping[DivisorSymbol, int]) -> Term:
-    kept = [(s, p) for s, p in powers.items() if p]
-    kept.sort(key=lambda item: item[0].sort_key())
-    return tuple(kept)
+class _TermView(Mapping):
+    """``FormalClass.terms``: the id-keyed terms seen as ``(symbol, power)`` tuples."""
+
+    def __init__(self, cls: "FormalClass"):
+        self.cls = cls
+
+    def __len__(self) -> int:
+        return len(self.cls.ids)
+
+    def __iter__(self):
+        symbols = self.cls.symbols
+        return (tuple((symbols[i], p) for i, p in _pairs(key)) for key in self.cls.ids)
+
+    def __getitem__(self, term: Term) -> Fraction:
+        index = {s: i for i, s in enumerate(self.cls.symbols)}  # KeyError for a foreign symbol
+        return self.cls.ids[tuple(x for s, p in term for x in (index[s], p))]
 
 
 class FormalClass:
     """A rational combination of symbol monomials on a fixed ambient space
     (genus plus weight vector).  Supports ``+``, ``-``, ``*`` (by classes on
-    the same ambient space or by scalars) and integer powers."""
+    the same ambient space or by scalars) and integer powers.  Terms are kept
+    as ``ids``, keys over the symbol table ``symbols``, to coefficients."""
 
-    __slots__ = ("genus", "weights", "terms")
+    __slots__ = ("genus", "weights", "symbols", "ids")
 
-    def __init__(
-        self,
-        genus: int,
-        weights: Sequence[int],
-        terms: Mapping[Term, Scalar] | None = None,
-    ):
+    def __init__(self, genus: int, weights: Sequence[int], terms: Mapping[Term, Scalar] | Iterable | None = None):
+        """``terms``: a mapping or ``(term, coeff)`` pairs; repeated symbols and terms merge."""
         if genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus}")
         if len(weights) < 1:
             raise ValueError("at least one marked point is required")
+        items = list(terms.items() if isinstance(terms, Mapping) else terms or ())
+        symbols = sorted({s for term, _ in items for s, _ in term}, key=DivisorSymbol.sort_key)
+        index = {s: i for i, s in enumerate(symbols)}
+        ids: dict[Key, Fraction] = {}
+        for term, coeff in items:
+            powers: dict[int, int] = {}
+            for symbol, power in term:
+                i = index[symbol]
+                powers[i] = powers.get(i, 0) + power
+            key = _key(powers)
+            ids[key] = ids.get(key, 0) + Fraction(coeff)
         self.genus = genus
         self.weights = tuple(int(d) for d in weights)
-        clean: dict[Term, Fraction] = {}
-        for term, coeff in (terms or {}).items():
-            value = Fraction(coeff)
-            if value:
-                clean[term] = value
-        self.terms = clean
+        self.symbols = tuple(symbols)
+        self.ids = {key: coeff for key, coeff in ids.items() if coeff}
 
     @property
     def n(self) -> int:
         return len(self.weights)
+
+    @property
+    def terms(self) -> Mapping[Term, Fraction]:
+        """The terms keyed by ``(symbol, power)`` tuples, a read-only view."""
+        return _TermView(self)
 
     @classmethod
     def zero(cls, genus: int, weights: Sequence[int]) -> "FormalClass":
         return cls(genus, weights)
 
     @classmethod
-    def _raw(cls, genus: int, weights: tuple[int, ...], terms: dict[Term, Fraction]) -> "FormalClass":
-        # Internal fast path for already-validated, zero-free term dicts.
+    def _raw(cls, genus: int, weights: tuple[int, ...], symbols: tuple, ids: dict[Key, Fraction]) -> "FormalClass":
+        # Internal fast path for already-validated, zero-free keys over a table.
         obj = object.__new__(cls)
-        obj.genus = genus
-        obj.weights = weights
-        obj.terms = terms
+        obj.genus, obj.weights, obj.symbols, obj.ids = genus, weights, symbols, ids
         return obj
 
     @classmethod
@@ -227,11 +231,16 @@ class FormalClass:
     # ------------------------------------------------------------ inspection
 
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self.ids
 
     def codimension(self) -> int:
         """Common codimension of the terms (0 for the zero class)."""
-        codims = {sum(power * symbol.codimension for symbol, power in term) for term in self.terms}
+        # xi, of codimension 2, sorts last: a term not ending in xi has codimension = degree.
+        weight = [symbol.codimension for symbol in self.symbols]
+        codims = {
+            sum(key[1::2]) if not key or weight[key[-2]] == 1 else sum(map(mul, map(weight.__getitem__, key[::2]), key[1::2]))
+            for key in self.ids
+        }
         if not codims:
             return 0
         if len(codims) > 1:
@@ -239,42 +248,49 @@ class FormalClass:
         return codims.pop()
 
     def sorted_terms(self) -> list[tuple[Term, Fraction]]:
-        return sorted(self.terms.items(), key=lambda item: _term_key(item[0]))
+        return [(tuple((self.symbols[i], p) for i, p in _pairs(k)), c) for k, c in sorted(self.ids.items())]
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, FormalClass):
             return NotImplemented
-        return self.genus == other.genus and self.weights == other.weights and self.terms == other.terms
+        if self.genus != other.genus or self.weights != other.weights:
+            return False
+        _, left, right = self._aligned(other)
+        return left == right
 
     def __repr__(self) -> str:
-        return f"FormalClass(genus={self.genus}, weights={self.weights}, {len(self.terms)} terms)"
+        return f"FormalClass(genus={self.genus}, weights={self.weights}, {len(self.ids)} terms)"
 
     # ------------------------------------------------------------ arithmetic
 
-    def _check_ambient(self, other: "FormalClass") -> None:
+    def _aligned(self, other: "FormalClass") -> tuple[tuple[DivisorSymbol, ...], dict, dict]:
+        """The terms of both classes keyed over one table, the union of theirs."""
         if self.genus != other.genus or self.weights != other.weights:
-            raise ValueError(
-                f"ambient mismatch: genus {self.genus} weights {self.weights}"
-                f" vs genus {other.genus} weights {other.weights}"
-            )
+            raise ValueError(f"ambient mismatch: genus {self.genus} weights {self.weights} vs {other.genus} {other.weights}")
+        if self.symbols == other.symbols:
+            return self.symbols, self.ids, other.ids
+        symbols = tuple(sorted(set(self.symbols) | set(other.symbols), key=DivisorSymbol.sort_key))
+        index = {s: i for i, s in enumerate(symbols)}
+
+        def remap(cls: FormalClass) -> dict[Key, Fraction]:
+            if cls.symbols == symbols:
+                return cls.ids
+            new = [index[s] for s in cls.symbols]  # increasing, so keys stay sorted
+            return {tuple(x for i, p in _pairs(key) for x in (new[i], p)): c for key, c in cls.ids.items()}
+
+        return symbols, remap(self), remap(other)
 
     def __add__(self, other: "FormalClass") -> "FormalClass":
         if not isinstance(other, FormalClass):
             return NotImplemented
-        self._check_ambient(other)
-        terms = dict(self.terms)
-        for term, coeff in other.terms.items():
-            value = terms.get(term)
-            if value is None:
-                terms[term] = coeff
-            elif value + coeff:
-                terms[term] = value + coeff
-            else:
-                del terms[term]
-        return FormalClass._raw(self.genus, self.weights, terms)
+        symbols, left, right = self._aligned(other)
+        terms = dict(left)
+        for key, coeff in right.items():
+            terms[key] = terms.get(key, 0) + coeff
+        return FormalClass._raw(self.genus, self.weights, symbols, {k: c for k, c in terms.items() if c})
 
     def __neg__(self) -> "FormalClass":
-        return FormalClass._raw(self.genus, self.weights, {t: -c for t, c in self.terms.items()})
+        return FormalClass._raw(self.genus, self.weights, self.symbols, {k: -c for k, c in self.ids.items()})
 
     def __sub__(self, other: "FormalClass") -> "FormalClass":
         if not isinstance(other, FormalClass):
@@ -284,43 +300,20 @@ class FormalClass:
     def __mul__(self, other: "FormalClass | Scalar") -> "FormalClass":
         if isinstance(other, (int, Fraction)):
             factor = Fraction(other)
-            if not factor:
-                return FormalClass(self.genus, self.weights)
-            if factor == 1:
-                return self
-            return FormalClass._raw(
-                self.genus, self.weights, {t: c * factor for t, c in self.terms.items()}
-            )
+            return FormalClass._raw(self.genus, self.weights, self.symbols, {k: c * factor for k, c in self.ids.items() if factor})
         if not isinstance(other, FormalClass):
             return NotImplemented
-        self._check_ambient(other)
-        # Products with a constant class degenerate to scalar multiplication;
-        # catching them here keeps x * one(...) away from the big merge loop.
-        if len(other.terms) == 1 and () in other.terms:
-            return self * other.terms[()]
-        if len(self.terms) == 1 and () in self.terms:
-            return other * self.terms[()]
-        left = [({_symbol_id(s): p for s, p in term}, coeff) for term, coeff in self.terms.items()]
-        right = [
-            (tuple((_symbol_id(s), p) for s, p in term), coeff) for term, coeff in other.terms.items()
-        ]
-        accum: dict[tuple[tuple[int, int], ...], Fraction] = {}
-        for powers1, c1 in left:
-            for flat2, c2 in right:
-                powers = dict(powers1)
-                for sid, power in flat2:
-                    powers[sid] = powers.get(sid, 0) + power
-                key = tuple(sorted(powers.items()))
-                value = c1 * c2
-                if key in accum:
-                    accum[key] += value
-                else:
-                    accum[key] = value
-        terms: dict[Term, Fraction] = {}
-        for key, coeff in accum.items():
-            if coeff:
-                terms[_normalize_term({_symbols_by_id[sid]: p for sid, p in key})] = coeff
-        return FormalClass._raw(self.genus, self.weights, terms)
+        symbols, left, right = self._aligned(other)
+        accum: dict[Key, Fraction] = {}
+        for key1, c1 in left.items():
+            base = dict(_pairs(key1))
+            for key2, c2 in right.items():
+                powers = dict(base)
+                for i, p in _pairs(key2):
+                    powers[i] = powers.get(i, 0) + p
+                key = _key(powers)
+                accum[key] = accum.get(key, 0) + c1 * c2
+        return FormalClass._raw(self.genus, self.weights, symbols, {k: c for k, c in accum.items() if c})
 
     __rmul__ = __mul__
 
@@ -329,47 +322,47 @@ class FormalClass:
             raise ValueError(f"power needs a nonnegative integer, got {exponent!r}")
         if exponent == 0:
             return FormalClass.one(self.genus, self.weights)
-        if all(len(term) == 1 and term[0][1] == 1 for term in self.terms):
-            return self._linear_power(exponent)
+        if all(len(key) == 2 and key[1] == 1 for key in self.ids):
+            # A sum of distinct single symbols: each multiset of them is one term.
+            common, form = _integral_form(self)
+            denominator = common**exponent
+            terms = {key: Fraction(num, denominator) for key, num in _power_terms(form, exponent)}
+            return FormalClass._raw(self.genus, self.weights, self.symbols, terms)
         result = self
         for _ in range(exponent - 1):
             result = result * self
         return result
 
-    def _linear_power(self, exponent: int) -> "FormalClass":
-        # Multinomial expansion for a sum of distinct single symbols.  Every
-        # multiset of symbols yields a distinct output term, so each term is
-        # written exactly once — much cheaper than iterated products.  The
-        # inner loop runs on integers over a common denominator; the division
-        # by each group's factorial is exact because e!/k! is an integer.
-        base = sorted(
-            ((term[0][0], coeff) for term, coeff in self.terms.items()),
-            key=lambda item: item[0].sort_key(),
-        )
-        common = 1
-        for _, value in base:
-            common = common * value.denominator // gcd(common, value.denominator)
-        scaled = [(symbol, (value * common).numerator) for symbol, value in base]
-        denominator = common ** exponent
-        scale = factorial(exponent)
-        terms: dict[Term, Fraction] = {}
-        for combo in combinations_with_replacement(range(len(scaled)), exponent):
-            numerator = scale
-            parts = []
-            i = 0
-            while i < exponent:
-                j = i
-                while j < exponent and combo[j] == combo[i]:
-                    j += 1
-                count = j - i
-                symbol, value = scaled[combo[i]]
-                numerator *= value ** count
-                if count > 1:
-                    numerator //= factorial(count)
-                parts.append((symbol, count))
-                i = j
-            terms[tuple(parts)] = Fraction(numerator, denominator)
-        return FormalClass._raw(self.genus, self.weights, terms)
+
+def _integral_form(cls: FormalClass) -> tuple[int, list[tuple[int, int]]]:
+    """A sum of distinct single symbols as ``(common denominator, [(id,
+    numerator), ...])`` with increasing ids."""
+    common = lcm(*(coeff.denominator for coeff in cls.ids.values()))
+    return common, sorted((key[0], (coeff * common).numerator) for key, coeff in cls.ids.items())
+
+
+def _power_terms(form: Sequence[tuple[int, int]], exponent: int) -> list[tuple[Key, int]]:
+    """``(key, numerator)`` of each term of ``(sum v x_i)^exponent`` over ``form
+    = [(i, v), ...]`` (ids increasing), in key order: the multinomial ``exponent!
+    / prod k_i!`` times ``prod v^k_i``, with terms sharing their prefixes' work."""
+    out: list[tuple[Key, int]] = [] if exponent else [((), 1)]  # the empty product
+
+    def extend(start: int, left: int, prefix: Key, numerator: int) -> None:
+        if left == 1:  # most terms end here: one more distinct symbol
+            out.extend((prefix + (i, 1), numerator * value) for i, value in form[start:])
+            return
+        for pos in range(start, len(form)):
+            i, value = form[pos]
+            num = numerator
+            for k in range(1, left + 1):
+                num = num * value * (left - k + 1) // k  # times C(left, k) v^k over k steps
+                if k == left:
+                    out.append((prefix + (i, k), num))
+                elif pos + 1 < len(form):
+                    extend(pos + 1, left - k, prefix + (i, k), num)
+
+    extend(0, exponent, (), 1)
+    return out
 
 
 # -------------------------------------------------------------- pullbacks
@@ -390,12 +383,11 @@ def theta_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
     """Pullback of the polarization class along the weight-``d`` section."""
     weights = _validate_weights(genus, weights)
     n = len(weights)
-    terms: dict[Term, Fraction] = {}
+    terms: list[tuple[Term, Fraction]] = []
 
     def put(symbol: DivisorSymbol, coeff: Fraction) -> None:
-        if coeff:
-            term: Term = ((symbol, 1),)
-            terms[term] = terms.get(term, Fraction(0)) + coeff
+        if coeff:  # keeps the symbol table to the support
+            terms.append((((symbol, 1),), coeff))
 
     for i, d in enumerate(weights, start=1):
         put(DivisorSymbol.cotangent(i), Fraction(d * d, 2))
@@ -405,18 +397,13 @@ def theta_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
             d_subset = sum(weights[i - 1] for i in subset)
             excess = d_subset * d_subset - sum(weights[i - 1] ** 2 for i in subset)
             put(DivisorSymbol.separating(genus, 0, subset, n), Fraction(-excess, 2))
-    for h in range(1, genus - 1 + 1):
-        if h > genus - h:
-            break
+    for h in range(1, genus // 2 + 1):
         for size in range(0, n + 1):
             for subset in combinations(points, size):
                 if 2 * h == genus and 1 not in subset:
                     continue
                 d_subset = sum(weights[i - 1] for i in subset)
-                put(
-                    DivisorSymbol.separating(genus, h, subset, n),
-                    Fraction(-d_subset * d_subset, 2),
-                )
+                put(DivisorSymbol.separating(genus, h, subset, n), Fraction(-d_subset * d_subset, 2))
     return FormalClass(genus, weights, terms)
 
 
@@ -429,70 +416,87 @@ def boundary_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
 def gluing_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
     """Pullback of the gluing-locus class: ``sum |d_i| xi_i``."""
     weights = _validate_weights(genus, weights)
-    terms: dict[Term, Fraction] = {}
-    for i, d in enumerate(weights, start=1):
-        if d:
-            terms[((DivisorSymbol.rational_bridge(i), 1),)] = Fraction(abs(d))
-    return FormalClass(genus, weights, terms)
+    return FormalClass(genus, weights, {((DivisorSymbol.rational_bridge(i), 1),): abs(d) for i, d in enumerate(weights, 1) if d})
 
 
 def dr_class(genus: int, weights: Sequence[int]) -> FormalClass:
     """The double-ramification class: the eta-weighted sum of products of the
-    three pullbacks over all ``(a, b, c)`` with ``a + b + 2c = genus``."""
+    three pullbacks over all ``(a, b, c)`` with ``a + b + 2c = genus``.
+
+    Their supports are disjoint, ordered ``K < delta_irr < delta < xi`` in the
+    ambient space's symbol table.  With ``Theta^a = sum_j C(a, j) Theta_K^j
+    Theta_delta^(a-j)`` each term joins one key of each of ``Theta_K^j``,
+    ``delta_irr^b``, ``Theta_delta^(a-j)`` and ``Delta^c``: it is written once."""
     weights = _validate_weights(genus, weights)
     theta = theta_pullback(genus, weights)
-    irr = boundary_pullback(genus, weights)
+    irr = boundary_pullback(genus, weights)  # delta_irr with coefficient 1
     glue = gluing_pullback(genus, weights)
-    return combine(coefficient_table(genus).eta, (theta, irr, glue))
+    cut = sum(1 for symbol in theta.symbols if symbol.kind == "K")
+    symbols = theta.symbols[:cut] + irr.symbols + theta.symbols[cut:] + glue.symbols
+    common, form = _integral_form(theta)
+    glue_form = [(i + len(theta.symbols) + 1, v) for i, v in _integral_form(glue)[1]]
+    forms = ([(i, v) for i, v in form if i < cut], [(i + 1, v) for i, v in form if i >= cut], glue_form)
+    theta_k, theta_delta, gluing = ([_power_terms(f, e) for e in range(genus + 1)] for f in forms)
+    ids: dict[Key, Fraction] = {}
+    for (a, b, c), coeff in coefficient_table(genus).eta.items():
+        middle = (cut, b) if b else ()
+        for j in range(a + 1 if coeff else 0):
+            # Few numerators recur, so each coefficient is built (and stored) once.
+            scaled = cache((coeff * comb(a, j) / common**a).__mul__)
+            tail = [(k1 + k2, n1 * n2) for k1, n1 in theta_delta[a - j] for k2, n2 in gluing[c]]
+            for head, n1 in theta_k[j]:
+                head += middle
+                for key, n2 in tail:
+                    ids[head + key] = scaled(n1 * n2)
+    return FormalClass._raw(genus, weights, symbols, ids)
 
 
 def specialize_compact_type(cls: FormalClass) -> FormalClass:
     """Restrict to curves of compact type: kill every term containing the
     irreducible boundary divisor or a rational-bridge symbol."""
-    kept = {
-        term: coeff
-        for term, coeff in cls.terms.items()
-        if all(symbol.kind not in ("delta_irr", "xi") for symbol, _ in term)
-    }
-    return FormalClass(cls.genus, cls.weights, kept)
+    dropped = {i for i, symbol in enumerate(cls.symbols) if symbol.kind in ("delta_irr", "xi")}
+    kept = {key: coeff for key, coeff in cls.ids.items() if dropped.isdisjoint(key[::2])}
+    return FormalClass._raw(cls.genus, cls.weights, cls.symbols, kept)
 
 
 # -------------------------------------------------------------- serialization
 
 
-def _term_latex(term: Term) -> list[str]:
-    pieces = []
-    for symbol, power in term:
-        rendered = symbol.latex()
-        if power == 1:
-            pieces.append(rendered)
-        elif symbol.kind == "delta":
-            # delta_h^P already carries a superscript; parenthesize its powers.
-            pieces.append(f"({rendered})^{{{power}}}")
-        else:
-            pieces.append(f"{rendered}^{{{power}}}")
-    return pieces
+def _json_fragment(symbol: DivisorSymbol, power: int) -> str:
+    # One entry of a term's "symbols" list, indented as in the whole payload.
+    return "        " + json.dumps(symbol.to_json_dict(power), indent=2).replace("\n", "\n        ")
+
+
+def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
+    rendered = symbol.latex()
+    if power == 1:
+        return rendered
+    if symbol.kind == "delta":
+        # delta_h^P already carries a superscript; parenthesize its powers.
+        return f"({rendered})^{{{power}}}"
+    return f"{rendered}^{{{power}}}"
 
 
 def serialize(cls: FormalClass, mode: str = "json") -> str:
-    """Render a formal class as deterministic JSON (round-trippable) or LaTeX."""
+    """Render a formal class as deterministic JSON (round-trippable) or LaTeX.
+
+    Both join per-``(symbol, power)`` fragments over the sorted terms; the
+    JSON text is that of ``json.dumps(payload, indent=2)``.
+    """
     if mode == "json":
-        payload = {
-            "g": cls.genus,
-            "n": cls.n,
-            "weights": list(cls.weights),
-            "codim": cls.codimension(),
-            "terms": [
-                {
-                    "coeff": str(coeff),
-                    "symbols": [symbol.to_json_dict(power) for symbol, power in term],
-                }
-                for term, coeff in cls.sorted_terms()
-            ],
-        }
-        return json.dumps(payload, indent=2)
+        payload = {"g": cls.genus, "n": cls.n, "weights": list(cls.weights), "codim": cls.codimension(), "terms": []}
+        head = json.dumps(payload, indent=2)
+        fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
+        terms = ",\n".join(
+            '    {\n      "coeff": "%s",\n      "symbols": %s\n    }'
+            % (coeff, "[\n%s\n      ]" % ",\n".join(map(fragment, key[::2], key[1::2])) if key else "[]")
+            for key, coeff in sorted(cls.ids.items())
+        )
+        return f"{head[:-4]}[\n{terms}\n  ]\n}}" if terms else head
     if mode == "latex":
-        return signed_sum(((coeff, _term_latex(term)) for term, coeff in cls.sorted_terms()), coeff_latex, " ")
+        fragment = cache(lambda i, power: _latex_fragment(cls.symbols[i], power))
+        terms = ((coeff, list(map(fragment, key[::2], key[1::2]))) for key, coeff in sorted(cls.ids.items()))
+        return signed_sum(terms, coeff_latex, " ")
     raise ValueError(f"unknown serialization mode {mode!r}")
 
 
@@ -504,23 +508,21 @@ def deserialize(text: str) -> FormalClass:
     n = len(weights)
     if "n" in payload and int(payload["n"]) != n:
         raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
-    terms: dict[Term, Fraction] = {}
+
+    @cache  # each distinct entry is decoded once
+    def decode(kind: str, i: int | None, h: int | None, points: tuple[int, ...]) -> DivisorSymbol:
+        if kind == "K":
+            return DivisorSymbol.cotangent(int(i))
+        if kind == "xi":
+            return DivisorSymbol.rational_bridge(int(i))
+        if kind == "delta_irr":
+            return DivisorSymbol.irreducible()
+        if kind == "delta":
+            return DivisorSymbol.separating(genus, int(h), points, n)
+        raise ValueError(f"unknown symbol kind {kind!r}")
+
+    terms = []
     for entry in payload["terms"]:
-        powers: dict[DivisorSymbol, int] = {}
-        for raw in entry["symbols"]:
-            kind = raw["kind"]
-            power = int(raw.get("power", 1))
-            if kind == "K":
-                symbol = DivisorSymbol.cotangent(int(raw["i"]))
-            elif kind == "xi":
-                symbol = DivisorSymbol.rational_bridge(int(raw["i"]))
-            elif kind == "delta_irr":
-                symbol = DivisorSymbol.irreducible()
-            elif kind == "delta":
-                symbol = DivisorSymbol.separating(genus, int(raw["h"]), raw["P"], n)
-            else:
-                raise ValueError(f"unknown symbol kind {kind!r}")
-            powers[symbol] = powers.get(symbol, 0) + power
-        term = _normalize_term(powers)
-        terms[term] = terms.get(term, Fraction(0)) + Fraction(entry["coeff"])
+        term = [(decode(s["kind"], s.get("i"), s.get("h"), tuple(s.get("P", ()))), int(s.get("power", 1))) for s in entry["symbols"]]
+        terms.append((term, Fraction(entry["coeff"])))
     return FormalClass(genus, weights, terms)

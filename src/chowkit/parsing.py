@@ -71,11 +71,27 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Vars):
+    def __init__(self, text: str, variables: Vars, max_degree: int | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.vars = variables
+        self.max_degree = max_degree
+
+    def truncate(self, p: Polynomial) -> Polynomial:
+        top = self.max_degree
+        return p if top is None else Polynomial._raw(p.vars, {e: c for e, c in p.terms.items() if sum(e) <= top})
+
+    def power(self, base: Polynomial, exponent: int) -> Polynomial:
+        """``base ** exponent`` by squaring, truncating every product."""
+        result = Polynomial.constant(self.vars, 1)
+        while exponent:
+            if exponent & 1:
+                result = self.truncate(result * base)
+            exponent >>= 1
+            if exponent:
+                base = self.truncate(base * base)
+        return result
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -103,7 +119,7 @@ class _Parser:
         result = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            result = result * self.parse_factor()
+            result = self.truncate(result * self.parse_factor())
         return result
 
     def parse_factor(self) -> Polynomial:
@@ -111,7 +127,7 @@ class _Parser:
         if self.peek()[0] == "^":
             self.next()
             kind, value, position = self.expect("number")
-            return base ** int(value)
+            return self.power(base, int(value))
         return base
 
     def nested(self, parse, position: int) -> Polynomial:
@@ -146,13 +162,16 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)
 
 
-def parse(text: str, variables: Vars = RING_VARS) -> Polynomial:
+def parse(text: str, variables: Vars = RING_VARS, max_degree: int | None = None) -> Polynomial:
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
+
+    With ``max_degree``, terms of higher total degree are dropped after every
+    product and power (taken by squaring): a huge exponent costs its bit length.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors and on
     names outside the variable set, with the offending position attached.
     """
-    parser = _Parser(text, tuple(variables))
+    parser = _Parser(text, tuple(variables), max_degree)
     result = parser.parse_expr()
     kind, value, position = parser.peek()
     if kind != "end":

@@ -79,6 +79,14 @@ class Polynomial:
     def __setattr__(self, name: str, value: object) -> None:
         raise AttributeError("Polynomial is immutable")
 
+    @classmethod
+    def _raw(cls, variables: Vars, terms: dict[Exponents, Fraction]) -> "Polynomial":
+        # Internal fast path for terms built from clean ones: drops zeros only.
+        obj = object.__new__(cls)
+        object.__setattr__(obj, "vars", variables)
+        object.__setattr__(obj, "_terms", {e: c for e, c in terms.items() if c})
+        return obj
+
     # ---------------------------------------------------------------- constructors
 
     @classmethod
@@ -171,12 +179,12 @@ class Polynomial:
         terms = dict(self._terms)
         for exps, coeff in rhs._terms.items():
             terms[exps] = terms.get(exps, Fraction(0)) + coeff
-        return Polynomial(self.vars, terms)
+        return Polynomial._raw(self.vars, terms)
 
     __radd__ = __add__
 
     def __neg__(self) -> "Polynomial":
-        return Polynomial(self.vars, {e: -c for e, c in self._terms.items()})
+        return Polynomial._raw(self.vars, {e: -c for e, c in self._terms.items()})
 
     def __sub__(self, other: object) -> "Polynomial":
         rhs = self._coerce(other)
@@ -193,7 +201,7 @@ class Polynomial:
     def __mul__(self, other: object) -> "Polynomial":
         if isinstance(other, (int, Fraction)):
             factor = Fraction(other)
-            return Polynomial(self.vars, {e: c * factor for e, c in self._terms.items()})
+            return Polynomial._raw(self.vars, {e: c * factor for e, c in self._terms.items()})
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
@@ -202,7 +210,7 @@ class Polynomial:
             for e2, c2 in rhs._terms.items():
                 exps = tuple(a + b for a, b in zip(e1, e2))
                 terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial(self.vars, terms)
+        return Polynomial._raw(self.vars, terms)
 
     __rmul__ = __mul__
 
@@ -225,13 +233,13 @@ class Polynomial:
 
     def graded_piece(self, k: int) -> "Polynomial":
         """Sum of the terms of total degree exactly ``k``."""
-        return Polynomial(self.vars, {e: c for e, c in self._terms.items() if sum(e) == k})
+        return Polynomial._raw(self.vars, {e: c for e, c in self._terms.items() if sum(e) == k})
 
     def graded_pieces(self) -> dict[int, "Polynomial"]:
         out: dict[int, dict[Exponents, Fraction]] = {}
         for exps, coeff in self._terms.items():
             out.setdefault(sum(exps), {})[exps] = coeff
-        return {k: Polynomial(self.vars, t) for k, t in sorted(out.items())}
+        return {k: Polynomial._raw(self.vars, t) for k, t in sorted(out.items())}
 
     def substitute(self, images: Mapping[str, "Polynomial | Scalar"]) -> "Polynomial":
         """Simultaneous substitution; variables not listed map to themselves.

@@ -166,6 +166,21 @@ def test_ring_reduce_non_ascii_digits(capsys):
         assert "cannot parse" in err and "position" in err
 
 
+def test_ring_reduce_huge_exponents_finish(capsys):
+    # Every class of degree >= 2g vanishes, so the parser drops those terms
+    # as it goes and takes powers by squaring.
+    for expr in ("P^100000000", "(T1+P)^100000000"):
+        code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
+        assert (code, out, err) == (0, "0\n", "")
+
+
+def test_ring_reduce_keeps_xi_terms_of_degree_2g_minus_1(capsys):
+    # xi*P^4 has degree 2g-1 = 5 at g=3 and reduces into xi*R_4, which is
+    # not zero: the parser's bound must be 2g-1, not 2g-2.
+    code, out, _ = run(capsys, ["ring", "--genus", "3", "reduce", "xi*P^4"])
+    assert (code, out) == (0, "6*xi*T1^2*T2^2\n")
+
+
 def test_ring_reduce_unknown_variable(capsys):
     code, _, err = run(capsys, ["ring", "--genus", "2", "reduce", "P + Theta"])
     assert code == 2
@@ -291,6 +306,9 @@ GOLDEN_STDOUT_SHA256 = {
     ("ring", "--genus", "4", "reduce", "(xi+T1-P+2*T2)^7"): "3f17eb1c833e262dade44c42d33631bd27704841d5f09571f1f7235b4809f971",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "latex"): "7a106dbb07584048e96bf94238cbf615eaaf6fcd894e34eb75a25d6eb1dc9bfe",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "json"): "c7793ed7c162cd7a61c0974fa3e7cceda1dcc01f79398d8e72fc10e36e470356",
+    # The 94,212-term class, where term order and fragment rendering matter most.
+    ("dr", "--genus", "4", "--weights=1,1,1,-3", "--format", "latex"): "0193ffe443370b6bf6c04b73328a78f1e16d45214e1fb58a7338a3835bff6b78",
+    ("dr", "--genus", "4", "--weights=1,1,1,-3", "--format", "json"): "8cdacb95f58cd439212a217cdd7e1341ec645f2e80d4d3b439ab5b97abc36ce9",
 }
 
 

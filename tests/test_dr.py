@@ -5,6 +5,7 @@ import json
 import random
 from fractions import Fraction
 from itertools import combinations
+from math import comb
 
 import pytest
 
@@ -21,6 +22,8 @@ from chowkit import (
     specialize_compact_type,
     theta_pullback,
 )
+from chowkit.poly import combine
+from chowkit.zero_section import coefficient_table
 
 F = Fraction
 
@@ -378,3 +381,77 @@ def test_theta_subset_enumeration_is_complete():
         if symbol.kind == "delta" and symbol.genus_part == 0
     }
     assert found == subsets
+
+
+# ------------------------------------------------------------------ expansion properties
+
+# Per n: generic weights, weights with a zero entry, and (n = 4) weights with
+# a zero proper-subset sum; for n <= 3 such a subset forces a zero entry.
+PROPERTY_WEIGHTS = [(3, -3), (0, 0), (1, 2, -3), (2, 0, -2), (1, 2, 4, -7), (1, 0, 2, -3), (1, -1, 2, -2)]
+
+
+def reference_dr(g, weights):
+    # The eta-weighted sum over general FormalClass arithmetic, merging as it goes.
+    parts = (theta_pullback(g, weights), boundary_pullback(g, weights), gluing_pullback(g, weights))
+    return combine(coefficient_table(g).eta, parts)
+
+
+def expected_term_count(g, weights):
+    # Disjoint supports: each summand contributes C(|Theta|+a-1, a) * C(|Delta|+c-1, c) terms.
+    theta, glue = len(theta_pullback(g, weights).terms), len(gluing_pullback(g, weights).terms)
+    count = 0
+    for (a, b, c), value in coefficient_table(g).eta.items():
+        if value:
+            count += (comb(theta + a - 1, a) if a else 1) * (comb(glue + c - 1, c) if c else 1)
+    return count
+
+
+@pytest.mark.parametrize("weights", PROPERTY_WEIGHTS, ids=str)
+@pytest.mark.parametrize("g", range(1, 5))
+def test_dr_expansion_properties(g, weights):
+    cls = dr_class(g, weights)
+    assert cls == reference_dr(g, weights)
+    assert len(cls.terms) == expected_term_count(g, weights)
+    text = serialize(cls)
+    rebuilt = deserialize(text)
+    assert rebuilt == cls and serialize(rebuilt) == text
+    assert serialize(rebuilt, "latex") == serialize(cls, "latex")
+
+
+def test_delta_irr_sorts_between_k_and_delta():
+    powered = sep(2, 1, [1], 2)
+    irr, k1 = DivisorSymbol.irreducible(), DivisorSymbol.cotangent(1)
+    # Factors given out of order are stored in symbol order.
+    cls = FormalClass(2, (1, -1), {((powered, 2), (irr, 1), (k1, 1)): F(3), ((powered, 1), (irr, 3)): F(-1, 2)})
+    assert [term for term, _ in cls.sorted_terms()] == [
+        ((k1, 1), (irr, 1), (powered, 2)),
+        ((irr, 3), (powered, 1)),
+    ]
+    assert serialize(cls, "latex") == (
+        r"3 K_{1} \delta_{irr} (\delta_{1}^{\{1\}})^{2} - \frac{1}{2} \delta_{irr}^{3} \delta_{1}^{\{1\}}"
+    )
+    payload = json.loads(serialize(cls))
+    assert [[s["kind"] for s in term["symbols"]] for term in payload["terms"]] == [
+        ["K", "delta_irr", "delta"],
+        ["delta_irr", "delta"],
+    ]
+    assert payload["terms"][0]["symbols"][2] == {"kind": "delta", "h": 1, "P": [1], "power": 2}
+    assert deserialize(serialize(cls)) == cls
+    # The same order inside a DR class, whose summands join K, delta_irr and delta keys.
+    rank = {"K": 0, "delta_irr": 1, "delta": 2, "xi": 3}
+    terms = dr_class(3, (1, 1, -2)).sorted_terms()
+    kinds = [[rank[s.kind] for s, _ in term] for term, _ in terms if any(s.kind == "delta_irr" for s, _ in term)]
+    assert any(0 in k and 2 in k for k in kinds)
+    assert all(k == sorted(k) for k in kinds)
+
+
+def test_products_of_classes_on_different_tables():
+    # Classes keep their own symbol tables; arithmetic merges them.
+    g, weights = 2, (2, -1, -1)
+    theta, irr, glue = theta_pullback(g, weights), boundary_pullback(g, weights), gluing_pullback(g, weights)
+    product = (theta + irr) * (glue - irr)
+    expected = theta * glue - theta * irr + irr * glue - irr * irr
+    assert product == expected
+    assert product.terms[((DivisorSymbol.irreducible(), 2),)] == -1
+    assert (theta * glue).codimension() == 3
+    assert theta ** 2 == theta * theta

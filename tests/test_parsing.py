@@ -115,3 +115,17 @@ def test_literals_are_ascii_digits_only():
         with pytest.raises(ParseError) as info:
             parse(text)
         assert info.value.position == position
+
+
+def test_max_degree_truncates_products_and_powers():
+    # Huge exponents cost their bit length once terms past the bound drop.
+    assert parse("(T1+P)^100000000", max_degree=4).is_zero()
+    assert parse("P^100000000", max_degree=4).is_zero()
+    assert parse("T1^3*P^3 + xi", max_degree=5) == parse("xi")
+    full = parse("(1 + xi - 2*T1 + 1/3*P)^7")
+    for bound in range(9):
+        expected = {e: c for e, c in full.terms.items() if sum(e) <= bound}
+        assert parse("(1 + xi - 2*T1 + 1/3*P)^7", max_degree=bound).terms == expected
+    assert parse("(1+P)^100000000", max_degree=1) == parse("1 + 100000000*P")
+    # Without a bound, powers by squaring give the plain expansion.
+    assert parse("(xi - T1 + 2*P)^11") == parse("xi - T1 + 2*P") ** 11

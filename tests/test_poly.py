@@ -258,3 +258,16 @@ def test_substitute_and_evaluate_of_zero():
     assert constant.substitute({}) == constant
     assert constant.evaluate({}) == Fraction(3, 2)
     assert parse("0", ()).evaluate({}) == 0
+
+
+def test_internal_results_stay_clean_and_constructor_still_validates():
+    # Sums, products, negation and graded pieces skip re-validation but
+    # must still drop every cancelled term.
+    t1, p = Polynomial.variable(RING_VARS, "T1"), Polynomial.variable(RING_VARS, "P")
+    assert ((t1 + p) * (t1 - p)).terms == {(0, 2, 0, 0): 1, (0, 0, 2, 0): -1}
+    assert (t1 - t1).terms == {} and (t1 * 0).terms == {}
+    assert (-(t1 + 1)).graded_piece(1).terms == {(0, 1, 0, 0): -1}
+    assert all(c for piece in ((t1 + p) ** 3 - t1**3).graded_pieces().values() for c in piece.terms.values())
+    for exps in ((1, 0, 0), (0, 1, 0, 0, 0), (0, 0, -1, 0), (2, 0, 0, -3)):
+        with pytest.raises(ValueError):
+            Polynomial(RING_VARS, {exps: 1})

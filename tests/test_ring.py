@@ -138,6 +138,18 @@ def test_odd_poincare_powers_vanish(g):
         assert ctx.is_zero(monomial)
 
 
+@pytest.mark.parametrize("g", range(1, 6))
+def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
+    # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero; degree 2g-1
+    # xi terms land in xi*R_(2g-2), which is not.
+    ctx = make_context(g)
+    assert ctx._vanishes_past_top()
+    for text in (f"xi*P^{2 * g - 2}", f"(1 + xi - T1 + 2*P)^{2 * g + 1}", f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}"):
+        assert ctx.normal_form(parse(text, max_degree=2 * g - 1)) == ctx.normal_form(parse(text))
+    if g > 1:
+        assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
+
+
 def test_degrees_past_the_top_vanish_without_elimination():
     ctx = make_context(3)
     assert ctx.normal_form(parse("(T1+P)^60")).is_zero()
