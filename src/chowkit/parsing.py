@@ -16,7 +16,8 @@ exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 
 Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
-the interpreter stack.
+the interpreter stack.  A power whose constant term would grow past
+``MAX_POWER_BITS`` bits is rejected the same way, before it is computed.
 """
 
 from __future__ import annotations
@@ -34,6 +35,11 @@ _DIGITS = set("0123456789")
 
 #: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
 MAX_DEPTH = 100
+
+#: Largest ``exponent * (bit length of the base's constant term - 1)`` of a
+#: power.  Truncation bounds degrees, not coefficients; this keeps them under
+#: CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
+MAX_POWER_BITS = 10_000
 
 
 class ParseError(ValueError):
@@ -78,19 +84,29 @@ class _Parser:
         self.vars = variables
         self.max_degree = max_degree
 
-    def truncate(self, p: Polynomial) -> Polynomial:
+    def product(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """``a * b`` without its terms above ``max_degree``; zero, with no
+        multiplication, when the factors' lowest degrees sum past it."""
         top = self.max_degree
-        return p if top is None else Polynomial._raw(p.vars, {e: c for e, c in p.terms.items() if sum(e) <= top})
+        if top is None:
+            return a * b
+        if min(map(sum, a.terms), default=0) + min(map(sum, b.terms), default=0) > top:
+            return Polynomial.zero(self.vars)
+        return Polynomial._raw(self.vars, {e: c for e, c in (a * b).terms.items() if sum(e) <= top})
 
-    def power(self, base: Polynomial, exponent: int) -> Polynomial:
-        """``base ** exponent`` by squaring, truncating every product."""
+    def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
+        """``base ** exponent`` by squaring; ``position`` (of the ``^``) is
+        reported when the constant term would grow past ``MAX_POWER_BITS``."""
+        constant = base.coefficient((0,) * len(self.vars))
+        if exponent * (max(abs(constant.numerator), constant.denominator).bit_length() - 1) > MAX_POWER_BITS:
+            raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
         result = Polynomial.constant(self.vars, 1)
         while exponent:
             if exponent & 1:
-                result = self.truncate(result * base)
+                result = self.product(result, base)
             exponent >>= 1
             if exponent:
-                base = self.truncate(base * base)
+                base = self.product(base, base)
         return result
 
     def peek(self) -> tuple[str, str, int]:
@@ -119,15 +135,15 @@ class _Parser:
         result = self.parse_factor()
         while self.peek()[0] == "*":
             self.next()
-            result = self.truncate(result * self.parse_factor())
+            result = self.product(result, self.parse_factor())
         return result
 
     def parse_factor(self) -> Polynomial:
         base = self.parse_base()
         if self.peek()[0] == "^":
-            self.next()
+            caret = self.next()[2]
             kind, value, position = self.expect("number")
-            return self.power(base, int(value))
+            return self.power(base, int(value), caret)
         return base
 
     def nested(self, parse, position: int) -> Polynomial:
@@ -166,10 +182,13 @@ def parse(text: str, variables: Vars = RING_VARS, max_degree: int | None = None)
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
     With ``max_degree``, terms of higher total degree are dropped after every
-    product and power (taken by squaring): a huge exponent costs its bit length.
+    product and power (taken by squaring), or the product is skipped when its
+    factors' lowest degrees already sum past the bound: a huge exponent costs
+    its bit length.
 
-    Raises :class:`ParseError` (a ``ValueError``) on syntax errors and on
-    names outside the variable set, with the offending position attached.
+    Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
+    outside the variable set and on powers past ``MAX_POWER_BITS``, with the
+    offending position attached.
     """
     parser = _Parser(text, tuple(variables), max_degree)
     result = parser.parse_expr()

@@ -6,14 +6,16 @@ coefficients of the auxiliary expansion ``(T1 + n*P + n^2*T2)^g`` in the
 formal variable ``n``.  The coefficient of ``n^(g-l)`` is homogeneous of
 total degree ``g`` and of secondary (d-)grade ``l``, for ``l = g .. -g``.
 
-A :class:`RingContext` carries the relations together with per-degree
-reduced row echelon data for the ideal, computed on demand.  Every relation
-is homogeneous in the d-grade as well, so each degree is eliminated one
-d-grade block at a time.  Reduction columns are ordered by *ascending* graded
-lexicographic order, so echelon pivots eliminate the smallest monomials and
-the surviving canonical basis consists of the largest ones; in the top
-degree ``2g-2`` the survivor is the ``T1*T2``-balanced monomial, which is
-what the pushforward normalization expects.
+A :class:`RingContext` carries the relations together with, for each degree
+on demand, the normal form as a rewrite map: the canonical basis monomials,
+and for every other monomial its image in that basis.  Every relation is
+homogeneous in the d-grade as well, so each degree is eliminated one d-grade
+block at a time, and the reduced echelon rows of a block are the rewrites of
+its pivot monomials.  Columns are ordered by *ascending* graded lexicographic
+order, so pivots eliminate the smallest monomials and the surviving canonical
+basis consists of the largest ones; in the top degree ``2g-2`` the survivor
+is the ``T1*T2``-balanced monomial, which is what the pushforward
+normalization expects.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -24,7 +26,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Mapping, NamedTuple, Sequence
+from typing import Mapping, NamedTuple
 
 from .arith import factorial
 from .linalg import rref, solve
@@ -191,26 +193,24 @@ def _monomials(k: int) -> list[Exponents]:
     return [(0, a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
 
 
-class _DegreeData:
-    """Echelon data for the ideal in one total degree."""
+class _DegreeData(NamedTuple):
+    """The normal form in one total degree, read off the reduced echelon form.
 
-    __slots__ = ("degree", "monomials", "index", "rows", "pivots", "nonpivots")
+    ``basis`` holds the surviving monomials in ascending graded-lex order.
+    ``rewrite`` maps each eliminated (pivot) monomial to its image in that
+    basis, as ``(basis monomial, coefficient)`` pairs: a reduced echelon row
+    is zero in every other pivot column, so it already is that image.
+    """
 
-    def __init__(self, degree: int, rows: Sequence[Sequence[Fraction]], pivots: Sequence[int]):
-        self.degree = degree
-        self.monomials = _monomials(degree)
-        self.index = {m: i for i, m in enumerate(self.monomials)}
-        self.rows = tuple(tuple(r) for r in rows)
-        self.pivots = tuple(pivots)
-        pivot_set = set(self.pivots)
-        self.nonpivots = tuple(i for i in range(len(self.monomials)) if i not in pivot_set)
+    basis: tuple[Exponents, ...]
+    rewrite: dict[Exponents, tuple[tuple[Exponents, Fraction], ...]]
 
 
 class RingContext:
     """Exact model of the boundary Chow ring at one genus.
 
-    Construct via :func:`make_context`.  All methods are thread-safe; the
-    per-degree echelon data is computed once under a lock and shared.
+    Construct via :func:`make_context`.  All methods are thread-safe; each
+    degree's basis and rewrite map are computed once under a lock and shared.
     """
 
     def __init__(self, genus: int):
@@ -245,7 +245,7 @@ class RingContext:
         except KeyError:
             raise ValueError(f"d-grade must satisfy -{self.genus} <= l <= {self.genus}, got {l}") from None
 
-    # ------------------------------------------------------------- echelon data
+    # ------------------------------------------------------------- normal form data
 
     def _degree_data(self, k: int) -> _DegreeData:
         with self._lock:
@@ -260,17 +260,16 @@ class RingContext:
 
         A relation of d-grade ``l`` times a monomial of d-grade ``d`` only
         touches columns of d-grade ``l + d``, so the blocks share no columns
-        and each is reduced on its own columns.  The reduced echelon form is
-        unique, hence the merged rows equal those of one whole-degree
-        elimination.
+        and each is reduced on its own columns.  Each block's reduced echelon
+        rows give the rewrite of its pivot monomials; the reduced echelon
+        form is unique, so these are the rewrites one whole-degree
+        elimination would give.
         """
-        if k < self.genus:
-            return _DegreeData(k, [], [])
         mons = _monomials(k)
-        columns: dict[int, list[int]] = {}
-        for i, m in enumerate(mons):
-            columns.setdefault(d_grade(m), []).append(i)
-        local = {mons[i]: j for block in columns.values() for j, i in enumerate(block)}
+        columns: dict[int, list[Exponents]] = {}
+        for m in mons:
+            columns.setdefault(d_grade(m), []).append(m)
+        local = {m: j for block in columns.values() for j, m in enumerate(block)}
         blocks: dict[int, list[list[Fraction]]] = {}
         for l, rel in zip(self.relation_grades, self.relations):
             for m in _monomials(k - self.genus):
@@ -279,41 +278,26 @@ class RingContext:
                 for e, c in rel.terms.items():
                     row[local[(0, e[1] + m[1], e[2] + m[2], e[3] + m[3])]] = c
                 blocks.setdefault(grade, []).append(row)
-        echelon: list[tuple[int, list[Fraction]]] = []
+        rewrite: dict[Exponents, tuple[tuple[Exponents, Fraction], ...]] = {}
         for grade, raw in blocks.items():
             block = columns[grade]
             for row, pivot in zip(*rref(raw)):
-                full = [Fraction(0)] * len(mons)
-                for i, value in zip(block, row):
-                    full[i] = value
-                echelon.append((block[pivot], full))
-        echelon.sort(key=lambda item: item[0])
-        return _DegreeData(k, [row for _, row in echelon], [pivot for pivot, _ in echelon])
+                rewrite[block[pivot]] = tuple((block[j], -c) for j, c in enumerate(row) if c and j != pivot)
+        return _DegreeData(tuple(m for m in mons if m not in rewrite), rewrite)
 
     # ------------------------------------------------------------- reduction
 
     def _reduce_component(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        """Reduce a xi-free term mapping degree by degree."""
-        by_degree: dict[int, dict[Exponents, Fraction]] = {}
-        for exps, coeff in terms.items():
-            by_degree.setdefault(sum(exps), {})[exps] = coeff
+        """Reduce a xi-free term mapping: basis monomials stay, every other
+        monomial is replaced by its rewrite in its own degree."""
         out: dict[Exponents, Fraction] = {}
-        for k, piece in by_degree.items():
+        for exps, coeff in terms.items():
+            k = sum(exps)
             if k >= 2 * self.genus - 1 and self._vanishes_past_top():
                 continue
-            data = self._degree_data(k)
-            vector = [Fraction(0)] * len(data.monomials)
-            for exps, coeff in piece.items():
-                vector[data.index[exps]] = coeff
-            for row, pivot in zip(data.rows, data.pivots):
-                c = vector[pivot]
-                if c:
-                    for j in range(pivot, len(vector)):
-                        vector[j] -= c * row[j]
-            for i, value in enumerate(vector):
-                if value:
-                    out[data.monomials[i]] = value
-        return out
+            for m, c in self._degree_data(k).rewrite.get(exps, ((exps, 1),)):
+                out[m] = out.get(m, 0) + coeff * c
+        return {m: c for m, c in out.items() if c}
 
     def _vanishes_past_top(self) -> bool:
         """Whether ``R_{2g-1} = 0``.  R is generated in degree 1, so then
@@ -326,8 +310,8 @@ class RingContext:
         """Canonical representative of ``p`` in the quotient ring.
 
         Higher xi powers are folded first via ``xi^2 = xi*P``; the xi-free
-        part and the xi-linear part are then reduced separately against the
-        echelon bases, one total degree at a time.
+        part and the xi-linear part are then reduced separately, each
+        monomial through the rewrite map of its own degree.
         """
         _require_ring_vars(p)
         components: tuple[dict[Exponents, Fraction], dict[Exponents, Fraction]] = ({}, {})
@@ -354,8 +338,7 @@ class RingContext:
         (ascending graded-lex order)."""
         if k < 0:
             raise ValueError(f"degree must be nonnegative, got {k}")
-        data = self._degree_data(k)
-        return tuple(data.monomials[i] for i in data.nonpivots)
+        return self._degree_data(k).basis
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
@@ -421,21 +404,14 @@ class RingContext:
 
     # ------------------------------------------------------------- coordinates
 
-    def _coordinates(self, k: int) -> list[tuple[int, Exponents]]:
-        """Coordinate slots of the full quotient (with xi) in degree ``k``:
+    def _coordinates(self, k: int) -> list[Exponents]:
+        """Monomials spanning the full quotient (with xi) in degree ``k``:
         the xi-free canonical basis in degree ``k`` followed by xi times the
         canonical basis in degree ``k - 1``."""
-        slots = [(0, m) for m in self.basis(k)]
+        slots = list(self.basis(k))
         if k >= 1:
-            slots.extend((1, m) for m in self.basis(k - 1))
+            slots.extend((1, a, b, c) for _, a, b, c in self.basis(k - 1))
         return slots
-
-    def _vectorize(self, nf: Polynomial, slots: Sequence[tuple[int, Exponents]]) -> list[Fraction]:
-        position = {slot: i for i, slot in enumerate(slots)}
-        vector = [Fraction(0)] * len(slots)
-        for (x, a, b, c), coeff in nf.terms.items():
-            vector[position[(x, (0, a, b, c))]] = coeff
-        return vector
 
     def express_in_invariants(
         self,
@@ -463,10 +439,9 @@ class RingContext:
             raise ValueError(f"expected a homogeneous class of degree {degree}")
         triples = degree_triples(degree)
         slots = self._coordinates(degree)
-        columns = [self._vectorize(self.normal_form(invariant_basis_element(t, basis)), slots) for t in triples]
-        target = self._vectorize(self.normal_form(p), slots)
-        rows = [[col[i] for col in columns] for i in range(len(slots))]
-        solution, kernel = solve(rows, target, len(triples))
+        images = [self.normal_form(invariant_basis_element(t, basis)) for t in triples]
+        rows = [[image.coefficient(m) for image in images] for m in slots]
+        solution, kernel = solve(rows, [self.normal_form(p).coefficient(m) for m in slots], len(triples))
         if solution is None:
             raise NotInSpanError(
                 f"class is not in the span of the degree-{degree} {basis!r} basis elements"

@@ -169,9 +169,20 @@ def test_ring_reduce_non_ascii_digits(capsys):
 def test_ring_reduce_huge_exponents_finish(capsys):
     # Every class of degree >= 2g vanishes, so the parser drops those terms
     # as it goes and takes powers by squaring.
-    for expr in ("P^100000000", "(T1+P)^100000000"):
+    for expr in ("P^100000000", "(T1+P)^100000000", "(2*T1)^100000000"):
         code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
         assert (code, out, err) == (0, "0\n", "")
+    code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", "(1+T1)^100000000"])
+    assert (code, out, err) == (0, "4999999950000000*T1^2 + 100000000*T1 + 1\n", "")
+
+
+def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
+    # Truncation cannot bound coefficients: 2^100000000 would build a
+    # 100-million-bit integer, so the parser refuses it at the '^'.
+    for expr, position in (("2^100000000", 1), ("(2+T1)^100000000", 6)):
+        code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
+        assert (code, out) == (2, "")
+        assert "cannot parse" in err and f"(at position {position})" in err
 
 
 def test_ring_reduce_keeps_xi_terms_of_degree_2g_minus_1(capsys):
@@ -332,3 +343,52 @@ def test_module_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout == "-2*T1*T2\n"
+
+
+# ------------------------------------------------------------------ traced layers
+
+TRACED_RUN = """
+import io, json, sys
+from contextlib import redirect_stdout
+sys.path[:0] = sys.argv[1:3]
+from chowkit import cli
+from tracer import LAYERS, Tracer, install
+tracer = Tracer()
+install(tracer)
+tracer.active = True
+codes = []
+with redirect_stdout(io.StringIO()):
+    for argv in (
+        ["ring", "--genus", "4", "dims"],
+        ["ring", "--genus", "4", "pairing"],
+        ["ring", "--genus", "4", "reduce", "(xi+T1)^5"],
+        ["verify", "--genus", "4"],
+    ):
+        codes.append(cli.main(argv))
+print(json.dumps({"codes": codes, "calls": {layer: tracer.calls.get(layer, 0) for layer in LAYERS}}))
+"""
+
+
+def test_benchmark_tracer_sees_every_ring_layer():
+    # The benchmark's tracer wraps functions by name, so a renamed or
+    # bypassed layer silently reports 0 calls.  It patches modules in place,
+    # hence the subprocess.
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    root = Path(__file__).resolve().parents[1]
+    proc = subprocess.run(
+        [sys.executable, "-c", TRACED_RUN, str(root / "src"), str(root / "perfbench")],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    result = json.loads(proc.stdout)
+    assert result["codes"] == [0, 0, 0, 0]
+    calls = result["calls"]
+    expected = [layer for layer in calls if layer.startswith("ring.")]
+    expected += ["linalg.rref", "linalg.determinant", "parsing.parse", "zero_section.verify"]
+    assert len(expected) == 9
+    assert {layer: calls[layer] for layer in expected if not calls[layer]} == {}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowkit import INVARIANT_VARS, ParseError, Polynomial, RING_VARS, format_polynomial, parse
-from chowkit.parsing import MAX_DEPTH
+from chowkit.parsing import MAX_DEPTH, MAX_POWER_BITS
 from test_poly import random_poly
 
 
@@ -129,3 +129,41 @@ def test_max_degree_truncates_products_and_powers():
     assert parse("(1+P)^100000000", max_degree=1) == parse("1 + 100000000*P")
     # Without a bound, powers by squaring give the plain expansion.
     assert parse("(xi - T1 + 2*P)^11") == parse("xi - T1 + 2*P") ** 11
+
+
+def test_products_past_the_bound_are_never_multiplied(monkeypatch):
+    # Lowest degrees 3 + 3 exceed 5: truncation would drop every term, so
+    # the product is skipped; the powers themselves are still taken.
+    lowest = []
+    multiply = Polynomial.__mul__
+
+    def counting(a, b):
+        if isinstance(b, Polynomial):
+            lowest.append(min(map(sum, a.terms), default=0) + min(map(sum, b.terms), default=0))
+        return multiply(a, b)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counting)
+    assert parse("(xi+T1)^3*(P+T2)^3", max_degree=5).is_zero()
+    assert parse("T1^3*P^3 + xi", max_degree=5) == parse("xi", max_degree=5)
+    assert lowest and max(lowest) <= 5
+
+
+def test_power_bounds_the_growth_of_its_constant_term():
+    # exponent * (bit length of the constant term - 1) may not pass the
+    # bound; the error points at the '^'.
+    for text, position in (
+        ("2^100000000", 1),
+        ("(2+T1)^100000000", 6),
+        ("(1/2)^100000000", 5),
+        ("(T1 - 3)^100000000", 8),
+        (f"2^{MAX_POWER_BITS + 1}", 1),
+    ):
+        with pytest.raises(ParseError, match="power") as info:
+            parse(text, max_degree=5)
+        assert info.value.position == position
+    assert parse(f"2^{MAX_POWER_BITS}") == Polynomial.constant(RING_VARS, 2**MAX_POWER_BITS)
+    # Constant terms of bit length 1, and no constant term, grow nothing.
+    assert parse("(1+T1)^100000000", max_degree=2) == parse("1 + 100000000*T1 + 4999999950000000*T1^2")
+    assert parse("(-1+P)^100000001", max_degree=0) == parse("-1")
+    assert parse("(2*T1)^100000000", max_degree=5).is_zero()
+    assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40

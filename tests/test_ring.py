@@ -144,7 +144,12 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
     # xi terms land in xi*R_(2g-2), which is not.
     ctx = make_context(g)
     assert ctx._vanishes_past_top()
-    for text in (f"xi*P^{2 * g - 2}", f"(1 + xi - T1 + 2*P)^{2 * g + 1}", f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}"):
+    for text in (
+        f"xi*P^{2 * g - 2}",
+        f"(1 + xi - T1 + 2*P)^{2 * g + 1}",
+        f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}",
+        f"(xi + T1)^{g}*(P + T2)^{g} + T1",
+    ):
         assert ctx.normal_form(parse(text, max_degree=2 * g - 1)) == ctx.normal_form(parse(text))
     if g > 1:
         assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
@@ -208,22 +213,28 @@ def test_dims_structure(g):
 @pytest.mark.parametrize("g", range(1, 7))
 def test_blockwise_echelon_matches_whole_degree_rref(g):
     # Reference: every shifted relation as one dense row over all monomials
-    # of the degree, eliminated in a single rref.
+    # of the degree, eliminated in a single rref.  Its nonpivot columns are
+    # the basis, and the row of each pivot, negated off the pivot, is that
+    # pivot monomial's rewrite.
     ctx = make_context(g)
     for k in range(2 * g + 1):
         data = ctx._degree_data(k)
-        index = {m: i for i, m in enumerate(data.monomials)}
+        monomials = [(0, a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
+        index = {m: i for i, m in enumerate(monomials)}
         shifts = [(a, b, k - g - a - b) for a in range(k - g + 1) for b in range(k - g - a + 1)]
         raw = []
         for rel in ctx.relations:
             for a, b, c in shifts:
-                row = [F(0)] * len(data.monomials)
+                row = [F(0)] * len(monomials)
                 for (_, x, y, z), coeff in rel.terms.items():
                     row[index[(0, x + a, y + b, z + c)]] = coeff
                 raw.append(row)
         rows, pivots = rref(raw)
-        assert data.rows == tuple(tuple(r) for r in rows)
-        assert data.pivots == tuple(pivots)
+        assert data.basis == tuple(m for i, m in enumerate(monomials) if i not in pivots)
+        assert data.rewrite == {
+            monomials[pivot]: tuple((monomials[j], -c) for j, c in enumerate(row) if c and j != pivot)
+            for row, pivot in zip(rows, pivots)
+        }
 
 
 @pytest.mark.parametrize("g", range(1, 6))
@@ -232,6 +243,16 @@ def test_dims_d_graded_partition(g):
     for k in range(2 * g):
         total = sum(ctx.dim_graded(k, l) for l in range(-k, k + 1))
         assert total == ctx.dim_graded(k)
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_dims_d_graded_poincare_symmetry(g):
+    # The pairing between degrees k and 2g-2-k has d-grade 0 in the top
+    # degree, so it matches d-grade l with d-grade -l.
+    ctx = make_context(g)
+    for k in range(2 * g - 1):
+        for l in range(-k, k + 1):
+            assert ctx.dim_graded(k, l) == ctx.dim_graded(2 * g - 2 - k, -l)
 
 
 def test_dim_rejects_negative_degree():
@@ -283,7 +304,7 @@ def test_pairing_fixture_genus_2():
     assert len(matrix) == 3 and determinant(matrix) != 0
 
 
-@pytest.mark.parametrize("g", range(1, 6))
+@pytest.mark.parametrize("g", range(1, 10))
 def test_pairing_nonsingular(g):
     ctx = make_context(g)
     for k in range(g):
