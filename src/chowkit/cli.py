@@ -108,10 +108,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_ring(args: argparse.Namespace) -> int:
     ctx = make_context(args.genus)
     g = args.genus
+    header = {"command": "ring", "action": args.action, "genus": g}
     if args.action == "dims":
         dims = [ctx.dim_graded(k) for k in range(2 * g)]
         if args.json:
-            _emit_json(args, {"command": "ring", "action": "dims", "genus": g, "dims": dims})
+            _emit_json(args, {**header, "dims": dims})
         else:
             for k, value in enumerate(dims):
                 _emit(args, f"k={k}: {value}")
@@ -122,22 +123,11 @@ def cmd_ring(args: argparse.Namespace) -> int:
             matrix = ctx.pairing_matrix(k)
             blocks.append((k, matrix, determinant(matrix)))
         if args.json:
-            _emit_json(
-                args,
-                {
-                    "command": "ring",
-                    "action": "pairing",
-                    "genus": g,
-                    "pairings": [
-                        {
-                            "k": k,
-                            "matrix": [[str(entry) for entry in row] for row in matrix],
-                            "determinant": str(det),
-                        }
-                        for k, matrix, det in blocks
-                    ],
-                },
-            )
+            pairings = [
+                {"k": k, "matrix": [[str(entry) for entry in row] for row in matrix], "determinant": str(det)}
+                for k, matrix, det in blocks
+            ]
+            _emit_json(args, {**header, "pairings": pairings})
         else:
             for k, matrix, det in blocks:
                 _emit(args, f"k={k}: determinant {det}")
@@ -147,15 +137,8 @@ def cmd_ring(args: argparse.Namespace) -> int:
     if args.action == "relations":
         rendered = [(l, format_polynomial(ctx.relation(l))) for l in ctx.relation_grades]
         if args.json:
-            _emit_json(
-                args,
-                {
-                    "command": "ring",
-                    "action": "relations",
-                    "genus": g,
-                    "relations": [{"d_grade": l, "polynomial": text} for l, text in rendered],
-                },
-            )
+            relations = [{"d_grade": l, "polynomial": text} for l, text in rendered]
+            _emit_json(args, {**header, "relations": relations})
         else:
             for l, text in rendered:
                 _emit(args, f"l={l}: {text}")
@@ -163,23 +146,14 @@ def cmd_ring(args: argparse.Namespace) -> int:
     # action == "reduce"
     if args.expr is None:
         return _usage_error("ring reduce needs an expression argument")
-    # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero once R_(2g-1) is.
+    # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero: R_k = 0 for k >= 2g-1.
     try:
-        polynomial = parse(args.expr, max_degree=2 * g - 1 if ctx._vanishes_past_top() else None)
+        polynomial = parse(args.expr, max_degree=2 * g - 1)
     except ParseError as exc:
         return _usage_error(f"cannot parse expression: {exc}")
     reduced = format_polynomial(ctx.normal_form(polynomial))
     if args.json:
-        _emit_json(
-            args,
-            {
-                "command": "ring",
-                "action": "reduce",
-                "genus": g,
-                "input": args.expr,
-                "normal_form": reduced,
-            },
-        )
+        _emit_json(args, {**header, "input": args.expr, "normal_form": reduced})
     else:
         _emit(args, reduced)
     return 0
@@ -213,8 +187,6 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 
 
 def cmd_dr(args: argparse.Namespace) -> int:
-    if sum(args.weights) != 0:
-        return _usage_error(f"weights must sum to zero, got {list(args.weights)} (sum {sum(args.weights)})")
     cls = dr_class(args.genus, args.weights)
     if args.compact_type:
         cls = specialize_compact_type(cls)

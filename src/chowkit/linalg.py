@@ -61,7 +61,7 @@ def solve(rows: Iterable[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: in
     the coefficient matrix (reported in both cases).
     """
     augmented = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
-    reduced, pivots = rref(augmented) if augmented else ([], [])
+    reduced, pivots = rref(augmented)
     matrix_pivots = [p for p in pivots if p < ncols]
     kernel_dim = ncols - len(matrix_pivots)
     if any(p == ncols for p in pivots):

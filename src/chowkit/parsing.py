@@ -16,8 +16,9 @@ exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 
 Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
-the interpreter stack.  A power whose constant term would grow past
-``MAX_POWER_BITS`` bits is rejected the same way, before it is computed.
+the interpreter stack.  Literals too long for ``MAX_POWER_BITS`` bits, and
+sums, products and powers whose coefficients would pass them, are rejected
+the same way, at the literal or the operator.
 """
 
 from __future__ import annotations
@@ -36,9 +37,9 @@ _DIGITS = set("0123456789")
 #: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
 MAX_DEPTH = 100
 
-#: Largest ``exponent * (bit length of the base's constant term - 1)`` of a
-#: power.  Truncation bounds degrees, not coefficients; this keeps them under
-#: CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
+#: Largest ``_bits`` of a coefficient, and of ``exponent * _bits(constant)``
+#: for a power.  Truncation bounds degrees, not coefficients; this keeps them
+#: under CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
 MAX_POWER_BITS = 10_000
 
 
@@ -64,6 +65,9 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
             start = i
             while i < len(text) and text[i] in _DIGITS:
                 i += 1
+            # d digits may read 10^(d-1) > 2^(3(d-1)): refuse before int() reads them.
+            if 3 * (i - start - 1) > MAX_POWER_BITS:
+                raise ParseError(f"literal longer than {MAX_POWER_BITS // 3 + 1} digits", start)
             tokens.append(("number", text[start:i], start))
         elif ch.isalpha() or ch == "_":
             start = i
@@ -76,6 +80,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _bits(c: Fraction) -> int:
+    """Bit length less one of the larger of numerator and denominator."""
+    return max(abs(c.numerator), c.denominator).bit_length() - 1
+
+
 class _Parser:
     def __init__(self, text: str, variables: Vars, max_degree: int | None):
         self.tokens = _tokenize(text)
@@ -84,30 +93,50 @@ class _Parser:
         self.vars = variables
         self.max_degree = max_degree
 
-    def product(self, a: Polynomial, b: Polynomial) -> Polynomial:
+    def checked(self, p: Polynomial, position: int) -> Polynomial:
+        """``p``, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits."""
+        if any(_bits(c) > MAX_POWER_BITS for c in p.terms.values()):
+            raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position)
+        return p
+
+    def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
         """``a * b`` without its terms above ``max_degree``; zero, with no
         multiplication, when the factors' lowest degrees sum past it."""
         top = self.max_degree
         if top is None:
-            return a * b
+            return self.checked(a * b, position)
         if min(map(sum, a.terms), default=0) + min(map(sum, b.terms), default=0) > top:
             return Polynomial.zero(self.vars)
-        return Polynomial._raw(self.vars, {e: c for e, c in (a * b).terms.items() if sum(e) <= top})
+        kept = {e: c for e, c in (a * b).terms.items() if sum(e) <= top}
+        return self.checked(Polynomial._raw(self.vars, kept), position)
 
     def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
-        """``base ** exponent`` by squaring; ``position`` (of the ``^``) is
-        reported when the constant term would grow past ``MAX_POWER_BITS``."""
+        """``base ** exponent``, refused at ``position`` (of the ``^``) when the
+        constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  With
+        ``max_degree``, ``u = base - c`` has no terms below degree 1, so the
+        power is the sum of ``C(n,k) * c^(n-k) * u^k`` over ``k <= max_degree``;
+        without it, the power is taken by squaring."""
         constant = base.coefficient((0,) * len(self.vars))
-        if exponent * (max(abs(constant.numerator), constant.denominator).bit_length() - 1) > MAX_POWER_BITS:
+        if exponent * _bits(constant) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        result = Polynomial.constant(self.vars, 1)
-        while exponent:
-            if exponent & 1:
-                result = self.product(result, base)
-            exponent >>= 1
-            if exponent:
-                base = self.product(base, base)
-        return result
+        if self.max_degree is None:
+            result = Polynomial.constant(self.vars, 1)
+            while exponent:
+                if exponent & 1:
+                    result = self.product(result, base, position)
+                exponent >>= 1
+                if exponent:
+                    base = self.product(base, base, position)
+            return result
+        u, u_k, binomial = base - constant, Polynomial.constant(self.vars, 1), 1
+        result = Polynomial.zero(self.vars)
+        for k in range(min(exponent, self.max_degree) + 1):
+            if k:
+                u_k = self.product(u_k, u, position)
+                binomial = binomial * (exponent - k + 1) // k
+            if constant or k == exponent:
+                result += binomial * constant ** (exponent - k) * u_k
+        return self.checked(result, position)
 
     def peek(self) -> tuple[str, str, int]:
         return self.tokens[self.pos]
@@ -126,16 +155,16 @@ class _Parser:
     def parse_expr(self) -> Polynomial:
         result = self.parse_term()
         while self.peek()[0] in ("+", "-"):
-            op = self.next()[0]
+            op, _, position = self.next()
             rhs = self.parse_term()
-            result = result + rhs if op == "+" else result - rhs
+            result = self.checked(result + rhs if op == "+" else result - rhs, position)
         return result
 
     def parse_term(self) -> Polynomial:
         result = self.parse_factor()
         while self.peek()[0] == "*":
-            self.next()
-            result = self.product(result, self.parse_factor())
+            star = self.next()[2]
+            result = self.product(result, self.parse_factor(), star)
         return result
 
     def parse_factor(self) -> Polynomial:
@@ -182,13 +211,13 @@ def parse(text: str, variables: Vars = RING_VARS, max_degree: int | None = None)
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
     With ``max_degree``, terms of higher total degree are dropped after every
-    product and power (taken by squaring), or the product is skipped when its
-    factors' lowest degrees already sum past the bound: a huge exponent costs
-    its bit length.
+    product and power, or the product is skipped when its factors' lowest
+    degrees already sum past the bound; a power is then a truncated binomial
+    sum of at most ``max_degree`` products, whatever its exponent.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
-    outside the variable set and on powers past ``MAX_POWER_BITS``, with the
-    offending position attached.
+    outside the variable set and on coefficients past ``MAX_POWER_BITS``,
+    with the offending position attached.
     """
     parser = _Parser(text, tuple(variables), max_degree)
     result = parser.parse_expr()

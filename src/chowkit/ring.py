@@ -222,7 +222,6 @@ class RingContext:
         self.relations = tuple(self._relations_by_grade[l] for l in self.relation_grades)
         self._degrees: dict[int, _DegreeData] = {}
         self._lock = threading.Lock()
-        self._past_top_vanishes: bool | None = None
 
     # ------------------------------------------------------------- relations
 
@@ -288,23 +287,18 @@ class RingContext:
     # ------------------------------------------------------------- reduction
 
     def _reduce_component(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        """Reduce a xi-free term mapping: basis monomials stay, every other
-        monomial is replaced by its rewrite in its own degree."""
+        """Reduce a xi-free term mapping: monomials of degree ``2g-1`` and up
+        vanish, since the socle sits in degree ``2g-2`` and ``R`` is generated
+        in degree 1; basis monomials stay, and every other monomial is
+        replaced by its rewrite in its own degree."""
         out: dict[Exponents, Fraction] = {}
         for exps, coeff in terms.items():
             k = sum(exps)
-            if k >= 2 * self.genus - 1 and self._vanishes_past_top():
+            if k >= 2 * self.genus - 1:
                 continue
             for m, c in self._degree_data(k).rewrite.get(exps, ((exps, 1),)):
                 out[m] = out.get(m, 0) + coeff * c
         return {m: c for m, c in out.items() if c}
-
-    def _vanishes_past_top(self) -> bool:
-        """Whether ``R_{2g-1} = 0``.  R is generated in degree 1, so then
-        ``R_k = 0`` for every ``k >= 2g-1`` too; checked once per context."""
-        if self._past_top_vanishes is None:
-            self._past_top_vanishes = not self.basis(2 * self.genus - 1)
-        return self._past_top_vanishes
 
     def normal_form(self, p: Polynomial) -> Polynomial:
         """Canonical representative of ``p`` in the quotient ring.

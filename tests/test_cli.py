@@ -3,6 +3,7 @@
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowkit.cli import main
 from chowkit.zero_section import VerificationReport
@@ -168,12 +169,24 @@ def test_ring_reduce_non_ascii_digits(capsys):
 
 def test_ring_reduce_huge_exponents_finish(capsys):
     # Every class of degree >= 2g vanishes, so the parser drops those terms
-    # as it goes and takes powers by squaring.
+    # as it goes, and a power is a binomial sum over degrees up to 2g-1.
     for expr in ("P^100000000", "(T1+P)^100000000", "(2*T1)^100000000"):
         code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
         assert (code, out, err) == (0, "0\n", "")
     code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", "(1+T1)^100000000"])
     assert (code, out, err) == (0, "4999999950000000*T1^2 + 100000000*T1 + 1\n", "")
+
+
+def test_ring_reduce_huge_power_with_a_constant_term_is_fast(capsys):
+    # Squaring a dense truncated polynomial 27 times took minutes here.
+    import hashlib
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ring", "--genus", "5", "reduce", "(1+xi+T1+P+T2)^99999999"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("f304ada52c4e1e6c")
 
 
 def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
@@ -183,6 +196,22 @@ def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
         code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
         assert (code, out) == (2, "")
         assert "cannot parse" in err and f"(at position {position})" in err
+
+
+def test_ring_reduce_huge_literals_and_products_are_parse_errors(capsys):
+    # Literals whose digit count implies more than MAX_POWER_BITS bits are
+    # refused before int() reads them, and products at the '*' whose
+    # coefficients pass the bound, before printing them could fail.
+    for expr, position in (
+        ("T1^" + "9" * 5000, 3),
+        ("1" + "0" * 5000 + "*T1", 0),
+        ("2^10000*2^10000", 7),
+        ("2^5000*2^5000*2^5000", 13),
+    ):
+        code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse expression: ")
+        assert f"(at position {position})" in err
 
 
 def test_ring_reduce_keeps_xi_terms_of_degree_2g_minus_1(capsys):
@@ -392,3 +421,55 @@ def test_benchmark_tracer_sees_every_ring_layer():
     expected += ["linalg.rref", "linalg.determinant", "parsing.parse", "zero_section.verify"]
     assert len(expected) == 9
     assert {layer: calls[layer] for layer in expected if not calls[layer]} == {}
+
+
+# ------------------------------------------------------------------ fuzzing
+
+_ATOMS = st.one_of(
+    st.sampled_from(["xi", "T1", "P", "T2", "Theta", "0", "1", "2", "1/2", "3/0", "007"]),
+    st.integers(0, 10**12).map(str),
+    # Digit runs around the bit bound (about 3,000 digits) and past
+    # CPython's 4,300-digit limit on reading an int.
+    st.integers(2900, 6000).map(lambda n: "9" * n),
+)
+_EXPRESSIONS = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", "/"]), inner).map("".join),
+        st.tuples(inner, st.sampled_from(["0", "1", "7", "5000", "99999999", "1" + "0" * 40])).map(
+            lambda t: f"({t[0]})^{t[1]}"
+        ),
+        inner.map(lambda e: f"({e})"),
+        inner.map(lambda e: f"-{e}"),
+        st.tuples(st.integers(90, 110), inner).map(lambda t: "(" * t[0] + t[1] + ")" * t[0]),
+    ),
+    max_leaves=8,
+)
+
+
+@st.composite
+def _with_stray_character(draw):
+    text = draw(_EXPRESSIONS)
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + draw(st.sampled_from(list("()^*/+-.!é²٣ \t"))) + text[at:]
+    return text
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=120)
+@given(genus=st.integers(1, 3), expr=_with_stray_character())
+def test_ring_reduce_fuzz_keeps_the_exit_code_contract(genus, expr):
+    import io
+    import time
+    from contextlib import redirect_stderr, redirect_stdout
+
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        # "--" hands expressions that start with "-" to the parser, not argparse.
+        code = main(["ring", "--genus", str(genus), "reduce", "--", expr])
+    assert time.perf_counter() - start < 10
+    assert code in (0, 2)
+    assert "Traceback" not in err.getvalue()
+    if code == 2:
+        assert "(at position" in err.getvalue()

@@ -167,3 +167,29 @@ def test_power_bounds_the_growth_of_its_constant_term():
     assert parse("(-1+P)^100000001", max_degree=0) == parse("-1")
     assert parse("(2*T1)^100000000", max_degree=5).is_zero()
     assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40
+
+
+def test_coefficients_are_bounded_at_their_operator():
+    # Literals are refused by length before int() reads them; sums,
+    # products and powers when a coefficient passes the bound, at the
+    # operator, with or without a degree bound.
+    big = "9" * 3000  # about 9,966 bits
+    for text, position in (
+        ("0" * 5000 + "1", 0),
+        (f"T1 + 1/{big} + 1/{big[:-1]}8", 3008),
+        (f"{big}*{big}", 3000),
+        (f"(1 + {big}*T1)^2", 3009),
+    ):
+        for bound in (None, 5):
+            with pytest.raises(ParseError) as info:
+                parse(text, max_degree=bound)
+            assert info.value.position == position
+    # The binomial sum's scalars C(n,k) * c^(n-k) are bounded as well.
+    with pytest.raises(ParseError) as info:
+        parse(f"(1 + T1)^{big}", max_degree=5)
+    assert info.value.position == 8
+    # Squaring, with no degree bound, stops as soon as a coefficient passes.
+    with pytest.raises(ParseError) as info:
+        parse("(2*P)^100000000")
+    assert info.value.position == 5
+    assert parse(f"{big} + 1") == Polynomial.constant(RING_VARS, int(big) + 1)

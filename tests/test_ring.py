@@ -143,7 +143,7 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
     # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero; degree 2g-1
     # xi terms land in xi*R_(2g-2), which is not.
     ctx = make_context(g)
-    assert ctx._vanishes_past_top()
+    assert ctx.dim_graded(2 * g - 1) == 0
     for text in (
         f"xi*P^{2 * g - 2}",
         f"(1 + xi - T1 + 2*P)^{2 * g + 1}",
@@ -159,7 +159,20 @@ def test_degrees_past_the_top_vanish_without_elimination():
     ctx = make_context(3)
     assert ctx.normal_form(parse("(T1+P)^60")).is_zero()
     assert ctx.normal_form(parse("xi*(T1+P)^60 + P")) == parse("P")
-    assert max(ctx._degrees) == 2 * 3 - 1
+    assert max(ctx._degrees) < 2 * 3 - 1
+
+
+@pytest.mark.parametrize("g", range(5, 8))
+def test_reduction_builds_no_degree_past_the_top(g):
+    # R_k = 0 for k >= 2g-1 is used, not re-derived: reducing a product of
+    # ceil(3g/2) linear forms, and a power of degree 2g-1 whose xi-free part
+    # sits past the top, eliminates no degree at or past 2g-1.
+    ctx = make_context(g)
+    product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
+    for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
+        ctx.normal_form(parse(text, max_degree=2 * g - 1))
+        assert max(ctx._degrees) < 2 * g - 1
+    assert 2 * g - 2 in ctx._degrees
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -208,6 +221,14 @@ def test_dims_structure(g):
     assert ctx.dim_graded(2 * g - 2) == 1
     assert ctx.dim_graded(2 * g - 1) == 0
     assert ctx.dim_graded(2 * g + 3) == 0
+
+
+@pytest.mark.parametrize("g", range(1, 17))
+def test_nothing_past_the_socle(g):
+    # Reduction drops every monomial of degree >= 2g-1 unchecked; this pins
+    # R_(2g-1) = 0 by elimination (R is generated in degree 1, so every
+    # higher degree vanishes with it).
+    assert make_context(g).basis(2 * g - 1) == ()
 
 
 @pytest.mark.parametrize("g", range(1, 7))
