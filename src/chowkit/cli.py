@@ -51,13 +51,10 @@ def _weight_vector(text: str) -> tuple[int, ...]:
         ) from None
 
 
-def _emit(args: argparse.Namespace, text: str) -> None:
+def _show(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
+    """Print a command's result: nothing under --quiet, ``payload`` as JSON under --json, else ``lines``."""
     if not args.quiet:
-        print(text)
-
-
-def _emit_json(args: argparse.Namespace, payload: dict) -> None:
-    _emit(args, json.dumps(payload, indent=2))
+        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
 
 
 def _usage_error(message: str) -> int:
@@ -82,24 +79,18 @@ def cmd_verify(args: argparse.Namespace) -> int:
         return _usage_error("verify needs --genus or --max-genus")
     genera = list(range(1, args.max_genus + 1)) if args.max_genus else [args.genus]
     reports = [report for g in genera for report in _VERIFIERS[args.which](g)]
-    all_hold = all(report.holds for report in reports)
-    if args.json:
-        _emit_json(
-            args,
-            {
-                "command": "verify",
-                "which": args.which,
-                "genera": genera,
-                "results": [report.to_dict() for report in reports],
-                "all_hold": all_hold,
-            },
-        )
-    else:
-        for report in reports:
-            _emit(args, report.summary())
-        failed = sum(1 for report in reports if not report.holds)
-        _emit(args, "all checks hold" if all_hold else f"{failed} of {len(reports)} checks FAILED")
-    return 0 if all_hold else 1
+    failed = sum(1 for report in reports if not report.holds)
+    payload = {
+        "command": "verify",
+        "which": args.which,
+        "genera": genera,
+        "results": [report.to_dict() for report in reports],
+        "all_hold": not failed,
+    }
+    lines = [report.summary() for report in reports]
+    lines.append(f"{failed} of {len(reports)} checks FAILED" if failed else "all checks hold")
+    _show(args, payload, lines)
+    return 1 if failed else 0
 
 
 # ------------------------------------------------------------------ ring
@@ -108,54 +99,36 @@ def cmd_verify(args: argparse.Namespace) -> int:
 def cmd_ring(args: argparse.Namespace) -> int:
     ctx = make_context(args.genus)
     g = args.genus
-    header = {"command": "ring", "action": args.action, "genus": g}
+    payload: dict = {"command": "ring", "action": args.action, "genus": g}
     if args.action == "dims":
-        dims = [ctx.dim_graded(k) for k in range(2 * g)]
-        if args.json:
-            _emit_json(args, {**header, "dims": dims})
-        else:
-            for k, value in enumerate(dims):
-                _emit(args, f"k={k}: {value}")
-        return 0
-    if args.action == "pairing":
-        blocks = []
+        payload["dims"] = [ctx.dim_graded(k) for k in range(2 * g)]
+        lines = [f"k={k}: {value}" for k, value in enumerate(payload["dims"])]
+    elif args.action == "pairing":
+        payload["pairings"] = []
+        lines = []
         for k in range(g):
             matrix = ctx.pairing_matrix(k)
-            blocks.append((k, matrix, determinant(matrix)))
-        if args.json:
-            pairings = [
-                {"k": k, "matrix": [[str(entry) for entry in row] for row in matrix], "determinant": str(det)}
-                for k, matrix, det in blocks
-            ]
-            _emit_json(args, {**header, "pairings": pairings})
-        else:
-            for k, matrix, det in blocks:
-                _emit(args, f"k={k}: determinant {det}")
-                for row in matrix:
-                    _emit(args, "  [" + " ".join(str(entry) for entry in row) + "]")
-        return 0
-    if args.action == "relations":
+            entries = [[str(entry) for entry in row] for row in matrix]
+            det = str(determinant(matrix))
+            payload["pairings"].append({"k": k, "matrix": entries, "determinant": det})
+            lines.append(f"k={k}: determinant {det}")
+            lines.extend("  [" + " ".join(row) + "]" for row in entries)
+    elif args.action == "relations":
         rendered = [(l, format_polynomial(ctx.relation(l))) for l in ctx.relation_grades]
-        if args.json:
-            relations = [{"d_grade": l, "polynomial": text} for l, text in rendered]
-            _emit_json(args, {**header, "relations": relations})
-        else:
-            for l, text in rendered:
-                _emit(args, f"l={l}: {text}")
-        return 0
-    # action == "reduce"
-    if args.expr is None:
-        return _usage_error("ring reduce needs an expression argument")
-    # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero: R_k = 0 for k >= 2g-1.
-    try:
-        polynomial = parse(args.expr, max_degree=2 * g - 1)
-    except ParseError as exc:
-        return _usage_error(f"cannot parse expression: {exc}")
-    reduced = format_polynomial(ctx.normal_form(polynomial))
-    if args.json:
-        _emit_json(args, {**header, "input": args.expr, "normal_form": reduced})
-    else:
-        _emit(args, reduced)
+        payload["relations"] = [{"d_grade": l, "polynomial": text} for l, text in rendered]
+        lines = [f"l={l}: {text}" for l, text in rendered]
+    else:  # action == "reduce"
+        if args.expr is None:
+            return _usage_error("ring reduce needs an expression argument")
+        # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero: R_k = 0 for k >= 2g-1.
+        try:
+            polynomial = parse(args.expr, max_degree=2 * g - 1)
+        except ParseError as exc:
+            return _usage_error(f"cannot parse expression: {exc}")
+        reduced = format_polynomial(ctx.normal_form(polynomial))
+        payload.update(input=args.expr, normal_form=reduced)
+        lines = [reduced]
+    _show(args, payload, lines)
     return 0
 
 
@@ -164,22 +137,17 @@ def cmd_ring(args: argparse.Namespace) -> int:
 
 def cmd_coeffs(args: argparse.Namespace) -> int:
     table = coefficient_table(args.genus)
-    rows = []
-    for triple in table.triples():
-        row: dict = {"a": triple[0], "b": triple[1], "c": triple[2]}
-        if args.table in ("alpha", "both"):
-            row["alpha"] = str(table.alpha[triple])
-        if args.table in ("eta", "both"):
-            row["eta"] = str(table.eta[triple])
-        rows.append(row)
-    if args.json:
-        _emit_json(args, {"command": "coeffs", "genus": args.genus, "table": args.table, "rows": rows})
-        return 0
-    headers = ["a", "b", "c"] + [name for name in ("alpha", "eta") if name in rows[0]]
-    widths = {h: max(len(h), max(len(str(row[h])) for row in rows)) for h in headers}
-    _emit(args, "  ".join(h.ljust(widths[h]) for h in headers).rstrip())
-    for row in rows:
-        _emit(args, "  ".join(str(row[h]).ljust(widths[h]) for h in headers).rstrip())
+    names = [name for name in ("alpha", "eta") if args.table in (name, "both")]
+    rows = [
+        {"a": a, "b": b, "c": c, **{name: str(getattr(table, name)[a, b, c]) for name in names}}
+        for a, b, c in table.triples()
+    ]
+    headers = ["a", "b", "c", *names]
+    # The header line is one more row of the table, its cells the column names.
+    grid = [{h: h for h in headers}] + [{h: str(row[h]) for h in headers} for row in rows]
+    widths = {h: max(len(cells[h]) for cells in grid) for h in headers}
+    lines = ["  ".join(cells[h].ljust(widths[h]) for h in headers).rstrip() for cells in grid]
+    _show(args, {"command": "coeffs", "genus": args.genus, "table": args.table, "rows": rows}, lines)
     return 0
 
 
@@ -190,7 +158,8 @@ def cmd_dr(args: argparse.Namespace) -> int:
     cls = dr_class(args.genus, args.weights)
     if args.compact_type:
         cls = specialize_compact_type(cls)
-    _emit(args, serialize(cls, args.format))
+    if not args.quiet:
+        print(serialize(cls, args.format))
     return 0
 
 
@@ -198,9 +167,11 @@ def cmd_dr(args: argparse.Namespace) -> int:
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true", help="emit machine-readable JSON")
-    common.add_argument("--quiet", action="store_true", help="suppress output (exit code carries the result)")
+    quiet = argparse.ArgumentParser(add_help=False)
+    quiet.add_argument("--quiet", action="store_true", help="suppress output (exit code carries the result)")
+    # dr picks its output form with --format, so only the other commands take --json.
+    output = argparse.ArgumentParser(add_help=False, parents=[quiet])
+    output.add_argument("--json", action="store_true", help="emit machine-readable JSON")
 
     parser = argparse.ArgumentParser(
         prog="chowkit",
@@ -208,7 +179,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="subcommand", required=True)
 
-    p_verify = subparsers.add_parser("verify", parents=[common], help="run exact identity verifications")
+    p_verify = subparsers.add_parser("verify", parents=[output], help="run exact identity verifications")
     scope = p_verify.add_mutually_exclusive_group()
     scope.add_argument("--genus", type=_positive_int, help="genus to verify")
     scope.add_argument("--max-genus", type=_positive_int, help="verify every genus from 1 to this bound")
@@ -218,37 +189,44 @@ def _build_parser() -> argparse.ArgumentParser:
         default="all",
         help="which identity family to verify (default: all)",
     )
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_ring = subparsers.add_parser("ring", parents=[common], help="inspect the quotient ring at one genus")
+    p_ring = subparsers.add_parser("ring", parents=[output], help="inspect the quotient ring at one genus")
     p_ring.add_argument("--genus", type=_positive_int, required=True)
     p_ring.add_argument("action", choices=["dims", "pairing", "relations", "reduce"])
     p_ring.add_argument("expr", nargs="?", help="expression to reduce (for the reduce action)")
-    p_ring.set_defaults(func=cmd_ring)
 
-    p_coeffs = subparsers.add_parser("coeffs", parents=[common], help="print the coefficient tables")
+    p_coeffs = subparsers.add_parser("coeffs", parents=[output], help="print the coefficient tables")
     p_coeffs.add_argument("--genus", type=_positive_int, required=True)
     p_coeffs.add_argument("--table", choices=["alpha", "eta", "both"], default="both")
-    p_coeffs.set_defaults(func=cmd_coeffs)
 
-    p_dr = subparsers.add_parser("dr", parents=[common], help="expand a double-ramification class")
+    p_dr = subparsers.add_parser("dr", parents=[quiet], help="expand a double-ramification class")
     p_dr.add_argument("--genus", type=_positive_int, required=True)
     p_dr.add_argument("--weights", type=_weight_vector, required=True, help="comma-separated integers summing to zero")
     p_dr.add_argument("--format", choices=["json", "latex"], default="json")
     p_dr.add_argument("--compact-type", action="store_true", help="restrict to curves of compact type")
-    p_dr.set_defaults(func=cmd_dr)
 
     return parser
 
 
 def main(argv: "list[str] | None" = None) -> int:
     parser = _build_parser()
+    # argparse takes a value that starts with "-" ("-1,1", "-T1") for an unknown option, so the
+    # token after --weights is its value, and one leftover token is `ring reduce`'s expression.
+    argv = list(sys.argv[1:] if argv is None else argv)
+    if "--weights" in argv[:-1]:
+        at = argv.index("--weights")
+        argv[at : at + 2] = [f"--weights={argv[at + 1]}"]
     try:
-        args = parser.parse_args(argv)
+        args, extra = parser.parse_known_args(argv)
+        if len(extra) == 1 and args.subcommand == "ring" and args.action == "reduce" and args.expr is None:
+            args.expr = extra.pop()
+        if extra:
+            parser.error("unrecognized arguments: " + " ".join(extra))
     except SystemExit as exc:
         return int(exc.code or 0)
+    command = {"verify": cmd_verify, "ring": cmd_ring, "coeffs": cmd_coeffs, "dr": cmd_dr}[args.subcommand]
     try:
-        return args.func(args)
+        return command(args)
     except ValueError as exc:
         return _usage_error(str(exc))
 

@@ -7,6 +7,7 @@ order.  No pivoting heuristics are needed: arithmetic is exact.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
@@ -15,26 +16,23 @@ __all__ = ["determinant", "rank", "rref", "solve"]
 Row = list[Fraction]
 
 
-def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
-    """Reduced row echelon form.
-
-    Returns ``(reduced_rows, pivot_columns)``; zero rows are dropped and the
-    rows are sorted by pivot column, each with leading coefficient 1 and
-    zeros in every other pivot position.
+def _gauss_jordan(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int], list[Fraction]]:
+    """The elimination behind ``rref`` and ``determinant``: ``rref``'s two lists, and each pivot
+    divided out, negated when its row moved up past an odd number of pending rows (one swap each).
     """
     pending = [list(map(Fraction, r)) for r in rows]
     pending = [r for r in pending if any(r)]
-    if not pending:
-        return [], []
-    ncols = len(pending[0])
+    ncols = len(pending[0]) if pending else 0
     reduced: list[Row] = []
     pivots: list[int] = []
+    divisors: list[Fraction] = []
     for col in range(ncols):
         hit = next((i for i, r in enumerate(pending) if r[col]), None)
         if hit is None:
             continue
         row = pending.pop(hit)
         inv = row[col]
+        divisors.append(-inv if hit % 2 else inv)
         row = [x / inv for x in row]
         for other in pending + reduced:
             c = other[col]
@@ -45,7 +43,17 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
         pivots.append(col)
         if not pending:
             break
-    return reduced, pivots
+    return reduced, pivots, divisors
+
+
+def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
+    """Reduced row echelon form.
+
+    Returns ``(reduced_rows, pivot_columns)``; zero rows are dropped and the
+    rows are sorted by pivot column, each with leading coefficient 1 and
+    zeros in every other pivot position.
+    """
+    return _gauss_jordan(rows)[:2]
 
 
 def rank(rows: Iterable[Sequence[Fraction]]) -> int:
@@ -73,26 +81,9 @@ def solve(rows: Iterable[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: in
 
 
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant by fraction-exact Gaussian elimination with row swaps."""
+    """Determinant: the product of the signed pivots, or 0 when a column has none."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    if n == 0:
-        return Fraction(1)
-    work = [list(map(Fraction, r)) for r in rows]
-    det = Fraction(1)
-    for col in range(n):
-        hit = next((i for i in range(col, n) if work[i][col]), None)
-        if hit is None:
-            return Fraction(0)
-        if hit != col:
-            work[col], work[hit] = work[hit], work[col]
-            det = -det
-        pivot = work[col][col]
-        det *= pivot
-        for i in range(col + 1, n):
-            factor = work[i][col] / pivot
-            if factor:
-                for j in range(col, n):
-                    work[i][j] -= factor * work[col][j]
-    return det
+    _, pivots, divisors = _gauss_jordan(rows)
+    return math.prod(divisors, start=Fraction(1)) if len(pivots) == n else Fraction(0)

@@ -85,8 +85,20 @@ def test_verify_reports_failure_with_exit_1(capsys, monkeypatch):
     monkeypatch.setattr("chowkit.cli.verify_main", failing)
     code, out, _ = run(capsys, ["verify", "--genus", "3", "--which", "main"])
     assert code == 1
-    assert "FAILS, residual T1" in out
-    assert "1 of 1 checks FAILED" in out
+    assert out == "main_identity (genus 3): FAILS, residual T1\n1 of 1 checks FAILED\n"
+
+    code, out, _ = run(capsys, ["verify", "--genus", "3", "--which", "main", "--json"])
+    assert code == 1
+    assert out == json.dumps(
+        {
+            "command": "verify",
+            "which": "main",
+            "genera": [3],
+            "results": [{"name": "main_identity", "genus": 3, "holds": False, "residual": "T1"}],
+            "all_hold": False,
+        },
+        indent=2,
+    ) + "\n"
 
 
 def test_quiet_suppresses_output_but_keeps_code(capsys, monkeypatch):
@@ -340,10 +352,88 @@ def test_unknown_choice_is_usage_error(capsys):
     assert code == 2
 
 
+LEADING_MINUS = [
+    (["ring", "--genus", "3", "reduce", "-1*T1^2"], ["ring", "--genus", "3", "reduce", "--", "-1*T1^2"]),
+    (["ring", "--genus", "3", "reduce", "-T1", "--json"], ["ring", "--genus", "3", "--json", "reduce", "--", "-T1"]),
+    (["ring", "--genus", "3", "reduce", "--json", "-T1"], ["ring", "--genus", "3", "--json", "reduce", "--", "-T1"]),
+    (["dr", "--genus", "1", "--weights", "-1,1", "--format", "latex"], ["dr", "--genus", "1", "--weights=-1,1", "--format", "latex"]),
+    (["dr", "--genus", "1", "--weights", "1,-1"], ["dr", "--genus", "1", "--weights=1,-1"]),
+]
+
+
+@pytest.mark.parametrize("argv, same_as", LEADING_MINUS, ids=[" ".join(argv) for argv, _ in LEADING_MINUS])
+def test_values_may_start_with_a_minus_sign(capsys, argv, same_as):
+    expected = run(capsys, same_as)
+    assert expected[0] == 0 and expected[1]
+    assert run(capsys, argv) == expected
+
+
+UNKNOWN_ARGUMENTS = [
+    (["ring", "--genus", "3", "dims", "-T1"], "unrecognized arguments: -T1"),
+    (["ring", "--genus", "3", "reduce", "P^2", "-T1"], "unrecognized arguments: -T1"),
+    (["ring", "--genus", "3", "reduce", "-T1", "-T2"], "unrecognized arguments: -T1 -T2"),
+    (["verify", "--genus", "2", "--bogus"], "unrecognized arguments: --bogus"),
+    (["dr", "--genus", "1", "--weights=1,-1", "--json"], "unrecognized arguments: --json"),
+    (["dr", "--genus", "1", "--weights"], "expected one argument"),
+]
+
+
+@pytest.mark.parametrize("argv, message", UNKNOWN_ARGUMENTS, ids=[" ".join(argv) for argv, _ in UNKNOWN_ARGUMENTS])
+def test_unknown_arguments_stay_usage_errors(capsys, argv, message):
+    code, out, err = run(capsys, argv)
+    assert (code, out) == (2, "")
+    assert message in err
+
+
+# One small command per subcommand, for flags that must change what it does.
+FLAG_PROBES = {
+    "verify": ["verify", "--genus", "1", "--which", "main"],
+    "ring": ["ring", "--genus", "2", "dims"],
+    "coeffs": ["coeffs", "--genus", "2"],
+    "dr": ["dr", "--genus", "1", "--weights=1,-1"],
+}
+
+
+def test_every_flag_changes_the_output(capsys):
+    # A store_true flag that no command reads would be accepted and ignored.
+    import argparse
+
+    from chowkit.cli import _build_parser
+
+    (subparsers,) = [a for a in _build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    assert set(subparsers.choices) == set(FLAG_PROBES)
+    checked = []
+    for name, subparser in subparsers.choices.items():
+        plain = run(capsys, FLAG_PROBES[name])
+        for action in subparser._actions:
+            if isinstance(action, argparse._StoreTrueAction):
+                flag = action.option_strings[-1]
+                flagged = run(capsys, FLAG_PROBES[name] + [flag])
+                assert flagged[:2] != plain[:2], f"{name} {flag} changes nothing"
+                checked.append(f"{name} {flag}")
+    assert "dr --compact-type" in checked and "verify --json" in checked
+
+
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--max-genus", "5", "--json"): "f3592c23d1b833fa2360c045b469443e9c3bda30ce0ceed342b61f425ce83e59",
+    ("verify", "--max-genus", "6"): "1bf19de134ffc50714aea9c7bfa07a4200ba1915f7bcd0ee7e93a22fa63a52de",
     ("ring", "--genus", "6", "pairing"): "b3a2af28372edbbf199a81737be5ab77ce0c077713393e662e7597c8ef1ab4a2",
+    ("ring", "--genus", "8", "pairing"): "d4746f82318f62ac98f814f5692d662404b477cd41512582fd216b9d0899060a",
+    ("ring", "--genus", "10", "pairing"): "ccbf76cdc63d80d5718c5040f0162fb05559d041bc34dc426f54c3035da05634",
+    ("ring", "--genus", "8", "--json", "pairing"): "41a5f935f83fc40a8e7c4e50b1366d373b991cfa3d3f8f11423bc68b69bd3ac1",
+    ("ring", "--genus", "9", "dims"): "da2dd512487812d9bcb206f58233dab672037ff05e6304ea5c2cac8b2576e3bb",
+    ("ring", "--genus", "9", "--json", "dims"): "65c50e43a41318d82ba25e020540130fcb62b1ce81363d54fc5cf8d2271e5c2e",
+    ("ring", "--genus", "7", "relations"): "1c3950d4a7988d79fcf6c6a170a72dbfc8ed8595b7fed410ffba2d43a81020fa",
+    ("ring", "--genus", "7", "--json", "relations"): "3a9d9403d3a275a6da8971950084b4339f19539a27202d8167747c8cb186d926",
     ("ring", "--genus", "4", "reduce", "(xi+T1-P+2*T2)^7"): "3f17eb1c833e262dade44c42d33631bd27704841d5f09571f1f7235b4809f971",
+    ("ring", "--genus", "3", "--json", "reduce", "xi*P^4"): "c342eba1af818b0e9aa63516889c2692f91c99c07671e0936941600cb5aa212f",
+    # Expressions and weights that start with "-".
+    ("ring", "--genus", "3", "reduce", "-1*T1^2"): "3ef8836c27a5bd397b4d0d1a3a835cb2a674f37e0133f607af729c36e08d94ae",
+    ("ring", "--genus", "3", "reduce", "--", "-T1"): "4ccbb6dbd0e84c90d2abf13af62eb355a1574d7e3e572f9e6ac0539fe68ff5d4",
+    ("dr", "--genus", "1", "--weights", "-1,1", "--format", "latex"): "214bec79becad467d0af408ef4b5d9249048bd6b2e66c71e4d2fbd42d3c1ed55",
+    ("coeffs", "--genus", "6"): "e9906c5ee1daeb468199450a3846deb366350961d6060e3a906403c7f836d097",
+    ("coeffs", "--genus", "6", "--json"): "535b733a0062016ef59896ce02d975126c2cbd9d99e614b150dd09b2093cf3f9",
+    ("coeffs", "--genus", "5", "--table", "eta"): "48d468db421b8a93344fc90b73ad8b2ad3cf4594932137f5f7c09d48061776fa",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "latex"): "7a106dbb07584048e96bf94238cbf615eaaf6fcd894e34eb75a25d6eb1dc9bfe",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "json"): "c7793ed7c162cd7a61c0974fa3e7cceda1dcc01f79398d8e72fc10e36e470356",
     # The 94,212-term class, where term order and fragment rendering matter most.

@@ -1,5 +1,6 @@
 """Exact linear algebra over Fraction matrices."""
 
+import itertools
 import random
 from fractions import Fraction
 
@@ -87,3 +88,35 @@ def test_determinant_multiplicative():
         b = [[F(rng.randint(-3, 3)) for _ in range(n)] for _ in range(n)]
         ab = [[sum(a[i][k] * b[k][j] for k in range(n)) for j in range(n)] for i in range(n)]
         assert determinant(ab) == determinant(a) * determinant(b)
+
+
+def _leibniz(a):
+    n = len(a)
+    total = F(0)
+    for perm in itertools.permutations(range(n)):
+        inversions = sum(1 for i in range(n) for j in range(i + 1, n) if perm[i] > perm[j])
+        term = F((-1) ** inversions)
+        for i in range(n):
+            term *= a[i][perm[i]]
+        total += term
+    return total
+
+
+def test_determinant_matches_the_leibniz_sum():
+    rng = random.Random(23)
+    for n in range(1, 6):
+        for _ in range(6):
+            dense = [[F(rng.randint(-4, 4), rng.randint(1, 3)) for _ in range(n)] for _ in range(n)]
+            # Mostly zeros, so pivot rows are often taken from below the top.
+            sparse = [[F(rng.choice([0, 0, 0, 1, -2, 3])) for _ in range(n)] for _ in range(n)]
+            # Last row a combination of the others (the zero row when n = 1).
+            weights = [F(rng.randint(-3, 3), rng.randint(1, 4)) for _ in range(n - 1)]
+            singular = dense[:-1] + [[sum(w * row[j] for w, row in zip(weights, dense)) for j in range(n)]]
+            zero_row = [row[:] for row in dense]
+            zero_row[rng.randrange(n)] = [F(0)] * n
+            order = rng.sample(range(n), n)
+            permutation = [[F(int(j == order[i])) for j in range(n)] for i in range(n)]
+            for a in (dense, sparse, singular, zero_row, permutation):
+                assert determinant(a) == _leibniz(a)
+            assert determinant(singular) == 0 and determinant(zero_row) == 0
+            assert determinant(permutation) in (1, -1)
