@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from .dr import dr_class, serialize, specialize_compact_type
@@ -32,9 +33,16 @@ from .zero_section import (
 __all__ = ["entry", "main"]
 
 
+def _integer(text: str) -> int:
+    """ASCII digits with one optional sign: int() also reads other scripts' digits and ``_``."""
+    if not re.fullmatch(r"\s*[+-]?[0-9]+\s*", text):
+        raise ValueError(f"not an integer: {text!r}")
+    return int(text)
+
+
 def _positive_int(text: str) -> int:
     try:
-        value = int(text)
+        value = _integer(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"expected an integer, got {text!r}") from None
     if value < 1:
@@ -44,7 +52,7 @@ def _positive_int(text: str) -> int:
 
 def _weight_vector(text: str) -> tuple[int, ...]:
     try:
-        return tuple(int(part) for part in text.split(","))
+        return tuple(_integer(part) for part in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
@@ -120,12 +128,10 @@ def cmd_ring(args: argparse.Namespace) -> int:
     else:  # action == "reduce"
         if args.expr is None:
             return _usage_error("ring reduce needs an expression argument")
-        # Degree d >= 2g lands in R_d or xi*R_(d-1), both zero: R_k = 0 for k >= 2g-1.
         try:
-            polynomial = parse(args.expr, max_degree=2 * g - 1)
+            reduced = format_polynomial(parse(args.expr, reduce=ctx.normal_form))
         except ParseError as exc:
             return _usage_error(f"cannot parse expression: {exc}")
-        reduced = format_polynomial(ctx.normal_form(polynomial))
         payload.update(input=args.expr, normal_form=reduced)
         lines = [reduced]
     _show(args, payload, lines)

@@ -24,10 +24,14 @@ the same way, at the literal or the operator.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb
+from typing import Callable
 
 from .poly import Polynomial, RING_VARS, Vars
 
 __all__ = ["ParseError", "parse"]
+
+Reduce = Callable[[Polynomial], Polynomial]
 
 _SYMBOLS = set("+-*^/()")
 # Literals are ASCII only: str.isdigit also accepts superscripts and other
@@ -38,7 +42,7 @@ _DIGITS = set("0123456789")
 MAX_DEPTH = 100
 
 #: Largest ``_bits`` of a coefficient, and of ``exponent * _bits(constant)``
-#: for a power.  Truncation bounds degrees, not coefficients; this keeps them
+#: for a power.  Reduction bounds degrees, not coefficients; this keeps them
 #: under CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
 MAX_POWER_BITS = 10_000
 
@@ -86,12 +90,12 @@ def _bits(c: Fraction) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Vars, max_degree: int | None):
+    def __init__(self, text: str, variables: Vars, reduce: Reduce | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.vars = variables
-        self.max_degree = max_degree
+        self.reduce = reduce
 
     def checked(self, p: Polynomial, position: int) -> Polynomial:
         """``p``, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits."""
@@ -100,26 +104,19 @@ class _Parser:
         return p
 
     def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
-        """``a * b`` without its terms above ``max_degree``; zero, with no
-        multiplication, when the factors' lowest degrees sum past it."""
-        top = self.max_degree
-        if top is None:
-            return self.checked(a * b, position)
-        if min(map(sum, a.terms), default=0) + min(map(sum, b.terms), default=0) > top:
-            return Polynomial.zero(self.vars)
-        kept = {e: c for e, c in (a * b).terms.items() if sum(e) <= top}
-        return self.checked(Polynomial._raw(self.vars, kept), position)
+        """``a * b``, passed through ``reduce`` when there is one."""
+        p = a * b
+        return self.checked(self.reduce(p) if self.reduce else p, position)
 
     def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the
-        constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  With
-        ``max_degree``, ``u = base - c`` has no terms below degree 1, so the
-        power is the sum of ``C(n,k) * c^(n-k) * u^k`` over ``k <= max_degree``;
-        without it, the power is taken by squaring."""
+        constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
+        squaring without ``reduce``; with it, the sum of ``C(n,k) * c^(n-k) * u^k``
+        for ``u = base - c`` up to the first ``u^k`` that reduces to zero."""
         constant = base.coefficient((0,) * len(self.vars))
         if exponent * _bits(constant) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        if self.max_degree is None:
+        if self.reduce is None:
             result = Polynomial.constant(self.vars, 1)
             while exponent:
                 if exponent & 1:
@@ -128,14 +125,13 @@ class _Parser:
                 if exponent:
                     base = self.product(base, base, position)
             return result
-        u, u_k, binomial = base - constant, Polynomial.constant(self.vars, 1), 1
+        u, powers = base - constant, [Polynomial.constant(self.vars, 1)]
+        while len(powers) <= exponent and not powers[-1].is_zero():
+            powers.append(self.product(powers[-1], u, position))
         result = Polynomial.zero(self.vars)
-        for k in range(min(exponent, self.max_degree) + 1):
-            if k:
-                u_k = self.product(u_k, u, position)
-                binomial = binomial * (exponent - k + 1) // k
+        for k, u_k in enumerate(powers):
             if constant or k == exponent:
-                result += binomial * constant ** (exponent - k) * u_k
+                result += comb(exponent, k) * constant ** (exponent - k) * u_k
         return self.checked(result, position)
 
     def peek(self) -> tuple[str, str, int]:
@@ -207,21 +203,21 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)
 
 
-def parse(text: str, variables: Vars = RING_VARS, max_degree: int | None = None) -> Polynomial:
+def parse(text: str, variables: Vars = RING_VARS, reduce: Reduce | None = None) -> Polynomial:
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
-    With ``max_degree``, terms of higher total degree are dropped after every
-    product and power, or the product is skipped when its factors' lowest
-    degrees already sum past the bound; a power is then a truncated binomial
-    sum of at most ``max_degree`` products, whatever its exponent.
+    With ``reduce``, every product and the result pass through it, and a power
+    is a binomial sum that ends once the powers of its non-constant part
+    reduce to zero.  ``reduce(a * b)`` must equal ``reduce(reduce(a) * b)``,
+    as for ``RingContext.normal_form`` or a degree truncation.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
     outside the variable set and on coefficients past ``MAX_POWER_BITS``,
     with the offending position attached.
     """
-    parser = _Parser(text, tuple(variables), max_degree)
+    parser = _Parser(text, tuple(variables), reduce)
     result = parser.parse_expr()
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {value!r}", position)
-    return result
+    return reduce(result) if reduce else result

@@ -208,7 +208,6 @@ class VerificationReport:
     genus: int
     holds: bool
     residual: Polynomial
-    kernel_dimension: int | None = None
     seconds: float = 0.0
 
     def to_dict(self, include_timing: bool = False) -> dict:
@@ -218,8 +217,6 @@ class VerificationReport:
             "holds": self.holds,
             "residual": format_polynomial(self.residual),
         }
-        if self.kernel_dimension is not None:
-            payload["kernel_dimension"] = self.kernel_dimension
         if include_timing:
             payload["seconds"] = self.seconds
         return payload

@@ -383,6 +383,37 @@ def test_theta_subset_enumeration_is_complete():
     assert found == subsets
 
 
+def sign_pattern(weights):
+    sums = (sum(part) for r in range(1, len(weights)) for part in combinations(weights, r))
+    return tuple((total > 0) - (total < 0) for total in sums)
+
+
+@pytest.mark.parametrize(
+    "g, d0, v",
+    [
+        (1, (1, 2, -3), (1, 1, -2)),
+        (2, (1, 2, -3), (1, 1, -2)),
+        (3, (1, 2, -3), (1, 0, -1)),
+        (2, (1, 1, 2, -4), (1, 0, 1, -2)),
+    ],
+    ids=str,
+)
+def test_dr_coefficients_are_polynomial_in_the_weights(g, d0, v):
+    # Within one sign pattern of the partial sums of d, every coefficient of
+    # DR_g(d) is a polynomial in d of degree at most 2g: along d0 + t*v its
+    # (2g+1)-th finite difference vanishes, and some 2g-th one does not.
+    line = [tuple(a + t * b for a, b in zip(d0, v)) for t in range(2 * g + 2)]
+    assert len(set(map(sign_pattern, line))) == 1
+    classes = [dr_class(g, d).terms for d in line]
+    terms = set().union(*classes)
+
+    def difference(term, order):
+        return sum((-1) ** (order - t) * comb(order, t) * classes[t].get(term, 0) for t in range(order + 1))
+
+    assert [term for term in terms if difference(term, 2 * g + 1)] == []
+    assert any(difference(term, 2 * g) for term in terms)
+
+
 # ------------------------------------------------------------------ expansion properties
 
 # Per n: generic weights, weights with a zero entry, and (n = 4) weights with

@@ -7,6 +7,7 @@ import pytest
 
 from chowkit import INVARIANT_VARS, ParseError, Polynomial, RING_VARS, format_polynomial, parse
 from chowkit.parsing import MAX_DEPTH, MAX_POWER_BITS
+from chowkit.ring import make_context
 from test_poly import random_poly
 
 
@@ -117,35 +118,45 @@ def test_literals_are_ascii_digits_only():
         assert info.value.position == position
 
 
+def up_to_degree(bound):
+    """A ``reduce`` for :func:`parse` that keeps the terms of degree ``bound`` and below."""
+    return lambda p: Polynomial(p.vars, {e: c for e, c in p.terms.items() if sum(e) <= bound})
+
+
 def test_max_degree_truncates_products_and_powers():
     # Huge exponents cost their bit length once terms past the bound drop.
-    assert parse("(T1+P)^100000000", max_degree=4).is_zero()
-    assert parse("P^100000000", max_degree=4).is_zero()
-    assert parse("T1^3*P^3 + xi", max_degree=5) == parse("xi")
+    assert parse("(T1+P)^100000000", reduce=up_to_degree(4)).is_zero()
+    assert parse("P^100000000", reduce=up_to_degree(4)).is_zero()
+    assert parse("T1^3*P^3 + xi", reduce=up_to_degree(5)) == parse("xi")
     full = parse("(1 + xi - 2*T1 + 1/3*P)^7")
     for bound in range(9):
         expected = {e: c for e, c in full.terms.items() if sum(e) <= bound}
-        assert parse("(1 + xi - 2*T1 + 1/3*P)^7", max_degree=bound).terms == expected
-    assert parse("(1+P)^100000000", max_degree=1) == parse("1 + 100000000*P")
+        assert parse("(1 + xi - 2*T1 + 1/3*P)^7", reduce=up_to_degree(bound)).terms == expected
+    assert parse("(1+P)^100000000", reduce=up_to_degree(1)) == parse("1 + 100000000*P")
     # Without a bound, powers by squaring give the plain expansion.
     assert parse("(xi - T1 + 2*P)^11") == parse("xi - T1 + 2*P") ** 11
 
 
-def test_products_past_the_bound_are_never_multiplied(monkeypatch):
-    # Lowest degrees 3 + 3 exceed 5: truncation would drop every term, so
-    # the product is skipped; the powers themselves are still taken.
-    lowest = []
+def test_the_parser_multiplies_only_normal_forms(monkeypatch):
+    # With the ring's normal form as reduce, every product and every step
+    # of a power starts from reduced factors: no monomial that reduction
+    # would rewrite or drop is ever multiplied.
+    ctx = make_context(3)
+    text = "(1 + xi - 2*T1)^7*(P + T2)^3 + xi*P^4*(T1 - 1/2)^99 - (xi + T2)^5*T1*(2 - P)"
+    factors = []
     multiply = Polynomial.__mul__
 
-    def counting(a, b):
+    def recording(a, b):
         if isinstance(b, Polynomial):
-            lowest.append(min(map(sum, a.terms), default=0) + min(map(sum, b.terms), default=0))
+            factors.extend((a, b))
         return multiply(a, b)
 
-    monkeypatch.setattr(Polynomial, "__mul__", counting)
-    assert parse("(xi+T1)^3*(P+T2)^3", max_degree=5).is_zero()
-    assert parse("T1^3*P^3 + xi", max_degree=5) == parse("xi", max_degree=5)
-    assert lowest and max(lowest) <= 5
+    monkeypatch.setattr(Polynomial, "__mul__", recording)
+    reduced = parse(text, reduce=ctx.normal_form)
+    monkeypatch.undo()
+    assert reduced == ctx.normal_form(parse(text))
+    assert len(factors) > 20
+    assert [p for p in factors if ctx.normal_form(p) != p] == []
 
 
 def test_power_bounds_the_growth_of_its_constant_term():
@@ -159,13 +170,13 @@ def test_power_bounds_the_growth_of_its_constant_term():
         (f"2^{MAX_POWER_BITS + 1}", 1),
     ):
         with pytest.raises(ParseError, match="power") as info:
-            parse(text, max_degree=5)
+            parse(text, reduce=up_to_degree(5))
         assert info.value.position == position
     assert parse(f"2^{MAX_POWER_BITS}") == Polynomial.constant(RING_VARS, 2**MAX_POWER_BITS)
     # Constant terms of bit length 1, and no constant term, grow nothing.
-    assert parse("(1+T1)^100000000", max_degree=2) == parse("1 + 100000000*T1 + 4999999950000000*T1^2")
-    assert parse("(-1+P)^100000001", max_degree=0) == parse("-1")
-    assert parse("(2*T1)^100000000", max_degree=5).is_zero()
+    assert parse("(1+T1)^100000000", reduce=up_to_degree(2)) == parse("1 + 100000000*T1 + 4999999950000000*T1^2")
+    assert parse("(-1+P)^100000001", reduce=up_to_degree(0)) == parse("-1")
+    assert parse("(2*T1)^100000000", reduce=up_to_degree(5)).is_zero()
     assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40
 
 
@@ -180,13 +191,13 @@ def test_coefficients_are_bounded_at_their_operator():
         (f"{big}*{big}", 3000),
         (f"(1 + {big}*T1)^2", 3009),
     ):
-        for bound in (None, 5):
+        for reduce in (None, up_to_degree(5)):
             with pytest.raises(ParseError) as info:
-                parse(text, max_degree=bound)
+                parse(text, reduce=reduce)
             assert info.value.position == position
     # The binomial sum's scalars C(n,k) * c^(n-k) are bounded as well.
     with pytest.raises(ParseError) as info:
-        parse(f"(1 + T1)^{big}", max_degree=5)
+        parse(f"(1 + T1)^{big}", reduce=up_to_degree(5))
     assert info.value.position == 8
     # Squaring, with no degree bound, stops as soon as a coefficient passes.
     with pytest.raises(ParseError) as info:
