@@ -25,6 +25,8 @@ descending order (leading term first); quotient-ring reduction in
 from __future__ import annotations
 
 from fractions import Fraction
+from math import lcm, prod
+from operator import add
 from typing import Iterable, Mapping, Sequence, TypeVar, Union
 
 __all__ = [
@@ -283,12 +285,16 @@ class Polynomial:
 def combine(terms: Mapping[Exponents, Scalar], images: Sequence[T]) -> T:
     """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping.
 
-    Works for any type with ``+``, ``*`` and ``**``.  Each power
-    ``images[i]**e`` is taken once and shared between terms, with ``**`` so
-    that a type's own power method is used; factors with exponent 0 are
-    skipped and a constant term uses ``images[0]**0``, so ``images`` must
-    not be empty.  An empty mapping gives ``images[0]**0 * 0``.
+    ``Polynomial`` images are expanded over integer numerators: each image's
+    denominators are cleared once, its powers are built as a ladder (each one
+    product from the previous), and each term is added over one common
+    denominator.  Any other type is expanded with its own ``+``, ``*`` and
+    ``**``, each power ``images[i]**e`` taken once; a constant term uses
+    ``images[0]**0``, so ``images`` must not be empty.  An empty mapping
+    gives ``images[0]**0 * 0``.
     """
+    if images and all(isinstance(image, Polynomial) for image in images):
+        return _combine_polynomials(terms, images)
     powers: list[dict[int, T]] = [{} for _ in images]
     total = None
     for exps, coeff in terms.items():
@@ -302,6 +308,40 @@ def combine(terms: Mapping[Exponents, Scalar], images: Sequence[T]) -> T:
         term = (images[0] ** 0 if term is None else term) * coeff
         total = term if total is None else total + term
     return images[0] ** 0 * 0 if total is None else total
+
+
+def _add_product(out: dict, a: dict, b: dict, factor: int = 1) -> dict:
+    """Add ``factor * a * b`` into ``out``, all ``{exponents: int}`` maps."""
+    for e1, c1 in a.items():
+        c1 *= factor
+        for e2, c2 in b.items():
+            exps = tuple(map(add, e1, e2))
+            out[exps] = out.get(exps, 0) + c1 * c2
+    return out
+
+
+def _combine_polynomials(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> Polynomial:
+    variables = images[0].vars
+    if any(image.vars != variables for image in images):
+        raise ValueError(f"combine images use mixed variable sets: {[image.vars for image in images]}")
+    coeffs = {exps: Fraction(c) for exps, c in terms.items() if c}
+    unit = {(0,) * len(variables): 1}
+    scales, ladders = [], []
+    for i, image in enumerate(images):
+        scales.append(lcm(*(c.denominator for c in image.terms.values())))
+        base = {e: c.numerator * (scales[i] // c.denominator) for e, c in image.terms.items()}
+        ladders.append([unit])
+        for _ in range(max((exps[i] for exps in coeffs), default=0)):
+            ladders[i].append(_add_product({}, ladders[i][-1], base))
+    common = lcm(*(c.denominator for c in coeffs.values())) * prod(s ** (len(ladder) - 1) for s, ladder in zip(scales, ladders))
+    total: dict[Exponents, int] = {}
+    for exps, coeff in coeffs.items():
+        *head, last = [ladder[e] for ladder, e in zip(ladders, exps) if e] or [unit]
+        product = unit
+        for factor in head:
+            product = _add_product({}, product, factor)
+        _add_product(total, product, last, coeff.numerator * common // (coeff.denominator * prod(map(pow, scales, exps))))
+    return Polynomial._raw(variables, {e: Fraction(c, common) for e, c in total.items() if c})
 
 
 # -------------------------------------------------------------------- d-grading

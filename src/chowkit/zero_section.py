@@ -186,9 +186,19 @@ def boundary_zero_section(ctx: RingContext) -> Polynomial:
 
 def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     """The invariant-basis combination predicted to equal the zero-section
-    class, as a raw (unreduced) polynomial in the canonical variables."""
+    class, as its xi-linear representative ``A0 + xi*A1``, not the raw
+    expansion.  ``xi -> 0`` and ``xi -> P`` are ring maps out of ``R~``:
+    ``A0`` is the image under ``xi -> 0``, and ``P*A1`` the image under
+    ``xi -> P`` minus ``A0``, checked to be divisible by ``P``."""
     images = _basis_images(basis, *invariant_generators())
-    return combine(getattr(coefficient_table(ctx.genus), basis), images)
+    table = getattr(coefficient_table(ctx.genus), basis)
+    at_infinity = combine(table, [restrict_infty(image) for image in images])
+    terms = dict(at_infinity.terms)
+    for (_, a, b, c), coeff in (combine(table, [restrict_zero(image) for image in images]) - at_infinity).terms.items():
+        if not b:
+            raise ArithmeticError(f"P does not divide the term {coeff}*T1^{a}*T2^{c} of the xi -> P image")
+        terms[(1, a, b - 1, c)] = coeff
+    return Polynomial(RING_VARS, terms)
 
 
 # -------------------------------------------------------------- reports

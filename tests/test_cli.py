@@ -201,6 +201,16 @@ def test_ring_reduce_huge_power_with_a_constant_term_is_fast(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("f304ada52c4e1e6c")
 
 
+def test_verify_at_genus_35_finishes(capsys):
+    # Took more than 20 s when the right-hand side was expanded over Fractions.
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--genus", "35"])
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+
+
 def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
     # Truncation cannot bound coefficients: 2^100000000 would build a
     # 100-million-bit integer, so the parser refuses it at the '^'.
@@ -438,6 +448,7 @@ def test_every_flag_changes_the_output(capsys):
 GOLDEN_STDOUT_SHA256 = {
     ("verify", "--max-genus", "5", "--json"): "f3592c23d1b833fa2360c045b469443e9c3bda30ce0ceed342b61f425ce83e59",
     ("verify", "--max-genus", "6"): "1bf19de134ffc50714aea9c7bfa07a4200ba1915f7bcd0ee7e93a22fa63a52de",
+    ("verify", "--genus", "20", "--json"): "5b2366cddfc1531dbf42a01ff02c8130811626176b97c1684cbc1a340dd05499",
     ("ring", "--genus", "6", "pairing"): "b3a2af28372edbbf199a81737be5ab77ce0c077713393e662e7597c8ef1ab4a2",
     ("ring", "--genus", "8", "pairing"): "d4746f82318f62ac98f814f5692d662404b477cd41512582fd216b9d0899060a",
     ("ring", "--genus", "10", "pairing"): "ccbf76cdc63d80d5718c5040f0162fb05559d041bc34dc426f54c3035da05634",

@@ -231,21 +231,36 @@ def combine_cases():
         ([theta, irr, glue], FormalClass.zero(2, weights)),
         ([theta * irr + glue, irr, theta], FormalClass.zero(2, weights)),
         ([Fraction(3, 2), Fraction(-2), Fraction(5, 7)], Fraction(0)),
+        # Polynomial images, which combine expands over integer numerators,
+        # with terms of exponents up to 6: denominators 2, 3 and 8; a zero
+        # image; images with a constant term.
+        ([parse("1/2*T1 + P"), parse("1/3*P - T2"), parse("1/8*T2 - T1 + 3/8*xi")], Polynomial.zero(RING_VARS)),
+        ([Polynomial.zero(RING_VARS), parse("1/2 + 1/3*T1"), parse("5 - 1/8*P*T2")], Polynomial.zero(RING_VARS)),
+        ([Polynomial.constant(INVARIANT_VARS, Fraction(3, 4)), free[0] - free[1] / 8 + 1, free[2] / 3], Polynomial.zero(INVARIANT_VARS)),
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(9))
 def test_combine_matches_naive_sum(case):
     from chowkit.poly import combine
 
     images, zero = combine_cases()[case]
+    top = 6 if case >= 6 else 2
     rng = random.Random(case)
-    terms = {(0, 0, 0): Fraction(-5, 3)}
+    terms = {(0, 0, 0): Fraction(-5, 3), (top, top, top): Fraction(1, 7)}
     for _ in range(6):
-        terms[tuple(rng.randint(0, 2) for _ in range(3))] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
+        terms[tuple(rng.randint(0, top) for _ in range(3))] = Fraction(rng.randint(-9, 9), rng.randint(1, 5))
     assert combine(terms, images) == naive_combine(terms, images, zero)
     assert combine({(0, 0, 0): 4}, images) == naive_combine({(0, 0, 0): 4}, images, zero)
     assert combine({}, images) == zero
+
+
+def test_combine_rejects_mixed_variable_sets():
+    from chowkit.poly import combine
+
+    images = [Polynomial.variable(RING_VARS, "T1"), Polynomial.variable(INVARIANT_VARS, "D")]
+    with pytest.raises(ValueError):
+        combine({(1, 1): 1}, images)
 
 
 def test_substitute_and_evaluate_of_zero():

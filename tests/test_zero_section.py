@@ -2,12 +2,14 @@
 constants, and the verification reports."""
 
 import random
+import time
 from fractions import Fraction
 
 import pytest
 
 from chowkit import (
     INVARIANT_VARS,
+    RING_VARS,
     Polynomial,
     alpha,
     alpha_b0_closed_form,
@@ -17,9 +19,12 @@ from chowkit import (
     degree_triples,
     eta,
     inner_sum_constant,
+    invariant_generators,
     make_context,
     maple_inner_sum,
     parse,
+    restrict_infty,
+    restrict_zero,
     verify_all,
     verify_eta_alpha,
     verify_invariance,
@@ -138,6 +143,41 @@ def test_assemblies_agree_raw(g):
     assert assemble_main_rhs(ctx, "alpha") == assemble_main_rhs(ctx, "eta")
 
 
+@pytest.mark.parametrize("basis", ["alpha", "eta"])
+@pytest.mark.parametrize("g", range(1, 9))
+def test_assembly_is_the_xi_linear_form_of_the_raw_expansion(g, basis):
+    # Reference: the raw 4-variable expansion, one plain product per factor.
+    theta, boundary, gluing = invariant_generators()
+    if basis == "alpha":
+        images = (theta - boundary / 8, boundary, gluing - 2 * theta * boundary)
+    else:
+        images = (theta, boundary, gluing)
+    raw = Polynomial.zero(RING_VARS)
+    for exps, coeff in getattr(coefficient_table(g), basis).items():
+        term = Polynomial.constant(RING_VARS, coeff)
+        for image, e in zip(images, exps):
+            for _ in range(e):
+                term = term * image
+        raw = raw + term
+    ctx = make_context(g)
+    rhs = assemble_main_rhs(ctx, basis)
+    assert rhs.degree_in("xi") <= 1
+    # xi -> 0 and xi -> P see the whole class in R[xi]/(xi^2 - xi*P).
+    assert restrict_infty(rhs) == restrict_infty(raw)
+    assert restrict_zero(rhs) == restrict_zero(raw)
+    assert ctx.normal_form(rhs) == ctx.normal_form(raw)
+
+
+def test_assembly_checks_the_division_by_p(monkeypatch):
+    # xi -> T1 is not a ring map out of R[xi]/(xi^2 - xi*P): the difference
+    # of the two images is not a multiple of P, and no term may be dropped.
+    import chowkit.zero_section as zs
+
+    monkeypatch.setattr(zs, "restrict_zero", lambda p: p.substitute({"xi": parse("T1")}))
+    with pytest.raises(ArithmeticError):
+        assemble_main_rhs(make_context(3))
+
+
 def test_assemble_rejects_unknown_basis():
     with pytest.raises(ValueError):
         assemble_main_rhs(make_context(2), "gamma")
@@ -167,6 +207,13 @@ def test_main_identity_holds(g):
 def test_triangular_identity_holds(g):
     report = verify_triangular(g)
     assert report.holds and report.name == "triangular_identity"
+
+
+def test_main_and_triangular_identities_hold_up_to_genus_20():
+    start = time.perf_counter()
+    for g in range(1, 21):
+        assert verify_main(g).holds and verify_triangular(g).holds, g
+    assert time.perf_counter() - start < 5
 
 
 def test_reduction_is_not_vacuous():
