@@ -77,8 +77,8 @@ _VERIFIERS = {
     "main": lambda g: [verify_main(g)],
     "eta": lambda g: [verify_eta_alpha(g)],
     "triangular": lambda g: [verify_triangular(g)],
-    "invariance": lambda g: verify_invariance(g),
-    "all": lambda g: verify_all(g),
+    "invariance": verify_invariance,
+    "all": verify_all,
 }
 
 

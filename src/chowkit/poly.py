@@ -207,12 +207,7 @@ class Polynomial:
         rhs = self._coerce(other)
         if rhs is None:
             return NotImplemented
-        terms: dict[Exponents, Fraction] = {}
-        for e1, c1 in self._terms.items():
-            for e2, c2 in rhs._terms.items():
-                exps = tuple(a + b for a, b in zip(e1, e2))
-                terms[exps] = terms.get(exps, Fraction(0)) + c1 * c2
-        return Polynomial._raw(self.vars, terms)
+        return combine({(1, 1): 1}, (self, rhs))
 
     __rmul__ = __mul__
 
@@ -226,10 +221,7 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power needs a nonnegative integer, got {exponent!r}")
-        result = Polynomial.constant(self.vars, 1)
-        for _ in range(exponent):
-            result = result * self
-        return result
+        return combine({(exponent,): 1}, (self,))
 
     # ---------------------------------------------------------------- structure
 
@@ -279,6 +271,7 @@ class Polynomial:
             raise ValueError(f"missing values for variables {missing}")
         if not self.vars:
             return self.coefficient(())
+        # Scalar images keep combine off its integer product kernel, which evaluation checks.
         return combine(self._terms, [Fraction(values[v]) for v in self.vars])
 
 
@@ -326,19 +319,20 @@ def _combine_polynomials(terms: Mapping[Exponents, Scalar], images: Sequence[Pol
         raise ValueError(f"combine images use mixed variable sets: {[image.vars for image in images]}")
     coeffs = {exps: Fraction(c) for exps, c in terms.items() if c}
     unit = {(0,) * len(variables): 1}
+    tops = [max((exps[i] for exps in coeffs), default=0) for i in range(len(images))]
     scales, ladders = [], []
-    for i, image in enumerate(images):
+    for image, top in zip(images, tops):
         scales.append(lcm(*(c.denominator for c in image.terms.values())))
-        base = {e: c.numerator * (scales[i] // c.denominator) for e, c in image.terms.items()}
-        ladders.append([unit])
-        for _ in range(max((exps[i] for exps in coeffs), default=0)):
-            ladders[i].append(_add_product({}, ladders[i][-1], base))
-    common = lcm(*(c.denominator for c in coeffs.values())) * prod(s ** (len(ladder) - 1) for s, ladder in zip(scales, ladders))
+        base = {e: c.numerator * (scales[-1] // c.denominator) for e, c in image.terms.items()}
+        ladders.append([unit, base])
+        while len(ladders[-1]) <= top:
+            ladders[-1].append(_add_product({}, ladders[-1][-1], base))
+    common = lcm(*(c.denominator for c in coeffs.values())) * prod(map(pow, scales, tops))
     total: dict[Exponents, int] = {}
     for exps, coeff in coeffs.items():
         *head, last = [ladder[e] for ladder, e in zip(ladders, exps) if e] or [unit]
-        product = unit
-        for factor in head:
+        product = head[0] if head else unit
+        for factor in head[1:]:
             product = _add_product({}, product, factor)
         _add_product(total, product, last, coeff.numerator * common // (coeff.denominator * prod(map(pow, scales, exps))))
     return Polynomial._raw(variables, {e: Fraction(c, common) for e, c in total.items() if c})

@@ -14,8 +14,8 @@ block at a time, and the reduced echelon rows of a block are the rewrites of
 its pivot monomials.  Columns are ordered by *ascending* graded lexicographic
 order, so pivots eliminate the smallest monomials and the surviving canonical
 basis consists of the largest ones; in the top degree ``2g-2`` the survivor
-is the ``T1*T2``-balanced monomial, which is what the pushforward
-normalization expects.
+is the ``T1*T2``-balanced monomial.  The pushforward out of that degree is a
+closed-form functional and needs no reduction.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -28,7 +28,7 @@ import threading
 from fractions import Fraction
 from typing import Mapping, NamedTuple
 
-from .arith import factorial
+from .arith import binomial, factorial
 from .linalg import rref, solve
 from .poly import Polynomial, RING_VARS, combine, d_grade
 
@@ -218,14 +218,13 @@ class RingContext:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         self.genus = genus
         self.relation_grades = tuple(range(genus, -genus - 1, -1))
-        self._relations_by_grade = self._build_relations()
-        self.relations = tuple(self._relations_by_grade[l] for l in self.relation_grades)
+        self.relations = self._build_relations()
         self._degrees: dict[int, _DegreeData] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- relations
 
-    def _build_relations(self) -> dict[int, Polynomial]:
+    def _build_relations(self) -> tuple[Polynomial, ...]:
         g = self.genus
         buckets: dict[int, dict[Exponents, Fraction]] = {l: {} for l in self.relation_grades}
         for i in range(g + 1):
@@ -235,14 +234,13 @@ class RingContext:
                 # T1^i P^j T2^k contributes to the coefficient of n^(j+2k),
                 # i.e. to the relation of d-grade l = i - k.
                 buckets[i - k][(0, i, j, k)] = coeff
-        return {l: Polynomial(RING_VARS, terms) for l, terms in buckets.items()}
+        return tuple(Polynomial(RING_VARS, buckets[l]) for l in self.relation_grades)
 
     def relation(self, l: int) -> Polynomial:
         """The defining relation of d-grade ``l`` (``-g <= l <= g``)."""
-        try:
-            return self._relations_by_grade[l]
-        except KeyError:
-            raise ValueError(f"d-grade must satisfy -{self.genus} <= l <= {self.genus}, got {l}") from None
+        if not -self.genus <= l <= self.genus:
+            raise ValueError(f"d-grade must satisfy -{self.genus} <= l <= {self.genus}, got {l}")
+        return self.relations[self.genus - l]
 
     # ------------------------------------------------------------- normal form data
 
@@ -346,24 +344,26 @@ class RingContext:
         """Pushforward of a top-degree class to the base, as an exact rational.
 
         ``p`` must be xi-free and homogeneous of degree ``2g - 2`` (the zero
-        polynomial is allowed).  After reduction every surviving monomial has
-        the balanced shape ``T1^(g-1-a) * P^(2a) * T2^(g-1-a)``, whose
-        pushforward is ``(-1)^a * (g-1)! * (2a)! * (g-1-a)! / a!``.
+        polynomial is allowed).  The pushforward is the functional
+        ``phi(T1^x P^y T2^z) = (-1)^a x!^2 (2a)! C(g-1, a)`` when ``x = z``
+        and ``y = 2a``, and 0 otherwise, applied to the terms of ``p`` with no
+        reduction.  This is exact: ``phi(q)`` is ``q(d/ds, d/du, d/dt)``
+        applied to ``F = (st - u^2)^(g-1)``, and ``l_n = d/ds + n d/du +
+        n^2 d/dt`` applied twice kills ``st - u^2``, hence ``l_n^g`` and each
+        of its coefficients in ``n`` (the relations) kill ``F``.  So ``phi`` vanishes on
+        ``I_g``, and on the one-dimensional top degree it agrees with the
+        normalization ``(g-1)!^2`` of the socle monomial ``T1^(g-1) T2^(g-1)``.
         """
         _require_ring_vars(p)
         _require_xi_free(p)
-        if p.is_zero():
-            return Fraction(0)
         top = 2 * self.genus - 2
-        if not p.is_homogeneous() or p.total_degree() != top:
+        if any(sum(e) != top for e in p.terms):
             raise ValueError(f"socle pushforward needs a homogeneous class of degree {top}")
-        g = self.genus
         total = Fraction(0)
-        for (_, x, y, z), coeff in self._reduce_component(p.terms).items():
-            if y % 2 or x != z or x + y + z != top:
-                raise ArithmeticError(f"unexpected survivor monomial {(x, y, z)} in top degree")
-            a = y // 2
-            total += coeff * ((-1) ** a * factorial(g - 1) * factorial(2 * a) * factorial(g - 1 - a) // factorial(a))
+        for (_, x, y, z), coeff in p.terms.items():
+            if x == z and y % 2 == 0:
+                a = y // 2
+                total += coeff * ((-1) ** a * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, a))
         return total
 
     def pairing_matrix(self, k: int) -> list[list[Fraction]]:

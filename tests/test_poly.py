@@ -23,11 +23,11 @@ from chowkit import (
 )
 
 
-def random_poly(rng, variables=RING_VARS, max_exp=3, terms=5):
+def random_poly(rng, variables=RING_VARS, max_exp=3, terms=5, max_den=4):
     data = {}
     for _ in range(rng.randint(0, terms)):
         exps = tuple(rng.randint(0, max_exp) for _ in variables)
-        data[exps] = Fraction(rng.randint(-6, 6), rng.randint(1, 4))
+        data[exps] = Fraction(rng.randint(-6, 6), rng.randint(1, max_den))
     return Polynomial(variables, data)
 
 
@@ -64,16 +64,20 @@ def test_variable_set_mismatch():
 
 
 def test_arithmetic_via_evaluation():
+    # Products and powers run on combine's integer kernel, which scales by
+    # lcm(denominators)^E and divides back; evaluation stays on Fractions.
     rng = random.Random(20240817)
-    for _ in range(40):
-        p = random_poly(rng)
-        q = random_poly(rng)
-        point = random_point(rng)
-        assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
-        assert (p - q).evaluate(point) == p.evaluate(point) - q.evaluate(point)
-        assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
-        assert (3 * p - q * 2).evaluate(point) == 3 * p.evaluate(point) - 2 * q.evaluate(point)
-        assert (p**3).evaluate(point) == p.evaluate(point) ** 3
+    for variables in (RING_VARS, INVARIANT_VARS, ()):
+        for i in range(40):
+            p = Polynomial.zero(variables) if i == 0 else random_poly(rng, variables, max_den=8)
+            q = Polynomial.zero(variables) if i == 1 else random_poly(rng, variables, max_den=8)
+            point = random_point(rng, variables)
+            assert (p + q).evaluate(point) == p.evaluate(point) + q.evaluate(point)
+            assert (p - q).evaluate(point) == p.evaluate(point) - q.evaluate(point)
+            assert (p * q).evaluate(point) == p.evaluate(point) * q.evaluate(point)
+            assert (3 * p - q * 2).evaluate(point) == 3 * p.evaluate(point) - 2 * q.evaluate(point)
+            for exponent in (0, 1, 3, 5):
+                assert (p**exponent).evaluate(point) == p.evaluate(point) ** exponent
 
 
 def test_pow_zero_is_one():

@@ -36,6 +36,7 @@ from chowkit import (
     shift,
 )
 from chowkit.linalg import determinant, rank, rref
+from chowkit.ring import _monomials
 from test_poly import random_poly
 
 F = Fraction
@@ -99,6 +100,8 @@ def test_context_validation():
     ctx = make_context(2)
     with pytest.raises(ValueError):
         ctx.relation(3)
+    with pytest.raises(ValueError):
+        ctx.relation(-3)
 
 
 # ------------------------------------------------------------------ normal form
@@ -313,6 +316,37 @@ def test_socle_pushforward_formula(g):
         monomial = Polynomial.monomial(RING_VARS, (0, g - 1 - a, 2 * a, g - 1 - a))
         expected = F((-1) ** a * factorial(g - 1) * factorial(2 * a) * factorial(g - 1 - a), factorial(a))
         assert ctx.socle_pushforward(monomial) == expected
+
+
+@pytest.mark.parametrize("g", range(1, 17))
+def test_socle_pushforward_annihilates_the_ideal(g):
+    # The closed form is applied without reduction, so it must vanish on
+    # I_g in the top degree: on every relation times every monomial of
+    # degree g-2.
+    ctx = make_context(g)
+    for m in _monomials(g - 2):
+        for rel in ctx.relations:
+            assert ctx.socle_pushforward(rel * Polynomial.monomial(RING_VARS, m)) == 0
+
+
+def reduced_pushforward(ctx, p):
+    """The pushforward by reduction: rewrite ``p`` in the top-degree basis,
+    whose monomials are balanced, and weight each by its pushforward."""
+    g = ctx.genus
+    total = F(0)
+    for (_, x, y, z), coeff in ctx._reduce_component(p.terms).items():
+        assert y % 2 == 0 and x == z and x + y + z == 2 * g - 2
+        a = y // 2
+        total += coeff * F((-1) ** a * factorial(g - 1) * factorial(2 * a) * factorial(g - 1 - a), factorial(a))
+    return total
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_socle_pushforward_matches_reduction(g):
+    ctx = shared_context(g)
+    for m in _monomials(2 * g - 2):
+        p = Polynomial.monomial(RING_VARS, m)
+        assert ctx.socle_pushforward(p) == reduced_pushforward(ctx, p)
 
 
 def test_socle_pushforward_validation():
