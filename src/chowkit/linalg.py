@@ -80,10 +80,49 @@ def solve(rows: Iterable[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: in
     return solution, kernel_dim
 
 
+def _sign(order: Sequence[int]) -> int:
+    """Sign of the permutation listed by ``order``: ``-1`` to the number of inversions."""
+    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
+
+
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant: the product of the signed pivots, or 0 when a column has none."""
+    """Determinant, one Gauss-Jordan pass per connected component of the
+    nonzero pattern (rows and columns joined by their nonzero entries).
+
+    Listing the components' rows and columns one after another makes the
+    matrix block diagonal, so the determinant is the product of the blocks'
+    determinants times the signs of those two orders; a component with more
+    rows than columns, or fewer, makes it 0.
+    """
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    _, pivots, divisors = _gauss_jordan(rows)
-    return math.prod(divisors, start=Fraction(1)) if len(pivots) == n else Fraction(0)
+    parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
+
+    def root(v: int) -> int:
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        return v
+
+    for i, r in enumerate(rows):
+        for j, x in enumerate(r):
+            if x:
+                parent[root(i)] = root(n + j)
+    components: dict[int, list[int]] = {}
+    for v in range(2 * n):
+        components.setdefault(root(v), []).append(v)
+    row_order: list[int] = []
+    col_order: list[int] = []
+    result = Fraction(1)
+    for members in components.values():
+        block_rows = [v for v in members if v < n]
+        block_cols = [v - n for v in members if v >= n]
+        if len(block_rows) != len(block_cols):
+            return Fraction(0)
+        _, pivots, divisors = _gauss_jordan([[rows[i][j] for j in block_cols] for i in block_rows])
+        if len(pivots) < len(block_cols):
+            return Fraction(0)
+        result *= math.prod(divisors, start=Fraction(1))
+        row_order += block_rows
+        col_order += block_cols
+    return result * _sign(row_order) * _sign(col_order)

@@ -111,12 +111,13 @@ class _Parser:
     def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the
         constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
-        squaring without ``reduce``; with it, the sum of ``C(n,k) * c^(n-k) * u^k``
-        for ``u = base - c`` up to the first ``u^k`` that reduces to zero."""
+        squaring through ``product`` without ``reduce`` or without ``c``; else
+        the sum of ``C(n,k) * c^(n-k) * u^k`` for ``u = base - c``, each summand
+        checked, up to the first ``u^k`` that reduces to zero."""
         constant = base.coefficient((0,) * len(self.vars))
         if exponent * _bits(constant) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        if self.reduce is None:
+        if self.reduce is None or not constant:
             result = Polynomial.constant(self.vars, 1)
             while exponent:
                 if exponent & 1:
@@ -125,13 +126,14 @@ class _Parser:
                 if exponent:
                     base = self.product(base, base, position)
             return result
-        u, powers = base - constant, [Polynomial.constant(self.vars, 1)]
-        while len(powers) <= exponent and not powers[-1].is_zero():
-            powers.append(self.product(powers[-1], u, position))
+        u, u_k = base - constant, Polynomial.constant(self.vars, 1)
         result = Polynomial.zero(self.vars)
-        for k, u_k in enumerate(powers):
-            if constant or k == exponent:
-                result += comb(exponent, k) * constant ** (exponent - k) * u_k
+        for k in range(exponent + 1):
+            if u_k.is_zero():
+                break
+            result += self.checked(comb(exponent, k) * constant ** (exponent - k) * u_k, position)
+            if k < exponent:
+                u_k = self.product(u_k, u, position)
         return self.checked(result, position)
 
     def peek(self) -> tuple[str, str, int]:

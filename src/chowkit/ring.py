@@ -6,16 +6,13 @@ coefficients of the auxiliary expansion ``(T1 + n*P + n^2*T2)^g`` in the
 formal variable ``n``.  The coefficient of ``n^(g-l)`` is homogeneous of
 total degree ``g`` and of secondary (d-)grade ``l``, for ``l = g .. -g``.
 
-A :class:`RingContext` carries the relations together with, for each degree
-on demand, the normal form as a rewrite map: the canonical basis monomials,
-and for every other monomial its image in that basis.  Every relation is
-homogeneous in the d-grade as well, so each degree is eliminated one d-grade
-block at a time, and the reduced echelon rows of a block are the rewrites of
-its pivot monomials.  Columns are ordered by *ascending* graded lexicographic
-order, so pivots eliminate the smallest monomials and the surviving canonical
-basis consists of the largest ones; in the top degree ``2g-2`` the survivor
-is the ``T1*T2``-balanced monomial.  The pushforward out of that degree is a
-closed-form functional and needs no reduction.
+``R`` is Gorenstein with socle in degree ``2g-2``: ``I_g`` is the apolar
+ideal of ``(st - u^2)^(g-1)``, whose socle functional ``phi`` is a closed
+form.  A :class:`RingContext` builds, for each degree on demand, the normal
+form as a rewrite map: the canonical basis monomials (the largest
+independent ones in graded-lex order; in degree ``2g-2`` the
+``T1*T2``-balanced monomial), and for every other monomial its image in that
+basis, read off the ``phi`` pairing one d-grade block at a time.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -194,12 +191,11 @@ def _monomials(k: int) -> list[Exponents]:
 
 
 class _DegreeData(NamedTuple):
-    """The normal form in one total degree, read off the reduced echelon form.
+    """The normal form in one total degree.
 
-    ``basis`` holds the surviving monomials in ascending graded-lex order.
-    ``rewrite`` maps each eliminated (pivot) monomial to its image in that
-    basis, as ``(basis monomial, coefficient)`` pairs: a reduced echelon row
-    is zero in every other pivot column, so it already is that image.
+    ``basis`` holds the canonical basis monomials in ascending graded-lex
+    order.  ``rewrite`` maps every other monomial to its image in that
+    basis, as ``(basis monomial, coefficient)`` pairs in the same order.
     """
 
     basis: tuple[Exponents, ...]
@@ -253,33 +249,43 @@ class RingContext:
             return data
 
     def _build_degree(self, k: int) -> _DegreeData:
-        """Eliminate the degree-``k`` part of the ideal block by block.
+        """The basis of ``R_k`` and the rewrite of every other monomial.
 
-        A relation of d-grade ``l`` times a monomial of d-grade ``d`` only
-        touches columns of d-grade ``l + d``, so the blocks share no columns
-        and each is reduced on its own columns.  Each block's reduced echelon
-        rows give the rewrite of its pivot monomials; the reduced echelon
-        form is unique, so these are the rewrites one whole-degree
-        elimination would give.
+        ``R_k`` is free for ``k < g``; in degree ``g`` each d-grade holds one
+        relation, which rewrites its smallest monomial; ``R_k = 0`` for ``k >=
+        2g-1``.  In between, a class of ``R_k`` is fixed by its pairings
+        ``phi(m*q)`` with the monomials ``q`` of the free degree ``2g-2-k``,
+        since ``I_g`` is the whole apolar ideal of ``F = (st - u^2)^(g-1)``:
+        that ideal is generated by the harmonic forms of degree ``g``, which
+        the ``l_n^g`` span (Reznick, Mem. AMS 463, 1992; Iarrobino-Kanev, LNM
+        1721, 1999).  In degree ``k`` both ideals are the sum of the ``q^j *
+        H_(k-2j)`` over ``j <= k-g``, with ``H`` the harmonic forms and ``q =
+        4*T1*T2 - P^2``.  A d-grade-``d`` block (``k`` fixes its ``P``-parity)
+        pairs only with d-grade ``-d``; the ``rref`` of its Gram matrix,
+        columns descending, keeps the largest independent monomials as basis
+        and rewrites the others.
         """
-        mons = _monomials(k)
-        columns: dict[int, list[Exponents]] = {}
-        for m in mons:
-            columns.setdefault(d_grade(m), []).append(m)
-        local = {m: j for block in columns.values() for j, m in enumerate(block)}
-        blocks: dict[int, list[list[Fraction]]] = {}
-        for l, rel in zip(self.relation_grades, self.relations):
-            for m in _monomials(k - self.genus):
-                grade = l + d_grade(m)
-                row = [Fraction(0)] * len(columns[grade])
-                for e, c in rel.terms.items():
-                    row[local[(0, e[1] + m[1], e[2] + m[2], e[3] + m[3])]] = c
-                blocks.setdefault(grade, []).append(row)
+        g, mons = self.genus, _monomials(k)
         rewrite: dict[Exponents, tuple[tuple[Exponents, Fraction], ...]] = {}
-        for grade, raw in blocks.items():
-            block = columns[grade]
-            for row, pivot in zip(*rref(raw)):
-                rewrite[block[pivot]] = tuple((block[j], -c) for j, c in enumerate(row) if c and j != pivot)
+        if k >= 2 * g - 1:
+            rewrite = {m: () for m in mons}
+        elif k == g:
+            for rel in self.relations:
+                lead = min(rel.terms)
+                rewrite[lead] = tuple((m, -c / rel.terms[lead]) for m, c in sorted(rel.terms.items()) if m != lead)
+        elif k > g:
+            blocks: dict[int, list[Exponents]] = {}
+            for m in reversed(mons):
+                blocks.setdefault(d_grade(m), []).append(m)
+            for d, block in blocks.items():
+                duals = [q for q in _monomials(2 * g - 2 - k) if d_grade(q) == -d]
+                gram = [[self._phi(tuple(a + b for a, b in zip(m, q))) for m in block] for q in duals]
+                # Reversed, the pivots list their basis monomials ascending.
+                echelon = list(zip(*rref(gram)))[::-1]
+                pivots = {p for _, p in echelon}
+                for j, m in enumerate(block):
+                    if j not in pivots:
+                        rewrite[m] = tuple((block[p], row[j]) for row, p in echelon if row[j])
         return _DegreeData(tuple(m for m in mons if m not in rewrite), rewrite)
 
     # ------------------------------------------------------------- reduction
@@ -359,28 +365,31 @@ class RingContext:
         top = 2 * self.genus - 2
         if any(sum(e) != top for e in p.terms):
             raise ValueError(f"socle pushforward needs a homogeneous class of degree {top}")
-        total = Fraction(0)
-        for (_, x, y, z), coeff in p.terms.items():
-            if x == z and y % 2 == 0:
-                a = y // 2
-                total += coeff * ((-1) ** a * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, a))
-        return total
+        return sum((coeff * self._phi(e) for e, coeff in p.terms.items()), Fraction(0))
+
+    def _phi(self, e: Exponents) -> int:
+        """The socle functional on one monomial of degree ``2g-2``."""
+        _, x, y, z = e
+        if x != z or y % 2:
+            return 0
+        return (-1) ** (y // 2) * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, y // 2)
 
     def pairing_matrix(self, k: int) -> list[list[Fraction]]:
         """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``,
-        evaluated through the socle pushforward."""
+        evaluated through the socle pushforward; it vanishes unless the
+        d-grades of the two monomials cancel."""
         if not 0 <= k <= self.genus - 1:
             raise ValueError(f"pairing offset must satisfy 0 <= k <= {self.genus - 1}, got {k}")
-        lower = self.basis(self.genus - 1 - k)
         upper = self.basis(self.genus - 1 + k)
-        matrix = []
-        for m1 in lower:
-            row = []
-            for m2 in upper:
-                product = tuple(a + b for a, b in zip(m1, m2))
-                row.append(self.socle_pushforward(Polynomial.monomial(RING_VARS, product)))
-            matrix.append(row)
-        return matrix
+        return [
+            [
+                self.socle_pushforward(Polynomial.monomial(RING_VARS, tuple(a + b for a, b in zip(m1, m2))))
+                if d_grade(m1) + d_grade(m2) == 0
+                else Fraction(0)
+                for m2 in upper
+            ]
+            for m1 in self.basis(self.genus - 1 - k)
+        ]
 
     # ------------------------------------------------------------- invariance
 

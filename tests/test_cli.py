@@ -211,6 +211,30 @@ def test_verify_at_genus_35_finishes(capsys):
     assert (code, err) == (0, "")
 
 
+@pytest.mark.parametrize("argv", [["ring", "--genus", "24", "dims"], ["ring", "--genus", "16", "pairing"]], ids=" ".join)
+def test_large_ring_commands_finish(capsys, argv):
+    # Took 28 s and 4.3 s while every degree above g was found by eliminating
+    # the shifted relations.
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 10
+    assert (code, err) == (0, "")
+
+
+def test_verify_invariance_is_looked_up_by_name(capsys, monkeypatch):
+    # A wrapper installed on the CLI module's name after import must be the
+    # verifier that runs, as for the other identity families.
+    import chowkit.cli as cli
+
+    seen = []
+    original = cli.verify_invariance
+    monkeypatch.setattr(cli, "verify_invariance", lambda g: seen.append(g) or original(g))
+    code, out, err = run(capsys, ["verify", "--which", "invariance", "--genus", "2"])
+    assert (code, err, seen) == (0, "", [2])
+
+
 def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
     # Truncation cannot bound coefficients: 2^100000000 would build a
     # 100-million-bit integer, so the parser refuses it at the '^'.
@@ -453,6 +477,10 @@ GOLDEN_STDOUT_SHA256 = {
     ("ring", "--genus", "8", "pairing"): "d4746f82318f62ac98f814f5692d662404b477cd41512582fd216b9d0899060a",
     ("ring", "--genus", "10", "pairing"): "ccbf76cdc63d80d5718c5040f0162fb05559d041bc34dc426f54c3035da05634",
     ("ring", "--genus", "8", "--json", "pairing"): "41a5f935f83fc40a8e7c4e50b1366d373b991cfa3d3f8f11423bc68b69bd3ac1",
+    ("ring", "--genus", "12", "pairing"): "5b596c2dec63e6707329d114e0050371a2b8b3e99a2c30ad6aeac2abba243362",
+    ("ring", "--genus", "16", "pairing"): "8e7c50fc3b931fa036aabfa7aed992788dda61f021d8bb5607e27527794c91af",
+    ("ring", "--genus", "12", "dims"): "f9e9979884efa537f55a23fb1131f70c469f412a7e88f41eaa09f7a282e544a4",
+    ("ring", "--genus", "24", "dims"): "ae40202dfeef54d3651e533eab7c5bb398bb8bed9b6734203cf6d28a7f1d5d13",
     ("ring", "--genus", "9", "dims"): "da2dd512487812d9bcb206f58233dab672037ff05e6304ea5c2cac8b2576e3bb",
     ("ring", "--genus", "9", "--json", "dims"): "65c50e43a41318d82ba25e020540130fcb62b1ce81363d54fc5cf8d2271e5c2e",
     ("ring", "--genus", "7", "relations"): "1c3950d4a7988d79fcf6c6a170a72dbfc8ed8595b7fed410ffba2d43a81020fa",

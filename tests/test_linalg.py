@@ -120,3 +120,42 @@ def test_determinant_matches_the_leibniz_sum():
                 assert determinant(a) == _leibniz(a)
             assert determinant(singular) == 0 and determinant(zero_row) == 0
             assert determinant(permutation) in (1, -1)
+
+
+def _inversion_sign(order):
+    return (-1) ** sum(1 for i in range(len(order)) for j in range(i + 1, len(order)) if order[i] > order[j])
+
+
+def test_determinant_of_permuted_block_diagonal_matrices():
+    # The determinant is taken per connected component of the nonzero
+    # pattern, and the row and column orders that make the matrix block
+    # diagonal carry a sign each: both parities of both orders must occur.
+    rng = random.Random(29)
+    signs = set()
+    for _ in range(60):
+        sizes = rng.choice([[1, 1], [2, 1], [1, 2, 1], [2, 2], [3, 2], [1, 1, 1, 1, 2], [3, 3]])
+        n = sum(sizes)
+        block = [[F(0)] * n for _ in range(n)]
+        start = 0
+        for size in sizes:
+            for i in range(start, start + size):
+                for j in range(start, start + size):
+                    block[i][j] = F(rng.choice([1, -1, 2, -3, 5]), rng.randint(1, 3))
+            start += size
+        rows, cols = rng.sample(range(n), n), rng.sample(range(n), n)
+        a = [[block[rows[i]][cols[j]] for j in range(n)] for i in range(n)]
+        signs.add((_inversion_sign(rows), _inversion_sign(cols)))
+        assert determinant(a) == _leibniz(a)
+    assert signs == {(1, 1), (1, -1), (-1, 1), (-1, -1)}
+
+
+def test_determinant_of_degenerate_patterns():
+    assert determinant([]) == 1
+    assert determinant(_mat([[1, 2, 0], [0, 0, 0], [3, 0, 4]])) == 0  # zero row
+    assert determinant(_mat([[1, 0, 2], [3, 0, 4], [5, 0, 6]])) == 0  # zero column
+    # Components of 2 rows by 1 column and 1 row by 2 columns.
+    unequal = _mat([[1, 0, 0], [2, 0, 0], [0, 3, 4]])
+    assert determinant(unequal) == _leibniz(unequal) == 0
+    # Two square components, one singular.
+    singular_block = _mat([[1, 0, 2], [0, 5, 0], [2, 0, 4]])
+    assert determinant(singular_block) == _leibniz(singular_block) == 0

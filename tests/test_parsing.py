@@ -180,6 +180,23 @@ def test_power_bounds_the_growth_of_its_constant_term():
     assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40
 
 
+def test_powers_are_bounded_when_reduce_kills_no_power():
+    # With a reduce under which no power of the non-constant part vanishes,
+    # the binomial ladder stops at the first summand past the bound, and a
+    # power with no constant term is taken by squaring.
+    import time
+
+    for text, expected in (("(1+T1)^100000000", None), ("T1^100000000", Polynomial.monomial(RING_VARS, (0, 100000000, 0, 0)))):
+        start = time.perf_counter()
+        if expected is None:
+            with pytest.raises(ParseError, match="coefficients") as info:
+                parse(text, reduce=lambda p: p)
+            assert info.value.position == 6
+        else:
+            assert parse(text, reduce=lambda p: p) == expected
+        assert time.perf_counter() - start < 2
+
+
 def test_coefficients_are_bounded_at_their_operator():
     # Literals are refused by length before int() reads them; sums,
     # products and powers when a coefficient passes the bound, at the

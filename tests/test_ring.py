@@ -2,7 +2,8 @@
 the geometric operators and the invariant-class solver.
 
 The relation set is checked against an evaluation oracle (the defining
-auxiliary expansion evaluated at random rational points), and the reduction
+auxiliary expansion evaluated at random rational points), the degrees built
+from the socle functional against an elimination oracle, and the reduction
 pipeline against hand-computed fixtures and the duality predictions for the
 graded dimensions.
 """
@@ -36,6 +37,7 @@ from chowkit import (
     shift,
 )
 from chowkit.linalg import determinant, rank, rref
+from chowkit.poly import d_grade
 from chowkit.ring import _monomials
 from test_poly import random_poly
 
@@ -170,7 +172,7 @@ def test_degrees_past_the_top_vanish_without_elimination():
 def test_reduction_builds_no_degree_past_the_top(g):
     # R_k = 0 for k >= 2g-1 is used, not re-derived: reducing a product of
     # ceil(3g/2) linear forms, and a power of degree 2g-1 whose xi-free part
-    # sits past the top, eliminates no degree at or past 2g-1.
+    # sits past the top, builds no degree at or past 2g-1.
     ctx = make_context(g)
     product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
     for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
@@ -217,7 +219,7 @@ def test_dims_fixture_genus_3():
 
 @functools.cache
 def shared_context(g):
-    """One context per genus for the structure pins, so each degree is eliminated once."""
+    """One context per genus for the structure pins and the oracle, so each degree is built once."""
     return make_context(g)
 
 
@@ -233,12 +235,66 @@ def test_dims_structure(g):
     assert ctx.dim_graded(2 * g + 3) == 0
 
 
+@functools.cache
+def eliminated_degree(g, k):
+    """Oracle for one degree, by elimination with no use of ``phi``: every
+    relation times every monomial of degree ``k - g``, reduced one d-grade
+    block at a time.  Returns ``(basis, rewrite)`` in the form of
+    ``RingContext._degree_data``."""
+    ctx = shared_context(g)
+    mons = _monomials(k)
+    columns = {}
+    for m in mons:
+        columns.setdefault(d_grade(m), []).append(m)
+    local = {m: j for block in columns.values() for j, m in enumerate(block)}
+    blocks = {}
+    for l, rel in zip(ctx.relation_grades, ctx.relations):
+        for m in _monomials(k - g):
+            grade = l + d_grade(m)
+            row = [F(0)] * len(columns[grade])
+            for e, c in rel.terms.items():
+                row[local[(0, e[1] + m[1], e[2] + m[2], e[3] + m[3])]] = c
+            blocks.setdefault(grade, []).append(row)
+    rewrite = {}
+    for grade, raw in blocks.items():
+        block = columns[grade]
+        for row, pivot in zip(*rref(raw)):
+            rewrite[block[pivot]] = tuple((block[j], -c) for j, c in enumerate(row) if c and j != pivot)
+    return tuple(m for m in mons if m not in rewrite), rewrite
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_phi_construction_matches_elimination(g):
+    ctx = shared_context(g)
+    for k in range(2 * g + 1):
+        assert tuple(ctx._degree_data(k)) == eliminated_degree(g, k)
+
+
+@pytest.mark.parametrize("g", range(1, 17))
+def test_hilbert_function_matches_elimination(g):
+    ctx = shared_context(g)
+    for k in range(2 * g):
+        assert ctx.dim_graded(k) == len(eliminated_degree(g, k)[0])
+
+
 @pytest.mark.parametrize("g", range(1, 17))
 def test_nothing_past_the_socle(g):
-    # Reduction drops every monomial of degree >= 2g-1 unchecked; this pins
-    # R_(2g-1) = 0 by elimination (R is generated in degree 1, so every
-    # higher degree vanishes with it).
-    assert shared_context(g).basis(2 * g - 1) == ()
+    # Reduction drops every monomial of degree >= 2g-1 unchecked, and the
+    # ring builds that degree as zero; this pins R_(2g-1) = 0 by elimination
+    # (R is generated in degree 1, so every higher degree vanishes with it).
+    assert eliminated_degree(g, 2 * g - 1)[0] == ()
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_relations_times_monomials_reduce_to_zero(g):
+    # Ideal membership checked through the normal form alone, not through
+    # phi: every relation times every monomial up to the degree g-2 that
+    # lands in the socle degree.
+    ctx = shared_context(g)
+    for k in range(g - 1):
+        for m in _monomials(k):
+            for rel in ctx.relations:
+                assert ctx.normal_form(rel * Polynomial.monomial(RING_VARS, m)).is_zero()
 
 
 @pytest.mark.parametrize("g", range(1, 7))
