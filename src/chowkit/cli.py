@@ -15,6 +15,7 @@ import argparse
 import json
 import re
 import sys
+from fractions import Fraction
 
 from .dr import dr_class, serialize, specialize_compact_type
 from .linalg import determinant
@@ -57,6 +58,21 @@ def _weight_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
+
+
+def _exact(value: Fraction | int) -> str:
+    """``str(value)``, also past CPython's int-to-string digit limit, which
+    ``sys.set_int_max_str_digits`` would lift for ``int()`` of CLI input too."""
+    try:
+        return str(value)
+    except ValueError:  # too many digits: print the two halves of them
+        if value.denominator != 1:
+            return f"{_exact(value.numerator)}/{_exact(value.denominator)}"
+        if value < 0:
+            return "-" + _exact(-value)
+        width = value.numerator.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
+        high, low = divmod(value.numerator, 10**width)
+        return _exact(high) + _exact(low).zfill(width)
 
 
 def _show(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -118,8 +134,8 @@ def cmd_ring(args: argparse.Namespace) -> int:
         lines = []
         for k in range(g):
             matrix = ctx.pairing_matrix(k)
-            entries = [[str(entry) for entry in row] for row in matrix]
-            det = str(determinant(matrix))
+            entries = [[_exact(entry) for entry in row] for row in matrix]
+            det = _exact(determinant(matrix))
             payload["pairings"].append({"k": k, "matrix": entries, "determinant": det})
             lines.append(f"k={k}: determinant {det}")
             lines.extend("  [" + " ".join(row) + "]" for row in entries)
@@ -162,12 +178,19 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ dr
 
 
+_WRITE_SLICE = 1 << 20  # characters per stdout write: a real stdout encodes one slice at a time
+
+
 def cmd_dr(args: argparse.Namespace) -> int:
     cls = dr_class(args.genus, args.weights)
     if args.compact_type:
         cls = specialize_compact_type(cls)
     if not args.quiet:
-        print(serialize(cls, args.format))
+        text = serialize(cls, args.format)
+        del cls  # only the text is written: free the class before stdout copies it
+        for start in range(0, len(text), _WRITE_SLICE):
+            sys.stdout.write(text[start : start + _WRITE_SLICE])
+        sys.stdout.write("\n")
     return 0
 
 

@@ -467,6 +467,44 @@ def _json_fragment(symbol: DivisorSymbol, power: int) -> str:
     return "        " + json.dumps(symbol.to_json_dict(power), indent=2).replace("\n", "\n        ")
 
 
+# The fixed text around a term's coefficient and its "symbols" entries.
+_NEXT_TERM = ',\n    {\n      "coeff": "'
+_EMPTY_SYMBOLS = '",\n      "symbols": []\n    }' + _NEXT_TERM
+_OPEN_SYMBOLS = '",\n      "symbols": [\n'
+_CLOSE_SYMBOLS = "\n      ]\n    }" + _NEXT_TERM
+
+
+def _json_pieces(cls: FormalClass) -> list[str]:
+    """The JSON text of ``cls`` as pieces that ``"".join`` puts together.
+
+    Terms share their pieces: the fixed text, one string per coefficient
+    object, one per ``(symbol id, power)`` entry followed by ``",\\n"`` and
+    one closing its term, and one tuple of entries per key prefix ``key[:-2]``.
+    """
+    payload = {"g": cls.genus, "n": cls.n, "weights": list(cls.weights), "codim": cls.codimension(), "terms": []}
+    head = json.dumps(payload, indent=2)
+    if not cls.ids:
+        return [head]
+    fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
+    entry = cache(lambda i, power: fragment(i, power) + ",\n")
+    last = cache(lambda i, power: fragment(i, power) + _CLOSE_SYMBOLS)
+    prefix = cache(lambda key: (_OPEN_SYMBOLS, *map(entry, key[::2], key[1::2])))
+    coeffs: dict[int, str] = {}  # by id(): dr_class shares a few coefficient objects among all its terms
+    pieces = [head[:-4] + "[" + _NEXT_TERM[1:]]
+    for key, coeff in sorted(cls.ids.items()):
+        text = coeffs.get(id(coeff))
+        if text is None:
+            text = coeffs[id(coeff)] = str(coeff)
+        pieces.append(text)
+        if key:
+            pieces += prefix(key[:-2])
+            pieces.append(last(key[-2], key[-1]))
+        else:
+            pieces.append(_EMPTY_SYMBOLS)
+    pieces[-1] = pieces[-1].removesuffix(_NEXT_TERM) + "\n  ]\n}"
+    return pieces
+
+
 def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
     rendered = symbol.latex()
     if power == 1:
@@ -480,19 +518,16 @@ def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
 def serialize(cls: FormalClass, mode: str = "json") -> str:
     """Render a formal class as deterministic JSON (round-trippable) or LaTeX.
 
-    Both join per-``(symbol, power)`` fragments over the sorted terms; the
-    JSON text is that of ``json.dumps(payload, indent=2)``.
+    Both join per-``(symbol, power)`` fragments over the sorted terms.  The
+    JSON text is that of ``json.dumps(payload, indent=2)``, built by one
+    ``"".join`` over the shared pieces of :func:`_json_pieces`: no string is
+    made per term, so the text is the only large allocation (the peak is
+    about 1.1 times its length).  It is returned as one ``str``, which
+    callers may measure, encode or write in slices; the CLI writes it to
+    stdout 1 MiB at a time.
     """
     if mode == "json":
-        payload = {"g": cls.genus, "n": cls.n, "weights": list(cls.weights), "codim": cls.codimension(), "terms": []}
-        head = json.dumps(payload, indent=2)
-        fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
-        terms = ",\n".join(
-            '    {\n      "coeff": "%s",\n      "symbols": %s\n    }'
-            % (coeff, "[\n%s\n      ]" % ",\n".join(map(fragment, key[::2], key[1::2])) if key else "[]")
-            for key, coeff in sorted(cls.ids.items())
-        )
-        return f"{head[:-4]}[\n{terms}\n  ]\n}}" if terms else head
+        return "".join(_json_pieces(cls))
     if mode == "latex":
         fragment = cache(lambda i, power: _latex_fragment(cls.symbols[i], power))
         terms = ((coeff, list(map(fragment, key[::2], key[1::2]))) for key, coeff in sorted(cls.ids.items()))

@@ -221,6 +221,9 @@ class Polynomial:
     def __pow__(self, exponent: int) -> "Polynomial":
         if not isinstance(exponent, int) or exponent < 0:
             raise ValueError(f"polynomial power needs a nonnegative integer, got {exponent!r}")
+        if len(self._terms) == 1:  # a monomial's power is one term
+            (exps, coeff), = self._terms.items()
+            return Polynomial._raw(self.vars, {tuple(e * exponent for e in exps): coeff**exponent})
         return combine({(exponent,): 1}, (self,))
 
     # ---------------------------------------------------------------- structure

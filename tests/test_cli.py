@@ -295,6 +295,44 @@ def test_ring_pairing(capsys):
     assert payload["pairings"][2]["matrix"] == [["4"]]
 
 
+def test_ring_pairing_prints_past_the_digit_limit(capsys):
+    # Exited 2 with CPython's int-to-string digit limit as its message from
+    # g=18 on, where the k=0 determinant has more than 4,300 digits.
+    import sys
+
+    from chowkit.linalg import determinant
+    from chowkit.ring import make_context
+
+    code, out, err = run(capsys, ["ring", "--genus", "18", "pairing", "--json"])
+    assert (code, err) == (0, "")
+    printed = [block["determinant"] for block in json.loads(out)["pairings"]]
+    assert len(printed[0]) > sys.get_int_max_str_digits()
+    ctx = make_context(18)
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(determinant(ctx.pairing_matrix(k))) for k in range(18)]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert printed == expected
+
+
+def test_exact_decimal_text_past_the_digit_limit():
+    import sys
+    from fractions import Fraction
+
+    from chowkit.cli import _exact
+
+    values = [0, -7, Fraction(-3, 4), 10**9000, -(10**9000) + 1, 3**20000, Fraction(7**6000, 3 * 10**5000)]
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        expected = [str(value) for value in values]
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert [_exact(value) for value in values] == expected
+
+
 def test_ring_relations(capsys):
     code, out, _ = run(capsys, ["ring", "--genus", "1", "relations"])
     assert code == 0
@@ -358,6 +396,31 @@ def test_dr_json_and_compact_type(capsys):
     payload = json.loads(out)
     kinds = {s["kind"] for t in payload["terms"] for s in t["symbols"]}
     assert kinds <= {"K", "delta"}
+
+
+def test_dr_writes_its_text_in_slices(capsys, monkeypatch):
+    # The 1.6 MB class spans two slices; the bytes are those of one print.
+    import io
+    import sys
+
+    from chowkit.dr import dr_class, serialize
+
+    argv = ["dr", "--genus", "3", "--weights=2,1,-1,-2"]
+    expected = serialize(dr_class(3, (2, 1, -1, -2))) + "\n"
+    code, out, _ = run(capsys, argv)
+    assert (code, out) == (0, expected)
+
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(argv) == 0
+    assert sys.stdout.getvalue() == expected
+    assert len(writes) > 2 and max(writes) <= 1 << 20
 
 
 def test_dr_rejects_bad_weights(capsys):

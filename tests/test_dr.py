@@ -289,6 +289,73 @@ def test_json_powers_only_when_needed():
     ]
 
 
+def full_payload(cls):
+    return {
+        "g": cls.genus,
+        "n": cls.n,
+        "weights": list(cls.weights),
+        "codim": cls.codimension(),
+        "terms": [
+            {"coeff": str(coeff), "symbols": [symbol.to_json_dict(power) for symbol, power in term]}
+            for term, coeff in cls.sorted_terms()
+        ],
+    }
+
+
+def every_kind_powered():
+    k1, k2, irr = DivisorSymbol.cotangent(1), DivisorSymbol.cotangent(2), DivisorSymbol.irreducible()
+    x1, x2, d = DivisorSymbol.rational_bridge(1), DivisorSymbol.rational_bridge(2), sep(3, 1, [2], 2)
+    return FormalClass(
+        3,
+        (1, -1),
+        {
+            ((k1, 2), (irr, 3), (d, 2), (x1, 2)): F(5, 7),
+            ((k2, 3), (x2, 4)): F(-1),
+            ((k1, 1), (k2, 2), (irr, 1), (d, 1), (x1, 1), (x2, 2)): F(2),
+            ((irr, 11),): F(3, 2),
+        },
+    )
+
+
+SERIALIZED_CLASSES = {
+    "zero": lambda: FormalClass.zero(2, (1, -1)),
+    "one": lambda: FormalClass.one(2, (1, -1)),
+    "theta": lambda: theta_pullback(3, (2, -1, -1)),
+    "every kind powered": every_kind_powered,
+    "delta_h with empty P": lambda: FormalClass.from_symbol(3, (1, -1), sep(3, 1, [], 2), F(-3, 4)) ** 2,
+    "compact type": lambda: specialize_compact_type(dr_class(3, (2, -1, -1))),
+    "factors out of order": lambda: FormalClass(
+        2,
+        (1, -1),
+        {
+            ((sep(2, 1, [1], 2), 2), (DivisorSymbol.irreducible(), 1), (DivisorSymbol.cotangent(1), 1)): F(3),
+            ((sep(2, 1, [1], 2), 1), (DivisorSymbol.irreducible(), 3)): F(-1, 2),
+        },
+    ),
+    "dr": lambda: dr_class(2, (2, -1, -1)),
+}
+
+
+@pytest.mark.parametrize("name", SERIALIZED_CLASSES)
+def test_json_text_is_that_of_json_dumps(name):
+    cls = SERIALIZED_CLASSES[name]()
+    assert serialize(cls) == json.dumps(full_payload(cls), indent=2)
+
+
+def test_json_peak_memory_stays_near_the_output_size():
+    # Building a string per term and joining them held about twice the text.
+    import tracemalloc
+
+    cls = dr_class(3, (2, 1, -1, -2))
+    tracemalloc.start()
+    try:
+        text = serialize(cls)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.5 * len(text)
+
+
 @pytest.mark.parametrize("g, weights", [(1, (1, -1)), (2, (1, -1)), (3, (1, 1, -2))])
 def test_json_round_trip(g, weights):
     cls = dr_class(g, weights)

@@ -87,6 +87,24 @@ def test_pow_zero_is_one():
         p ** (-1)
 
 
+def test_monomial_power_is_closed_form():
+    for text in ("T1", "-2/3*xi*P^2", "5"):
+        p = parse(text)
+        for exponent in (0, 1, 2, 7):
+            product = Polynomial.constant(RING_VARS, 1)
+            for _ in range(exponent):
+                product = product * p
+            assert p**exponent == product
+    assert Polynomial.monomial((), (), Fraction(-1, 2)) ** 3 == Polynomial.constant((), Fraction(-1, 8))
+    # Took one product per unit of the exponent.
+    import time
+
+    start = time.perf_counter()
+    power = parse("T1") ** 100_000_000
+    assert time.perf_counter() - start < 1
+    assert power == Polynomial.monomial(RING_VARS, (0, 100_000_000, 0, 0))
+
+
 def test_binomial_square_term_count():
     p = parse("(T1 + 2*P + 4*T2)^2")
     assert len(p) == 6
