@@ -15,12 +15,11 @@ import argparse
 import json
 import re
 import sys
-from fractions import Fraction
 
 from .dr import dr_class, serialize, specialize_compact_type
 from .linalg import determinant
 from .parsing import ParseError, parse
-from .poly import format_polynomial
+from .poly import exact_text, format_polynomial
 from .ring import make_context
 from .zero_section import (
     coefficient_table,
@@ -58,21 +57,6 @@ def _weight_vector(text: str) -> tuple[int, ...]:
         raise argparse.ArgumentTypeError(
             f"expected comma-separated integers, got {text!r}"
         ) from None
-
-
-def _exact(value: Fraction | int) -> str:
-    """``str(value)``, also past CPython's int-to-string digit limit, which
-    ``sys.set_int_max_str_digits`` would lift for ``int()`` of CLI input too."""
-    try:
-        return str(value)
-    except ValueError:  # too many digits: print the two halves of them
-        if value.denominator != 1:
-            return f"{_exact(value.numerator)}/{_exact(value.denominator)}"
-        if value < 0:
-            return "-" + _exact(-value)
-        width = value.numerator.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
-        high, low = divmod(value.numerator, 10**width)
-        return _exact(high) + _exact(low).zfill(width)
 
 
 def _show(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
@@ -134,8 +118,8 @@ def cmd_ring(args: argparse.Namespace) -> int:
         lines = []
         for k in range(g):
             matrix = ctx.pairing_matrix(k)
-            entries = [[_exact(entry) for entry in row] for row in matrix]
-            det = _exact(determinant(matrix))
+            entries = [[exact_text(entry) for entry in row] for row in matrix]
+            det = exact_text(determinant(matrix))
             payload["pairings"].append({"k": k, "matrix": entries, "determinant": det})
             lines.append(f"k={k}: determinant {det}")
             lines.extend("  [" + " ".join(row) + "]" for row in entries)

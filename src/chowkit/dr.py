@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .poly import Scalar, coeff_latex, signed_sum
+from .poly import Scalar, coeff_latex, exact_fraction, exact_text, signed_sum
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -494,7 +494,7 @@ def _json_pieces(cls: FormalClass) -> list[str]:
     for key, coeff in sorted(cls.ids.items()):
         text = coeffs.get(id(coeff))
         if text is None:
-            text = coeffs[id(coeff)] = str(coeff)
+            text = coeffs[id(coeff)] = exact_text(coeff)
         pieces.append(text)
         if key:
             pieces += prefix(key[:-2])
@@ -559,5 +559,5 @@ def deserialize(text: str) -> FormalClass:
     terms = []
     for entry in payload["terms"]:
         term = [(decode(s["kind"], s.get("i"), s.get("h"), tuple(s.get("P", ()))), int(s.get("power", 1))) for s in entry["symbols"]]
-        terms.append((term, Fraction(entry["coeff"])))
+        terms.append((term, exact_fraction(entry["coeff"])))
     return FormalClass(genus, weights, terms)

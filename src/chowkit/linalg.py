@@ -2,7 +2,8 @@
 
 Pivot selection is positional — the first row with a nonzero entry in the
 current column wins — so every routine is deterministic for a given row
-order.  No pivoting heuristics are needed: arithmetic is exact.
+order.  No pivoting heuristics are needed: arithmetic is exact.  The one
+Gauss-Jordan pass touches only the pivot row's nonzero entries.
 """
 
 from __future__ import annotations
@@ -15,12 +16,16 @@ __all__ = ["determinant", "rank", "rref", "solve"]
 
 Row = list[Fraction]
 
+_ZERO = Fraction(0)
+
 
 def _gauss_jordan(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int], list[Fraction]]:
     """The elimination behind ``rref`` and ``determinant``: ``rref``'s two lists, and each pivot
     divided out, negated when its row moved up past an odd number of pending rows (one swap each).
     """
-    pending = [list(map(Fraction, r)) for r in rows]
+    pending = [[Fraction(x) if x else 0 for x in r] for r in rows]  # an int 0 tests false faster
+    if len({len(r) for r in pending}) > 1:
+        raise ValueError("rows of unequal length")
     pending = [r for r in pending if any(r)]
     ncols = len(pending[0]) if pending else 0
     reduced: list[Row] = []
@@ -33,17 +38,19 @@ def _gauss_jordan(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[i
         row = pending.pop(hit)
         inv = row[col]
         divisors.append(-inv if hit % 2 else inv)
-        row = [x / inv for x in row]
+        support = [j for j in range(col, ncols) if row[j]]
+        for j in support:
+            row[j] /= inv
         for other in pending + reduced:
             c = other[col]
             if c:
-                for j in range(col, ncols):
+                for j in support:
                     other[j] -= c * row[j]
         reduced.append(row)
         pivots.append(col)
         if not pending:
             break
-    return reduced, pivots, divisors
+    return [[x or _ZERO for x in row] for row in reduced], pivots, divisors
 
 
 def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
@@ -68,61 +75,27 @@ def solve(rows: Iterable[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: in
     when the system is inconsistent.  ``kernel_dimension`` is the nullity of
     the coefficient matrix (reported in both cases).
     """
-    augmented = [list(r) + [b] for r, b in zip(rows, rhs, strict=True)]
+    augmented = [[*r, b] for r, b in zip(rows, rhs, strict=True)]
+    if any(len(r) != ncols + 1 for r in augmented):
+        raise ValueError(f"solve needs rows of width {ncols}")
     reduced, pivots = rref(augmented)
     matrix_pivots = [p for p in pivots if p < ncols]
     kernel_dim = ncols - len(matrix_pivots)
     if any(p == ncols for p in pivots):
         return None, kernel_dim
-    solution = [Fraction(0)] * ncols
+    solution = [_ZERO] * ncols
     for row, pivot in zip(reduced, pivots):
         solution[pivot] = row[-1]
     return solution, kernel_dim
 
 
-def _sign(order: Sequence[int]) -> int:
-    """Sign of the permutation listed by ``order``: ``-1`` to the number of inversions."""
-    return (-1) ** sum(a > b for i, a in enumerate(order) for b in order[i + 1 :])
-
-
 def determinant(rows: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Determinant, one Gauss-Jordan pass per connected component of the
-    nonzero pattern (rows and columns joined by their nonzero entries).
-
-    Listing the components' rows and columns one after another makes the
-    matrix block diagonal, so the determinant is the product of the blocks'
-    determinants times the signs of those two orders; a component with more
-    rows than columns, or fewer, makes it 0.
-    """
+    """Determinant: the product of the signed pivots of one Gauss-Jordan
+    pass, or 0 when that pass finds fewer pivots than columns."""
     n = len(rows)
     if any(len(r) != n for r in rows):
         raise ValueError("determinant needs a square matrix")
-    parent = list(range(2 * n))  # rows 0..n-1, columns n..2n-1
-
-    def root(v: int) -> int:
-        while parent[v] != v:
-            parent[v] = v = parent[parent[v]]
-        return v
-
-    for i, r in enumerate(rows):
-        for j, x in enumerate(r):
-            if x:
-                parent[root(i)] = root(n + j)
-    components: dict[int, list[int]] = {}
-    for v in range(2 * n):
-        components.setdefault(root(v), []).append(v)
-    row_order: list[int] = []
-    col_order: list[int] = []
-    result = Fraction(1)
-    for members in components.values():
-        block_rows = [v for v in members if v < n]
-        block_cols = [v - n for v in members if v >= n]
-        if len(block_rows) != len(block_cols):
-            return Fraction(0)
-        _, pivots, divisors = _gauss_jordan([[rows[i][j] for j in block_cols] for i in block_rows])
-        if len(pivots) < len(block_cols):
-            return Fraction(0)
-        result *= math.prod(divisors, start=Fraction(1))
-        row_order += block_rows
-        col_order += block_cols
-    return result * _sign(row_order) * _sign(col_order)
+    _, pivots, divisors = _gauss_jordan(rows)
+    if len(pivots) < n:
+        return Fraction(0)
+    return math.prod(divisors, start=Fraction(1))

@@ -24,6 +24,7 @@ descending order (leading term first); quotient-ring reduction in
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from math import lcm, prod
 from operator import add
@@ -38,6 +39,8 @@ __all__ = [
     "combine",
     "d_grade",
     "d_graded_piece",
+    "exact_fraction",
+    "exact_text",
     "format_polynomial",
     "graded_lex_key",
     "polynomial_from_json",
@@ -369,11 +372,47 @@ def d_graded_piece(p: Polynomial, l: int) -> Polynomial:
 _LATEX_NAMES = {"xi": r"\xi", "Theta": r"\Theta", "Delta": r"\Delta"}
 
 
+def exact_text(value: Fraction | int) -> str:
+    """``str(value)``, also past CPython's int-to-string digit limit, which
+    ``sys.set_int_max_str_digits`` would lift for ``int()`` of CLI input too."""
+    try:
+        return str(value)
+    except ValueError:  # too many digits: print the two halves of them
+        if value.denominator != 1:
+            return f"{exact_text(value.numerator)}/{exact_text(value.denominator)}"
+        if value < 0:
+            return "-" + exact_text(-value)
+        width = value.numerator.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
+        high, low = divmod(value.numerator, 10**width)
+        return exact_text(high) + exact_text(low).zfill(width)
+
+
+def _read_digits(text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:  # too many digits: read the two halves of them
+        half = len(text) // 2
+        return _read_digits(text[:half]) * 10 ** (len(text) - half) + _read_digits(text[half:])
+
+
+def exact_fraction(text: str) -> Fraction:
+    """``Fraction(text)``, also for the ``n`` or ``n/d`` that :func:`exact_text`
+    prints past the digit limit."""
+    try:
+        return Fraction(text)
+    except ValueError:
+        if not re.fullmatch("-?[0-9]+(/[0-9]+)?", text):
+            raise
+        numerator, _, denominator = text.removeprefix("-").partition("/")
+        sign = -1 if text.startswith("-") else 1
+        return Fraction(sign * _read_digits(numerator), _read_digits(denominator or "1"))
+
+
 def coeff_latex(magnitude: Fraction) -> str:
     """LaTeX for a nonnegative rational: an integer or a ``\\frac``."""
     if magnitude.denominator == 1:
-        return str(magnitude.numerator)
-    return rf"\frac{{{magnitude.numerator}}}{{{magnitude.denominator}}}"
+        return exact_text(magnitude.numerator)
+    return rf"\frac{{{exact_text(magnitude.numerator)}}}{{{exact_text(magnitude.denominator)}}}"
 
 
 def signed_sum(terms: Iterable[tuple[Fraction, list[str]]], render_coeff, separator: str) -> str:

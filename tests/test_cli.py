@@ -303,8 +303,12 @@ def test_ring_pairing_prints_past_the_digit_limit(capsys):
     from chowkit.linalg import determinant
     from chowkit.ring import make_context
 
+    import hashlib
+
     code, out, err = run(capsys, ["ring", "--genus", "18", "pairing", "--json"])
     assert (code, err) == (0, "")
+    # Pins the determinants themselves, independently of ``determinant``.
+    assert hashlib.sha256(out.encode()).hexdigest() == "009533009d0370606223524694407d6980ae543136d28aff1742e68a2daac671"
     printed = [block["determinant"] for block in json.loads(out)["pairings"]]
     assert len(printed[0]) > sys.get_int_max_str_digits()
     ctx = make_context(18)
@@ -321,7 +325,7 @@ def test_exact_decimal_text_past_the_digit_limit():
     import sys
     from fractions import Fraction
 
-    from chowkit.cli import _exact
+    from chowkit.poly import exact_text
 
     values = [0, -7, Fraction(-3, 4), 10**9000, -(10**9000) + 1, 3**20000, Fraction(7**6000, 3 * 10**5000)]
     limit = sys.get_int_max_str_digits()
@@ -330,7 +334,7 @@ def test_exact_decimal_text_past_the_digit_limit():
         expected = [str(value) for value in values]
     finally:
         sys.set_int_max_str_digits(limit)
-    assert [_exact(value) for value in values] == expected
+    assert [exact_text(value) for value in values] == expected
 
 
 def test_ring_relations(capsys):
@@ -421,6 +425,33 @@ def test_dr_writes_its_text_in_slices(capsys, monkeypatch):
     assert main(argv) == 0
     assert sys.stdout.getvalue() == expected
     assert len(writes) > 2 and max(writes) <= 1 << 20
+
+
+def test_dr_prints_past_the_digit_limit(capsys):
+    # Exited 2 with CPython's int-to-string digit limit as its message once a
+    # coefficient had more than 4,300 digits, in both formats.
+    import sys
+
+    from chowkit.dr import deserialize, dr_class, serialize
+
+    d = 10**2500 - 1
+    weights = f"--weights={'9' * 2500},-{'9' * 2500}"
+    code, out, err = run(capsys, ["dr", "--genus", "1", weights])
+    assert (code, err) == (0, "")
+    cls = deserialize(out)
+    assert cls == dr_class(1, (d, -d))
+    assert serialize(cls) + "\n" == out
+    code, out, err = run(capsys, ["dr", "--genus", "1", weights, "--format", "latex"])
+    assert (code, err) == (0, "")
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        square = str(d * d)
+    finally:
+        sys.set_int_max_str_digits(limit)
+    assert len(square) > limit
+    half = rf"\frac{{{square}}}{{2}}"
+    assert out == rf"{half} K_{{1}} + {half} K_{{2}} - \frac{{1}}{{12}} \delta_{{irr}} + {square} \delta_{{0}}^{{\{{1,2\}}}}" + "\n"
 
 
 def test_dr_rejects_bad_weights(capsys):

@@ -50,6 +50,41 @@ def test_solve_inconsistent():
     assert kernel == 1
 
 
+def test_solve_rejects_rows_of_the_wrong_width():
+    # Read the right-hand side as a matrix column: 0*x0 = 1 came out solvable.
+    with pytest.raises(ValueError):
+        solve([[0]], [1], 2)
+    # Dropped the columns past ncols: x0 + 2*x1 = 1 came out as x0 = 1.
+    with pytest.raises(ValueError):
+        solve([[1, 2]], [1], 1)
+
+
+def test_ragged_rows_are_rejected():
+    with pytest.raises(ValueError):
+        rank([[1], [2, 3]])
+    with pytest.raises(ValueError):
+        rref([[1, 2], [3]])
+    with pytest.raises(ValueError):
+        rref([[0], [0, 0]])
+
+
+def test_int_rows_give_exact_fractions():
+    # Gram blocks of ring degrees arrive as int rows; 1/3 must not become a float.
+    rows = [[3, 0, 1], [0, 0, 2], [6, 1, 0]]
+    reduced, pivots = rref(rows)
+    assert pivots == [0, 1, 2]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    solution, kernel = solve([[3, 0], [0, 7]], [1, 2], 2)
+    assert (solution, kernel) == ([F(1, 3), F(2, 7)], 0)
+    assert all(type(x) is Fraction for x in solution)
+    reduced, _ = rref([[3, 1, 0, 0], [0, 0, 0, 0], [6, 0, 0, 5]])
+    assert reduced == [[1, 0, 0, F(5, 6)], [0, 1, 0, F(-5, 2)]]
+    assert all(type(x) is Fraction for row in reduced for x in row)
+    for matrix in ([[3, 0, 1], [0, 0, 2], [6, 1, 0]], [[0, 2], [3, 0]], [[1, 2], [2, 4]], [[0, 0], [0, 0]]):
+        value = determinant(matrix)
+        assert type(value) is Fraction and value == _leibniz(_mat(matrix))
+
+
 def test_solve_no_equations():
     solution, kernel = solve([], [], 3)
     assert solution == [F(0)] * 3
@@ -127,9 +162,9 @@ def _inversion_sign(order):
 
 
 def test_determinant_of_permuted_block_diagonal_matrices():
-    # The determinant is taken per connected component of the nonzero
-    # pattern, and the row and column orders that make the matrix block
-    # diagonal carry a sign each: both parities of both orders must occur.
+    # Block-diagonal matrices with their rows and columns shuffled: the
+    # pivots come from scattered rows and columns, and the shuffles take
+    # both parities for rows and for columns, so every sign case occurs.
     rng = random.Random(29)
     signs = set()
     for _ in range(60):

@@ -308,3 +308,15 @@ def test_internal_results_stay_clean_and_constructor_still_validates():
     for exps in ((1, 0, 0), (0, 1, 0, 0, 0), (0, 0, -1, 0), (2, 0, 0, -3)):
         with pytest.raises(ValueError):
             Polynomial(RING_VARS, {exps: 1})
+
+
+def test_exact_fraction_reads_exact_text_past_the_digit_limit():
+    from chowkit.poly import exact_fraction, exact_text
+
+    values = [0, -7, Fraction(-3, 4), 10**9000, -(10**9000) + 1, 3**20000, Fraction(7**6000, 3 * 10**5000)]
+    assert [exact_fraction(exact_text(value)) for value in values] == values
+    assert exact_fraction(" 1.5 ") == Fraction(3, 2)
+    # Long text that is not an exact_text form is refused, not split and misread.
+    for text in ("1" * 3000 + "-" + "2" * 3000, "1" * 5000 + ".5", "1" * 5000 + "/", "-" * 2 + "1" * 5000):
+        with pytest.raises(ValueError):
+            exact_fraction(text)
