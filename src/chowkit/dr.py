@@ -380,30 +380,24 @@ def _validate_weights(genus: int, weights: Sequence[int]) -> tuple[int, ...]:
 
 
 def theta_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
-    """Pullback of the polarization class along the weight-``d`` section."""
+    """Pullback of the polarization class along the weight-``d`` section.
+
+    Each separating divisor is visited once, on its canonical side ``(h, P)``:
+    ``h <= g/2``, ``|P| >= 2`` when ``h = 0`` and ``1 in P`` when ``2h = g``.
+    Zero coefficients are skipped, which keeps the symbol table to the support.
+    """
     weights = _validate_weights(genus, weights)
     n = len(weights)
-    terms: list[tuple[Term, Fraction]] = []
-
-    def put(symbol: DivisorSymbol, coeff: Fraction) -> None:
-        if coeff:  # keeps the symbol table to the support
-            terms.append((((symbol, 1),), coeff))
-
-    for i, d in enumerate(weights, start=1):
-        put(DivisorSymbol.cotangent(i), Fraction(d * d, 2))
-    points = list(range(1, n + 1))
-    for size in range(2, n + 1):
-        for subset in combinations(points, size):
-            d_subset = sum(weights[i - 1] for i in subset)
-            excess = d_subset * d_subset - sum(weights[i - 1] ** 2 for i in subset)
-            put(DivisorSymbol.separating(genus, 0, subset, n), Fraction(-excess, 2))
-    for h in range(1, genus // 2 + 1):
-        for size in range(0, n + 1):
-            for subset in combinations(points, size):
+    squares = [d * d for d in weights]
+    terms = [(((DivisorSymbol.cotangent(i), 1),), Fraction(s, 2)) for i, s in enumerate(squares, 1) if s]
+    for h in range(genus // 2 + 1):
+        for size in range(0 if h else 2, n + 1):
+            for subset in combinations(range(1, n + 1), size):
                 if 2 * h == genus and 1 not in subset:
                     continue
-                d_subset = sum(weights[i - 1] for i in subset)
-                put(DivisorSymbol.separating(genus, h, subset, n), Fraction(-d_subset * d_subset, 2))
+                excess = sum(weights[i - 1] for i in subset) ** 2 - (0 if h else sum(squares[i - 1] for i in subset))
+                if excess:
+                    terms.append((((DivisorSymbol.separating(genus, h, subset, n), 1),), Fraction(-excess, 2)))
     return FormalClass(genus, weights, terms)
 
 
@@ -545,19 +539,26 @@ def deserialize(text: str) -> FormalClass:
         raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
 
     @cache  # each distinct entry is decoded once
-    def decode(kind: str, i: int | None, h: int | None, points: tuple[int, ...]) -> DivisorSymbol:
-        if kind == "K":
-            return DivisorSymbol.cotangent(int(i))
-        if kind == "xi":
-            return DivisorSymbol.rational_bridge(int(i))
-        if kind == "delta_irr":
-            return DivisorSymbol.irreducible()
-        if kind == "delta":
-            return DivisorSymbol.separating(genus, int(h), points, n)
-        raise ValueError(f"unknown symbol kind {kind!r}")
+    def decode(kind: str, i: int | None, h: int | None, points: tuple[int, ...], power: int) -> tuple[DivisorSymbol, int]:
+        if int(power) < 1:
+            raise ValueError(f"symbol powers must be positive, got {power}")
+        if kind in ("K", "xi"):
+            if not 1 <= int(i) <= n:
+                raise ValueError(f"marked points must lie in 1..{n}, got {kind} {i}")
+            symbol = DivisorSymbol.cotangent(int(i)) if kind == "K" else DivisorSymbol.rational_bridge(int(i))
+        elif kind == "delta_irr":
+            symbol = DivisorSymbol.irreducible()
+        elif kind == "delta":
+            symbol = DivisorSymbol.separating(genus, int(h), points, n)
+        else:
+            raise ValueError(f"unknown symbol kind {kind!r}")
+        return symbol, int(power)
 
     terms = []
     for entry in payload["terms"]:
-        term = [(decode(s["kind"], s.get("i"), s.get("h"), tuple(s.get("P", ()))), int(s.get("power", 1))) for s in entry["symbols"]]
+        term = [decode(s["kind"], s.get("i"), s.get("h"), tuple(s.get("P", ())), s.get("power", 1)) for s in entry["symbols"]]
         terms.append((term, exact_fraction(entry["coeff"])))
-    return FormalClass(genus, weights, terms)
+    cls = FormalClass(genus, weights, terms)
+    if "codim" in payload and int(payload["codim"]) != cls.codimension():
+        raise ValueError(f"inconsistent payload: codim={payload['codim']} but the terms have codimension {cls.codimension()}")
+    return cls

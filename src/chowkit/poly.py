@@ -34,17 +34,10 @@ __all__ = [
     "INVARIANT_VARS",
     "RING_VARS",
     "Polynomial",
-    "Scalar",
-    "coeff_latex",
-    "combine",
     "d_grade",
     "d_graded_piece",
-    "exact_fraction",
-    "exact_text",
     "format_polynomial",
-    "graded_lex_key",
     "polynomial_from_json",
-    "signed_sum",
 ]
 
 Exponents = tuple[int, ...]
@@ -161,6 +154,10 @@ class Polynomial:
         return NotImplemented
 
     def __hash__(self) -> int:
+        # A constant compares equal to its scalar, so it hashes as one too.
+        zero = (0,) * len(self.vars)
+        if self._terms.keys() <= {zero}:
+            return hash(self._terms.get(zero, 0))
         return hash((self.vars, frozenset(self._terms.items())))
 
     def __repr__(self) -> str:

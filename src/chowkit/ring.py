@@ -23,7 +23,8 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
-from typing import Mapping, NamedTuple
+from operator import add
+from typing import Mapping, NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
@@ -33,10 +34,6 @@ __all__ = [
     "InvariantGenerators",
     "NotInSpanError",
     "RingContext",
-    "XI",
-    "T1",
-    "P",
-    "T2",
     "degree_triples",
     "extra_shift_invariant",
     "half_shift",
@@ -278,8 +275,7 @@ class RingContext:
             for m in reversed(mons):
                 blocks.setdefault(d_grade(m), []).append(m)
             for d, block in blocks.items():
-                duals = [q for q in _monomials(2 * g - 2 - k) if d_grade(q) == -d]
-                gram = [[self._phi(tuple(a + b for a, b in zip(m, q))) for m in block] for q in duals]
+                gram = self._gram([q for q in _monomials(2 * g - 2 - k) if d_grade(q) == -d], block)
                 # Reversed, the pivots list their basis monomials ascending.
                 echelon = list(zip(*rref(gram)))[::-1]
                 pivots = {p for _, p in echelon}
@@ -374,22 +370,18 @@ class RingContext:
             return 0
         return (-1) ** (y // 2) * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, y // 2)
 
+    def _gram(self, rows: Sequence[Exponents], cols: Sequence[Exponents]) -> list[list[int]]:
+        """The matrix ``phi(r*c)`` over two monomial lists of complementary degrees."""
+        return [[self._phi(tuple(map(add, r, c))) for c in cols] for r in rows]
+
     def pairing_matrix(self, k: int) -> list[list[Fraction]]:
-        """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``,
-        evaluated through the socle pushforward; it vanishes unless the
-        d-grades of the two monomials cancel."""
+        """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``: each
+        entry is ``phi`` of the product of the two basis monomials, which
+        vanishes unless their d-grades cancel."""
         if not 0 <= k <= self.genus - 1:
             raise ValueError(f"pairing offset must satisfy 0 <= k <= {self.genus - 1}, got {k}")
-        upper = self.basis(self.genus - 1 + k)
-        return [
-            [
-                self.socle_pushforward(Polynomial.monomial(RING_VARS, tuple(a + b for a, b in zip(m1, m2))))
-                if d_grade(m1) + d_grade(m2) == 0
-                else Fraction(0)
-                for m2 in upper
-            ]
-            for m1 in self.basis(self.genus - 1 - k)
-        ]
+        gram = self._gram(self.basis(self.genus - 1 - k), self.basis(self.genus - 1 + k))
+        return [list(map(Fraction, row)) for row in gram]
 
     # ------------------------------------------------------------- invariance
 

@@ -665,10 +665,11 @@ def test_benchmark_tracer_sees_every_ring_layer():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 8
     calls = result["calls"]
-    # No CLI command reaches these four: only express_in_invariants calls
-    # solve, and dr_class expands over integer symbol ids, never through
-    # FormalClass arithmetic.
-    unreachable = {"linalg.solve", "dr.mul", "dr.pow", "dr.add"}
+    # No CLI command reaches these five: only express_in_invariants calls
+    # solve, dr_class expands over integer symbol ids, never through
+    # FormalClass arithmetic, and pairing_matrix reads phi through _gram,
+    # not through socle_pushforward.
+    unreachable = {"linalg.solve", "dr.mul", "dr.pow", "dr.add", "ring.socle_pushforward"}
     assert unreachable <= set(calls)
     assert [layer for layer in calls if layer not in unreachable and not calls[layer]] == []
 

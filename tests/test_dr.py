@@ -1,6 +1,7 @@
 """Formal divisor symbols, the pullback classes, the double-ramification
 expansion and its serializations."""
 
+import hashlib
 import json
 import random
 from fractions import Fraction
@@ -396,6 +397,31 @@ def test_deserialize_validates():
         )
 
 
+def one_term(symbol, **fields):
+    return json.dumps({"g": 2, "weights": [1, -1], **fields, "terms": [{"coeff": "1", "symbols": [symbol]}]})
+
+
+@pytest.mark.parametrize("kind", ["K", "xi"])
+@pytest.mark.parametrize("i", [0, 3, 99])
+def test_deserialize_rejects_points_outside_the_ambient(kind, i):
+    with pytest.raises(ValueError):
+        deserialize(one_term({"kind": kind, "i": i}))
+    assert deserialize(one_term({"kind": kind, "i": 2})).n == 2
+
+
+@pytest.mark.parametrize("power", [-2, 0])
+def test_deserialize_rejects_nonpositive_powers(power):
+    with pytest.raises(ValueError):
+        deserialize(one_term({"kind": "delta_irr", "power": power}))
+
+
+def test_deserialize_rejects_a_wrong_codim():
+    with pytest.raises(ValueError):
+        deserialize(one_term({"kind": "delta_irr"}, codim=7))
+    assert deserialize(one_term({"kind": "delta_irr"}, codim=1)).codimension() == 1
+    assert deserialize(one_term({"kind": "xi", "i": 1}, codim=2)).codimension() == 2
+
+
 def test_deserialize_canonicalizes_symbols():
     # A payload naming the complementary side still lands on the canonical one.
     text = json.dumps(
@@ -425,6 +451,14 @@ def test_dr_total_against_independent_expansion():
         + eta(0, 0, 1) * glue
     )
     assert dr_class(g, weights) == expected
+
+
+def test_theta_pullback_pin():
+    # The serialized pullbacks over a grid that covers the 2h = g side rule,
+    # zero weights and n = 5 hash to the same text as before any rewrite.
+    grid = [(1, -1), (2, -1, -1), (0, 0), (3, -1, -1, -1), (1, 1, 1, -3), (2, 0, -2), (5, -2, -3, 0, 0)]
+    text = "".join(serialize(theta_pullback(g, w)) for g in range(1, 7) for w in grid)
+    assert hashlib.sha256(text.encode()).hexdigest() == "f65c1312cea836f7bf6d28d17086212e92896e9869f3b428b9ef4090bcf3871f"
 
 
 def test_theta_subset_enumeration_is_complete():

@@ -63,6 +63,19 @@ def test_variable_set_mismatch():
         p * q
 
 
+def test_constants_hash_as_their_scalars():
+    # Equal values hash alike: a constant polynomial equals its scalar.
+    c = Polynomial.constant(RING_VARS, 3)
+    assert c == 3 and hash(c) == hash(3)
+    assert c in {3} and len({c, 3}) == 1
+    half = Polynomial.constant(INVARIANT_VARS, Fraction(1, 2))
+    assert half in {Fraction(1, 2)}
+    zero = Polynomial.zero(RING_VARS)
+    assert zero == 0 and zero in {0} and len({zero, 0}) == 1
+    t1 = Polynomial.variable(RING_VARS, "T1")
+    assert hash(t1 + 1) == hash(Polynomial.variable(RING_VARS, "T1") + 1)
+
+
 def test_arithmetic_via_evaluation():
     # Products and powers run on combine's integer kernel, which scales by
     # lcm(denominators)^E and divides back; evaluation stays on Fractions.
