@@ -41,7 +41,7 @@ from itertools import combinations
 from math import comb, lcm
 from operator import mul
 
-from .poly import Scalar, coeff_latex, exact_fraction, exact_text, signed_sum
+from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_sum
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -530,35 +530,48 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
 
 
 def deserialize(text: str) -> FormalClass:
-    """Rebuild a formal class from its JSON form."""
+    """Rebuild a formal class from its JSON form.  Every integer field must be
+    a JSON integer (``int()`` would truncate 2.9 and read ``true`` as 1), the
+    weights must sum to zero, and each coefficient must be the ``n`` or
+    ``n/d`` that :func:`serialize` writes."""
     payload = json.loads(text)
-    genus = int(payload["g"])
-    weights = [int(d) for d in payload["weights"]]
+    genus, weights = payload["g"], payload["weights"]
+    if {type(v) for v in (genus, *weights, payload.get("n", 0), payload.get("codim", 0))} != {int}:
+        raise ValueError("g, n, codim and the weights must be integers")
+    weights = _validate_weights(genus, weights)
     n = len(weights)
-    if "n" in payload and int(payload["n"]) != n:
+    if payload.get("n", n) != n:
         raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
 
-    @cache  # each distinct entry is decoded once
-    def decode(kind: str, i: int | None, h: int | None, points: tuple[int, ...], power: int) -> tuple[DivisorSymbol, int]:
-        if int(power) < 1:
+    @cache  # each distinct entry is decoded once; read() checks the types first, as 1 == True
+    def decode(kind: str, i: int, h: int, points: tuple[int, ...], power: int) -> tuple[DivisorSymbol, int]:
+        if power < 1:
             raise ValueError(f"symbol powers must be positive, got {power}")
         if kind in ("K", "xi"):
-            if not 1 <= int(i) <= n:
+            if not 1 <= i <= n:
                 raise ValueError(f"marked points must lie in 1..{n}, got {kind} {i}")
-            symbol = DivisorSymbol.cotangent(int(i)) if kind == "K" else DivisorSymbol.rational_bridge(int(i))
+            symbol = DivisorSymbol.cotangent(i) if kind == "K" else DivisorSymbol.rational_bridge(i)
         elif kind == "delta_irr":
             symbol = DivisorSymbol.irreducible()
         elif kind == "delta":
-            symbol = DivisorSymbol.separating(genus, int(h), points, n)
+            symbol = DivisorSymbol.separating(genus, h, points, n)
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
-        return symbol, int(power)
+        return symbol, power
+
+    def read(s: dict) -> tuple[DivisorSymbol, int]:
+        i, h, points, power = s.get("i", 0), s.get("h", 0), tuple(s.get("P", ())), s.get("power", 1)
+        if {type(i), type(h), type(power), *map(type, points)} != {int}:
+            raise ValueError(f"symbol fields must be integers, got {s}")
+        return decode(s["kind"], i, h, points, power)
 
     terms = []
     for entry in payload["terms"]:
-        term = [decode(s["kind"], s.get("i"), s.get("h"), tuple(s.get("P", ())), s.get("power", 1)) for s in entry["symbols"]]
-        terms.append((term, exact_fraction(entry["coeff"])))
+        coeff = entry["coeff"]
+        if not isinstance(coeff, str) or not EXACT_FORM.fullmatch(coeff):
+            raise ValueError(f"coefficients are written n or n/d, got {coeff!r}")
+        terms.append(([read(s) for s in entry["symbols"]], exact_fraction(coeff)))
     cls = FormalClass(genus, weights, terms)
-    if "codim" in payload and int(payload["codim"]) != cls.codimension():
+    if payload.get("codim", cls.codimension()) != cls.codimension():
         raise ValueError(f"inconsistent payload: codim={payload['codim']} but the terms have codimension {cls.codimension()}")
     return cls

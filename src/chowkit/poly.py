@@ -392,13 +392,16 @@ def _read_digits(text: str) -> int:
         return _read_digits(text[:half]) * 10 ** (len(text) - half) + _read_digits(text[half:])
 
 
+EXACT_FORM = re.compile("-?[0-9]+(/0*[1-9][0-9]*)?")  # the n or n/d that exact_text prints
+
+
 def exact_fraction(text: str) -> Fraction:
     """``Fraction(text)``, also for the ``n`` or ``n/d`` that :func:`exact_text`
     prints past the digit limit."""
     try:
         return Fraction(text)
     except ValueError:
-        if not re.fullmatch("-?[0-9]+(/[0-9]+)?", text):
+        if not EXACT_FORM.fullmatch(text):
             raise
         numerator, _, denominator = text.removeprefix("-").partition("/")
         sign = -1 if text.startswith("-") else 1

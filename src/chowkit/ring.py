@@ -8,11 +8,10 @@ total degree ``g`` and of secondary (d-)grade ``l``, for ``l = g .. -g``.
 
 ``R`` is Gorenstein with socle in degree ``2g-2``: ``I_g`` is the apolar
 ideal of ``(st - u^2)^(g-1)``, whose socle functional ``phi`` is a closed
-form.  A :class:`RingContext` builds, for each degree on demand, the normal
-form as a rewrite map: the canonical basis monomials (the largest
-independent ones in graded-lex order; in degree ``2g-2`` the
-``T1*T2``-balanced monomial), and for every other monomial its image in that
-basis, read off the ``phi`` pairing one d-grade block at a time.
+form.  In a :class:`RingContext` the basis of each block of one degree and
+d-grade is its first ``r`` monomials by ascending ``P``-exponent, with ``r``
+fixed by the block sizes alone; every other monomial's image in that basis
+is read off the ``phi`` pairing, one block at a time, when first needed.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -24,7 +23,7 @@ from __future__ import annotations
 import threading
 from fractions import Fraction
 from operator import add
-from typing import Mapping, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
@@ -70,6 +69,11 @@ def _require_ring_vars(p: Polynomial) -> None:
 def _require_xi_free(p: Polynomial) -> None:
     if p.degree_in("xi"):
         raise ValueError("operation is defined on xi-free polynomials only")
+
+
+def _require_degree(k: int) -> None:
+    if k < 0:
+        raise ValueError(f"degree must be nonnegative, got {k}")
 
 
 def shift(p: Polynomial, n: int) -> Polynomial:
@@ -151,8 +155,7 @@ def extra_shift_invariant() -> Polynomial:
 def degree_triples(k: int) -> list[tuple[int, int, int]]:
     """Exponent triples ``(a, b, c)`` with ``a + b + 2c = k`` in canonical
     order (c ascending, then b ascending)."""
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
+    _require_degree(k)
     return [(k - b - 2 * c, b, c) for c in range(k // 2 + 1) for b in range(k - 2 * c + 1)]
 
 
@@ -187,23 +190,19 @@ def _monomials(k: int) -> list[Exponents]:
     return [(0, a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
 
 
-class _DegreeData(NamedTuple):
-    """The normal form in one total degree.
+def _block(k: int, d: int) -> list[Exponents]:
+    """xi-free monomials of total degree ``k`` and d-grade ``d``, by ascending ``P``-exponent."""
+    return [(0, z + d, k - d - 2 * z, z) for z in range((k - d) // 2, max(0, -d) - 1, -1)]
 
-    ``basis`` holds the canonical basis monomials in ascending graded-lex
-    order.  ``rewrite`` maps every other monomial to its image in that
-    basis, as ``(basis monomial, coefficient)`` pairs in the same order.
-    """
 
-    basis: tuple[Exponents, ...]
-    rewrite: dict[Exponents, tuple[tuple[Exponents, Fraction], ...]]
+Rewrite = tuple[tuple[Exponents, Fraction], ...]
 
 
 class RingContext:
     """Exact model of the boundary Chow ring at one genus.
 
     Construct via :func:`make_context`.  All methods are thread-safe; each
-    degree's basis and rewrite map are computed once under a lock and shared.
+    block's rewrites are computed once under a lock and shared.
     """
 
     def __init__(self, genus: int):
@@ -212,7 +211,7 @@ class RingContext:
         self.genus = genus
         self.relation_grades = tuple(range(genus, -genus - 1, -1))
         self.relations = self._build_relations()
-        self._degrees: dict[int, _DegreeData] = {}
+        self._rewrites: dict[tuple[int, int], dict[Exponents, Rewrite]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- relations
@@ -237,89 +236,82 @@ class RingContext:
 
     # ------------------------------------------------------------- normal form data
 
-    def _degree_data(self, k: int) -> _DegreeData:
-        with self._lock:
-            data = self._degrees.get(k)
-            if data is None:
-                data = self._build_degree(k)
-                self._degrees[k] = data
-            return data
+    def _rank(self, k: int, d: int) -> int:
+        """``dim R_k`` in d-grade ``d``: with ``m = min(k, 2g-2-k)``, the size
+        ``(m - |d|)//2 + 1`` of the block of degree ``m`` and d-grade ``d`` (0
+        if ``m < |d|``).  The basis is the block's first ``_rank(k, d)``
+        monomials by ascending ``P``-exponent.
 
-    def _build_degree(self, k: int) -> _DegreeData:
-        """The basis of ``R_k`` and the rewrite of every other monomial.
-
-        ``R_k`` is free for ``k < g``; in degree ``g`` each d-grade holds one
-        relation, which rewrites its smallest monomial; ``R_k = 0`` for ``k >=
-        2g-1``.  In between, a class of ``R_k`` is fixed by its pairings
-        ``phi(m*q)`` with the monomials ``q`` of the free degree ``2g-2-k``,
-        since ``I_g`` is the whole apolar ideal of ``F = (st - u^2)^(g-1)``:
-        that ideal is generated by the harmonic forms of degree ``g``, which
-        the ``l_n^g`` span (Reznick, Mem. AMS 463, 1992; Iarrobino-Kanev, LNM
-        1721, 1999).  In degree ``k`` both ideals are the sum of the ``q^j *
-        H_(k-2j)`` over ``j <= k-g``, with ``H`` the harmonic forms and ``q =
-        4*T1*T2 - P^2``.  A d-grade-``d`` block (``k`` fixes its ``P``-parity)
-        pairs only with d-grade ``-d``; the ``rref`` of its Gram matrix,
-        columns descending, keeps the largest independent monomials as basis
-        and rewrites the others.
+        ``R_k`` is free for ``k < g``.  ``I_g`` is the whole apolar ideal of
+        ``F = (st - u^2)^(g-1)``: the harmonic forms of degree ``g``, which the
+        ``l_n^g`` span, generate both (Reznick, Mem. AMS 463, 1992;
+        Iarrobino-Kanev, LNM 1721, 1999).  So for ``k >= g-1``, ``phi`` pairs
+        d-grade ``d`` of ``R_k`` perfectly with d-grade ``-d`` of the free
+        degree ``2g-2-k``, and ``R_k = 0`` past ``2g-2``.  With ``P``-exponents
+        ``y0 + 2j`` in a block and ``y0' + 2i`` in its partner, that Gram
+        matrix is the Hankel matrix ``h(s+i+j)``, ``s = (y0 + y0')/2``, ``h(a)
+        = (-1)^a (g-1)! (g-1-a)! (2a)!/a!``.  As ``h(s+n)/h(s) = 4^n
+        (A)_n/(B)_n``, ``A = s + 1/2``, ``B = s + 1 - g``, Gauss's continued
+        fraction for ``2F1(A, 1; B; z)`` gives its leading ``r x r`` minor as
+        ``h(s)^r 4^(r(r-1)) prod_(i<r) (c_(2i-1) c_(2i))^(r-i)``, ``c_(2m+1) =
+        (A+m)(B-1+m)/((B-1+2m)(B+2m))``, ``c_(2m) = m(B-1-A+m)/((B+2m-2)
+        (B+2m-1))`` (Flajolet, Discrete Math. 32, 1980; Krattenthaler,
+        "Advanced determinant calculus", 1999).  No factor vanishes for ``r``
+        the rank: ``A+m`` and ``B-1-A+m`` are half-integers, and each entry has
+        ``a <= g-1``, so ``s + 2(r-1) <= g-1`` and every integer factor is < 0.
         """
-        g, mons = self.genus, _monomials(k)
-        rewrite: dict[Exponents, tuple[tuple[Exponents, Fraction], ...]] = {}
-        if k >= 2 * g - 1:
-            rewrite = {m: () for m in mons}
-        elif k == g:
-            for rel in self.relations:
-                lead = min(rel.terms)
-                rewrite[lead] = tuple((m, -c / rel.terms[lead]) for m, c in sorted(rel.terms.items()) if m != lead)
-        elif k > g:
-            blocks: dict[int, list[Exponents]] = {}
-            for m in reversed(mons):
-                blocks.setdefault(d_grade(m), []).append(m)
-            for d, block in blocks.items():
-                gram = self._gram([q for q in _monomials(2 * g - 2 - k) if d_grade(q) == -d], block)
-                # Reversed, the pivots list their basis monomials ascending.
-                echelon = list(zip(*rref(gram)))[::-1]
-                pivots = {p for _, p in echelon}
-                for j, m in enumerate(block):
-                    if j not in pivots:
-                        rewrite[m] = tuple((block[p], row[j]) for row, p in echelon if row[j])
-        return _DegreeData(tuple(m for m in mons if m not in rewrite), rewrite)
+        m = min(k, 2 * self.genus - 2 - k)
+        return (m - abs(d)) // 2 + 1 if m >= abs(d) else 0
+
+    def _block_rewrites(self, k: int, d: int) -> dict[Exponents, Rewrite]:
+        """The image in the basis of each non-basis monomial of degree ``k`` and
+        d-grade ``d``, built on first use: in degree ``g`` the block's relation
+        rewrites its largest-``P`` monomial; in degrees ``g+1 .. 2g-2`` the
+        ``rref`` of the Gram matrix against the partner block, columns by
+        ascending ``P``, must pivot on the first ``_rank(k, d)`` columns and
+        rewrites the others.  Other degrees have no rewrites."""
+        with self._lock:
+            if (k, d) in self._rewrites:
+                return self._rewrites[(k, d)]
+            g, rewrites = self.genus, {}
+            if k == g:
+                rel = self.relation(d).terms
+                lead = min(rel)
+                rewrites[lead] = tuple((m, -c / rel[lead]) for m, c in sorted(rel.items()) if m != lead)
+            elif g < k <= 2 * g - 2:
+                block, r = _block(k, d), self._rank(k, d)
+                rows, pivots = rref(self._gram(_block(2 * g - 2 - k, -d), block))
+                if pivots != list(range(r)):
+                    raise ArithmeticError(f"block (k={k}, d={d}) has pivots {pivots}, not its first {r} columns")
+                # By descending P, the basis monomials come in ascending graded-lex order.
+                for j in range(r, len(block)):
+                    rewrites[block[j]] = tuple((block[i], rows[i][j]) for i in reversed(range(r)) if rows[i][j])
+            self._rewrites[(k, d)] = rewrites
+            return rewrites
 
     # ------------------------------------------------------------- reduction
 
-    def _reduce_component(self, terms: Mapping[Exponents, Fraction]) -> dict[Exponents, Fraction]:
-        """Reduce a xi-free term mapping: monomials of degree ``2g-1`` and up
-        vanish, since the socle sits in degree ``2g-2`` and ``R`` is generated
-        in degree 1; basis monomials stay, and every other monomial is
-        replaced by its rewrite in its own degree."""
-        out: dict[Exponents, Fraction] = {}
-        for exps, coeff in terms.items():
-            k = sum(exps)
-            if k >= 2 * self.genus - 1:
-                continue
-            for m, c in self._degree_data(k).rewrite.get(exps, ((exps, 1),)):
-                out[m] = out.get(m, 0) + coeff * c
-        return {m: c for m, c in out.items() if c}
-
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Canonical representative of ``p`` in the quotient ring.
-
-        Higher xi powers are folded first via ``xi^2 = xi*P``; the xi-free
-        part and the xi-linear part are then reduced separately, each
-        monomial through the rewrite map of its own degree.
-        """
+        """Canonical representative of ``p`` in the quotient ring: ``xi^x``
+        folds to ``xi*P^(x-1)``, then the xi-free factor of each term vanishes
+        past the socle degree ``2g-2`` (``R`` is generated in degree 1), stays
+        if it is a basis monomial, and is rewritten in its block otherwise."""
         _require_ring_vars(p)
-        components: tuple[dict[Exponents, Fraction], dict[Exponents, Fraction]] = ({}, {})
+        folded: dict[Exponents, Fraction] = {}
         for (x, a, b, c), coeff in p.terms.items():
-            if x == 0:
-                bucket, key = components[0], (0, a, b, c)
-            else:
-                bucket, key = components[1], (0, a, b + x - 1, c)
-            bucket[key] = bucket.get(key, Fraction(0)) + coeff
+            key = (min(x, 1), a, b + max(x - 1, 0), c)
+            folded[key] = folded.get(key, 0) + coeff
+        top = 2 * self.genus - 2
         out: dict[Exponents, Fraction] = {}
-        for xi_power, bucket in enumerate(components):
-            for (zero, a, b, c), coeff in self._reduce_component(bucket).items():
-                out[(xi_power, a, b, c)] = coeff
-        return Polynomial(RING_VARS, out)
+        for (xi, a, b, c), coeff in folded.items():
+            k, d = a + b + c, a - c
+            if k > top:
+                continue
+            mono = (0, a, b, c)
+            images = ((mono, 1),) if b // 2 < self._rank(k, d) else self._block_rewrites(k, d)[mono]
+            for (_, x, y, z), factor in images:
+                out[(xi, x, y, z)] = out.get((xi, x, y, z), 0) + coeff * factor
+        return Polynomial._raw(RING_VARS, out)
 
     def is_zero(self, p: Polynomial) -> bool:
         """Exact ideal-membership test in the quotient ring."""
@@ -329,18 +321,17 @@ class RingContext:
 
     def basis(self, k: int) -> tuple[Exponents, ...]:
         """Canonical monomial basis of the xi-free graded piece of degree ``k``
-        (ascending graded-lex order)."""
-        if k < 0:
-            raise ValueError(f"degree must be nonnegative, got {k}")
-        return self._degree_data(k).basis
+        (ascending graded-lex order): in each d-grade block, the
+        :meth:`_rank` monomials of smallest ``P``-exponent."""
+        _require_degree(k)
+        return tuple(m for m in _monomials(k) if m[2] // 2 < self._rank(k, d_grade(m)))
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
         given, of its d-grade-``l`` subspace."""
-        basis = self.basis(k)
-        if l is None:
-            return len(basis)
-        return sum(1 for m in basis if d_grade(m) == l)
+        _require_degree(k)
+        m = min(k, 2 * self.genus - 2 - k)
+        return self._rank(k, l) if l is not None else sum(self._rank(k, d) for d in range(-m, m + 1))
 
     def socle_pushforward(self, p: Polynomial) -> Fraction:
         """Pushforward of a top-degree class to the base, as an exact rational.
@@ -399,15 +390,6 @@ class RingContext:
 
     # ------------------------------------------------------------- coordinates
 
-    def _coordinates(self, k: int) -> list[Exponents]:
-        """Monomials spanning the full quotient (with xi) in degree ``k``:
-        the xi-free canonical basis in degree ``k`` followed by xi times the
-        canonical basis in degree ``k - 1``."""
-        slots = list(self.basis(k))
-        if k >= 1:
-            slots.extend((1, a, b, c) for _, a, b, c in self.basis(k - 1))
-        return slots
-
     def express_in_invariants(
         self,
         p: Polynomial,
@@ -433,7 +415,8 @@ class RingContext:
         if any(sum(e) != degree for e in p.terms):
             raise ValueError(f"expected a homogeneous class of degree {degree}")
         triples = degree_triples(degree)
-        slots = self._coordinates(degree)
+        # Monomials spanning the full quotient: the xi-free basis, then xi times the basis one degree lower.
+        slots = [*self.basis(degree), *((1, a, b, c) for _, a, b, c in (self.basis(degree - 1) if degree else ()))]
         images = [self.normal_form(invariant_basis_element(t, basis)) for t in triples]
         rows = [[image.coefficient(m) for image in images] for m in slots]
         solution, kernel = solve(rows, [self.normal_form(p).coefficient(m) for m in slots], len(triples))

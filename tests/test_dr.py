@@ -422,6 +422,50 @@ def test_deserialize_rejects_a_wrong_codim():
     assert deserialize(one_term({"kind": "xi", "i": 1}, codim=2)).codimension() == 2
 
 
+@pytest.mark.parametrize(
+    "fields, symbol",
+    [
+        ({"g": 2.9}, {"kind": "delta_irr"}),
+        ({"g": True}, {"kind": "delta_irr"}),
+        ({"g": 2.0}, {"kind": "delta_irr"}),
+        ({"weights": [1.5, -1.5]}, {"kind": "delta_irr"}),
+        ({"n": 2.0}, {"kind": "delta_irr"}),
+        ({"codim": True}, {"kind": "delta_irr"}),
+        ({}, {"kind": "K", "i": 1.7}),
+        ({}, {"kind": "xi", "i": True}),
+        ({}, {"kind": "delta_irr", "power": 2.9}),
+        ({}, {"kind": "delta_irr", "power": True}),
+        ({"g": 3, "weights": [1, 1, -2]}, {"kind": "delta", "h": 1.2, "P": [2, 3]}),
+        ({"g": 3, "weights": [1, 1, -2]}, {"kind": "delta", "h": 1, "P": [2, 3.0]}),
+        ({"g": 3, "weights": [1, 1, -2]}, {"kind": "delta", "h": 1, "P": [True, 2]}),
+    ],
+)
+def test_deserialize_refuses_numbers_that_are_not_integers(fields, symbol):
+    # int() would truncate 2.9 to 2 and read True as 1.
+    with pytest.raises(ValueError, match="must be integers"):
+        deserialize(one_term(symbol, **fields))
+
+
+def test_deserialize_refuses_a_bool_after_the_equal_integer():
+    # Decoded symbols are cached, and True == 1 would hit the entry for 1.
+    terms = [{"coeff": "1", "symbols": [{"kind": "K", "i": i}]} for i in (1, True)]
+    with pytest.raises(ValueError, match="must be integers"):
+        deserialize(json.dumps({"g": 2, "weights": [1, -1], "terms": terms}))
+
+
+@pytest.mark.parametrize("weights", [[1, 1], [2, -1], [0, 3]])
+def test_deserialize_refuses_weights_that_do_not_sum_to_zero(weights):
+    with pytest.raises(ValueError, match="sum to zero"):
+        deserialize(json.dumps({"g": 2, "weights": weights, "terms": []}))
+
+
+@pytest.mark.parametrize("coeff", ["1e2", "1.5", " 3", "1_000", "+3", "3/-4", "1/0", "", 3, None])
+def test_deserialize_refuses_coefficients_not_written_n_or_n_over_d(coeff):
+    text = json.dumps({"g": 2, "weights": [1, -1], "terms": [{"coeff": coeff, "symbols": [{"kind": "delta_irr"}]}]})
+    with pytest.raises(ValueError, match="n or n/d"):
+        deserialize(text)
+
+
 def test_deserialize_canonicalizes_symbols():
     # A payload naming the complementary side still lands on the canonical one.
     text = json.dumps(

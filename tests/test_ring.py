@@ -161,11 +161,17 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
         assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
 
 
+def built_degrees(ctx):
+    """The degrees of the blocks whose rewrites the context has built."""
+    return {k for k, _ in ctx._rewrites}
+
+
 def test_degrees_past_the_top_vanish_without_elimination():
     ctx = make_context(3)
     assert ctx.normal_form(parse("(T1+P)^60")).is_zero()
     assert ctx.normal_form(parse("xi*(T1+P)^60 + P")) == parse("P")
-    assert max(ctx._degrees) < 2 * 3 - 1
+    assert ctx.normal_form(parse("xi*(T1+P)^60 + T1^3")) == ctx.normal_form(parse("T1^3"))
+    assert built_degrees(ctx) == {3}
 
 
 @pytest.mark.parametrize("g", range(5, 8))
@@ -177,8 +183,35 @@ def test_reduction_builds_no_degree_past_the_top(g):
     product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
     for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
         ctx.normal_form(parse(text, reduce=ctx.normal_form))
-        assert max(ctx._degrees) < 2 * g - 1
-    assert 2 * g - 2 in ctx._degrees
+        assert max(built_degrees(ctx)) < 2 * g - 1
+    assert 2 * g - 2 in built_degrees(ctx)
+
+
+def test_concurrent_reductions_solve_each_block_once(monkeypatch):
+    # Threads share one context; the rewrite cache is filled under its lock,
+    # so a block solved twice (a lost update) would show as an extra rref.
+    import sys
+    from concurrent.futures import ThreadPoolExecutor
+
+    import chowkit.ring as ring
+
+    solved = []
+    monkeypatch.setattr(ring, "rref", lambda rows: solved.append(1) or rref(rows))
+    g = 6
+    p = parse(f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1} + (T1 - P + 2*T2)^{2 * g - 2}")
+    expected = make_context(g).normal_form(p)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(4):
+            ctx = make_context(g)
+            solved.clear()
+            with ThreadPoolExecutor(max_workers=8) as pool:
+                results = list(pool.map(lambda _: ctx.normal_form(p), range(16), timeout=120))
+            assert results == [expected] * 16
+            assert len(solved) == sum(1 for k, _ in ctx._rewrites if k > g) > 0
+    finally:
+        sys.setswitchinterval(interval)
 
 
 def test_normal_form_is_linear_and_idempotent():
@@ -240,7 +273,7 @@ def eliminated_degree(g, k):
     """Oracle for one degree, by elimination with no use of ``phi``: every
     relation times every monomial of degree ``k - g``, reduced one d-grade
     block at a time.  Returns ``(basis, rewrite)`` in the form of
-    ``RingContext._degree_data``."""
+    ``RingContext.basis`` and :func:`degree_rewrites`."""
     ctx = shared_context(g)
     mons = _monomials(k)
     columns = {}
@@ -263,18 +296,74 @@ def eliminated_degree(g, k):
     return tuple(m for m in mons if m not in rewrite), rewrite
 
 
+def degree_rewrites(ctx, k):
+    """The rewrite of every non-basis monomial of degree ``k``: the union of
+    its blocks' rewrites up to the socle degree ``2g-2``, and zero past it,
+    where the normal form drops every monomial and builds no block."""
+    if k > 2 * ctx.genus - 2:
+        assert all(ctx.normal_form(Polynomial.monomial(RING_VARS, m)).is_zero() for m in _monomials(k))
+        return {m: () for m in _monomials(k)}
+    return {m: image for d in range(-k, k + 1) for m, image in ctx._block_rewrites(k, d).items()}
+
+
 @pytest.mark.parametrize("g", range(1, 13))
 def test_phi_construction_matches_elimination(g):
     ctx = shared_context(g)
     for k in range(2 * g + 1):
-        assert tuple(ctx._degree_data(k)) == eliminated_degree(g, k)
+        assert (ctx.basis(k), degree_rewrites(ctx, k)) == eliminated_degree(g, k)
+    assert max(built_degrees(ctx), default=0) < 2 * g - 1
 
 
 @pytest.mark.parametrize("g", range(1, 17))
 def test_hilbert_function_matches_elimination(g):
     ctx = shared_context(g)
     for k in range(2 * g):
-        assert ctx.dim_graded(k) == len(eliminated_degree(g, k)[0])
+        basis = eliminated_degree(g, k)[0]
+        assert ctx.basis(k) == basis
+        assert ctx.dim_graded(k) == len(basis)
+
+
+@pytest.mark.parametrize("g", [2, 5, 9, 13])
+def test_gram_blocks_are_hankel_with_product_form_minors(g):
+    # The fact behind RingContext._rank: each phi block is the Hankel matrix
+    # h(s+i+j), and its leading r x r minor is the product that Gauss's
+    # continued fraction gives, nonzero for every r up to the rank.
+    ctx = shared_context(g)
+
+    def h(a):
+        return (-1) ** a * factorial(g - 1) * factorial(g - 1 - a) * factorial(2 * a) // factorial(a)
+
+    for k in range(g - 1, 2 * g - 1):
+        for d in range(-k, k + 1):
+            block = [m for m in reversed(_monomials(k)) if d_grade(m) == d]
+            partner = [q for q in _monomials(2 * g - 2 - k) if d_grade(q) == -d][::-1]
+            if not partner:
+                continue
+            s = (block[0][2] + partner[0][2]) // 2
+            gram = ctx._gram(partner, block)
+            assert gram == [[h(s + i + j) for j in range(len(block))] for i in range(len(partner))]
+            A, B = s + F(1, 2), F(s + 1 - g)
+            for r in range(1, ctx.dim_graded(k, d) + 1):
+                product = h(s) ** r * 4 ** (r * (r - 1))
+                for i in range(1, r):
+                    odd = (A + i - 1) * (B + i - 2) / ((B + 2 * i - 3) * (B + 2 * i - 2))  # c_(2i-1)
+                    even = i * (B - 1 - A + i) / ((B + 2 * i - 2) * (B + 2 * i - 1))  # c_(2i)
+                    product *= (odd * even) ** (r - i)
+                assert product != 0
+                assert determinant([row[:r] for row in gram[:r]]) == product
+
+
+def test_dims_bases_and_pairings_solve_no_block():
+    g = 12
+    ctx = make_context(g)
+    for k in range(2 * g + 1):
+        ctx.basis(k)
+        ctx.dim_graded(k)
+        for l in range(-k, k + 1):
+            ctx.dim_graded(k, l)
+    for k in range(g):
+        ctx.pairing_matrix(k)
+    assert ctx._rewrites == {}
 
 
 @pytest.mark.parametrize("g", range(1, 17))
@@ -305,7 +394,6 @@ def test_blockwise_echelon_matches_whole_degree_rref(g):
     # pivot monomial's rewrite.
     ctx = make_context(g)
     for k in range(2 * g + 1):
-        data = ctx._degree_data(k)
         monomials = [(0, a, b, k - a - b) for a in range(k + 1) for b in range(k - a + 1)]
         index = {m: i for i, m in enumerate(monomials)}
         shifts = [(a, b, k - g - a - b) for a in range(k - g + 1) for b in range(k - g - a + 1)]
@@ -317,8 +405,8 @@ def test_blockwise_echelon_matches_whole_degree_rref(g):
                     row[index[(0, x + a, y + b, z + c)]] = coeff
                 raw.append(row)
         rows, pivots = rref(raw)
-        assert data.basis == tuple(m for i, m in enumerate(monomials) if i not in pivots)
-        assert data.rewrite == {
+        assert ctx.basis(k) == tuple(m for i, m in enumerate(monomials) if i not in pivots)
+        assert degree_rewrites(ctx, k) == {
             monomials[pivot]: tuple((monomials[j], -c) for j, c in enumerate(row) if c and j != pivot)
             for row, pivot in zip(rows, pivots)
         }
@@ -345,6 +433,10 @@ def test_dims_d_graded_poincare_symmetry(g):
 def test_dim_rejects_negative_degree():
     with pytest.raises(ValueError):
         make_context(2).dim_graded(-1)
+    with pytest.raises(ValueError):
+        make_context(2).dim_graded(-1, 0)
+    with pytest.raises(ValueError):
+        make_context(2).basis(-1)
 
 
 @pytest.mark.parametrize("g", range(2, 7))
@@ -390,7 +482,7 @@ def reduced_pushforward(ctx, p):
     whose monomials are balanced, and weight each by its pushforward."""
     g = ctx.genus
     total = F(0)
-    for (_, x, y, z), coeff in ctx._reduce_component(p.terms).items():
+    for (_, x, y, z), coeff in ctx.normal_form(p).terms.items():
         assert y % 2 == 0 and x == z and x + y + z == 2 * g - 2
         a = y // 2
         total += coeff * F((-1) ** a * factorial(g - 1) * factorial(2 * a) * factorial(g - 1 - a), factorial(a))
