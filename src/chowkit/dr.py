@@ -529,11 +529,20 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
     raise ValueError(f"unknown serialization mode {mode!r}")
 
 
+_SYMBOL_FIELDS = {  # the fields each kind of symbol may carry
+    "K": {"kind", "i", "power"},
+    "xi": {"kind", "i", "power"},
+    "delta_irr": {"kind", "power"},
+    "delta": {"kind", "h", "P", "power"},
+}
+
+
 def deserialize(text: str) -> FormalClass:
     """Rebuild a formal class from its JSON form.  Every integer field must be
     a JSON integer (``int()`` would truncate 2.9 and read ``true`` as 1), the
-    weights must sum to zero, and each coefficient must be the ``n`` or
-    ``n/d`` that :func:`serialize` writes."""
+    weights must sum to zero, each coefficient must be the ``n`` or ``n/d``
+    that :func:`serialize` writes, and a symbol has only its kind's fields
+    and no repeated point."""
     payload = json.loads(text)
     genus, weights = payload["g"], payload["weights"]
     if {type(v) for v in (genus, *weights, payload.get("n", 0), payload.get("codim", 0))} != {int}:
@@ -554,12 +563,17 @@ def deserialize(text: str) -> FormalClass:
         elif kind == "delta_irr":
             symbol = DivisorSymbol.irreducible()
         elif kind == "delta":
+            if len(set(points)) != len(points):
+                raise ValueError(f"a separating divisor's points must be distinct, got {list(points)}")
             symbol = DivisorSymbol.separating(genus, h, points, n)
         else:
             raise ValueError(f"unknown symbol kind {kind!r}")
         return symbol, power
 
     def read(s: dict) -> tuple[DivisorSymbol, int]:
+        allowed = _SYMBOL_FIELDS.get(s["kind"], s.keys())  # an unknown kind is refused in decode
+        if not s.keys() <= allowed:
+            raise ValueError(f"fields {sorted(s.keys() - allowed)} do not belong to a {s['kind']!r} symbol")
         i, h, points, power = s.get("i", 0), s.get("h", 0), tuple(s.get("P", ())), s.get("power", 1)
         if {type(i), type(h), type(power), *map(type, points)} != {int}:
             raise ValueError(f"symbol fields must be integers, got {s}")

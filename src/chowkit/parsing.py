@@ -111,13 +111,13 @@ class _Parser:
     def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the
         constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
-        squaring through ``product`` without ``reduce`` or without ``c``; else
-        the sum of ``C(n,k) * c^(n-k) * u^k`` for ``u = base - c``, each summand
-        checked, up to the first ``u^k`` that reduces to zero."""
+        squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k)
+        * c^(n-k) * u^k`` for ``u = base - c``, each summand checked, up to the
+        first ``u^k`` that reduces to zero."""
         constant = base.coefficient((0,) * len(self.vars))
         if exponent * _bits(constant) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        if self.reduce is None or not constant:
+        if not constant:
             result = Polynomial.constant(self.vars, 1)
             while exponent:
                 if exponent & 1:
@@ -208,10 +208,10 @@ class _Parser:
 def parse(text: str, variables: Vars = RING_VARS, reduce: Reduce | None = None) -> Polynomial:
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
-    With ``reduce``, every product and the result pass through it, and a power
-    is a binomial sum that ends once the powers of its non-constant part
-    reduce to zero.  ``reduce(a * b)`` must equal ``reduce(reduce(a) * b)``,
-    as for ``RingContext.normal_form`` or a degree truncation.
+    With ``reduce``, every product and the result pass through it, and
+    ``reduce(a * b)`` must equal ``reduce(reduce(a) * b)``, as for a degree
+    truncation or ``RingContext.normal_form``.  A power with a constant term
+    is a binomial sum, ended once its non-constant part's powers reduce to 0.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
     outside the variable set and on coefficients past ``MAX_POWER_BITS``,

@@ -28,7 +28,7 @@ import re
 from fractions import Fraction
 from math import lcm, prod
 from operator import add
-from typing import Iterable, Mapping, Sequence, TypeVar, Union
+from typing import Iterable, Mapping, Sequence, Union
 
 __all__ = [
     "INVARIANT_VARS",
@@ -43,7 +43,6 @@ __all__ = [
 Exponents = tuple[int, ...]
 Vars = tuple[str, ...]
 Scalar = Union[Fraction, int]
-T = TypeVar("T")
 
 RING_VARS: Vars = ("xi", "T1", "P", "T2")
 INVARIANT_VARS: Vars = ("Theta", "D", "Delta")
@@ -272,38 +271,8 @@ class Polynomial:
         missing = [v for v in self.vars if v not in values]
         if missing:
             raise ValueError(f"missing values for variables {missing}")
-        if not self.vars:
-            return self.coefficient(())
-        # Scalar images keep combine off its integer product kernel, which evaluation checks.
-        return combine(self._terms, [Fraction(values[v]) for v in self.vars])
-
-
-def combine(terms: Mapping[Exponents, Scalar], images: Sequence[T]) -> T:
-    """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping.
-
-    ``Polynomial`` images are expanded over integer numerators: each image's
-    denominators are cleared once, its powers are built as a ladder (each one
-    product from the previous), and each term is added over one common
-    denominator.  Any other type is expanded with its own ``+``, ``*`` and
-    ``**``, each power ``images[i]**e`` taken once; a constant term uses
-    ``images[0]**0``, so ``images`` must not be empty.  An empty mapping
-    gives ``images[0]**0 * 0``.
-    """
-    if images and all(isinstance(image, Polynomial) for image in images):
-        return _combine_polynomials(terms, images)
-    powers: list[dict[int, T]] = [{} for _ in images]
-    total = None
-    for exps, coeff in terms.items():
-        term = None
-        for image, cache, e in zip(images, powers, exps):
-            if e:
-                power = cache.get(e)
-                if power is None:
-                    power = cache[e] = image**e
-                term = power if term is None else term * power
-        term = (images[0] ** 0 if term is None else term) * coeff
-        total = term if total is None else total + term
-    return images[0] ** 0 * 0 if total is None else total
+        point = [Fraction(values[v]) for v in self.vars]
+        return sum((c * prod(map(pow, point, e)) for e, c in self._terms.items()), Fraction(0))
 
 
 def _add_product(out: dict, a: dict, b: dict, factor: int = 1) -> dict:
@@ -316,7 +285,13 @@ def _add_product(out: dict, a: dict, b: dict, factor: int = 1) -> dict:
     return out
 
 
-def _combine_polynomials(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> Polynomial:
+def combine(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> Polynomial:
+    """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping,
+    expanded over integer numerators: each image's denominators are cleared
+    once, its powers are built as a ladder (each one product from the
+    previous), and each term is added over one common denominator.  The
+    images share one variable set, which is the result's; an empty mapping
+    gives its zero polynomial."""
     variables = images[0].vars
     if any(image.vars != variables for image in images):
         raise ValueError(f"combine images use mixed variable sets: {[image.vars for image in images]}")

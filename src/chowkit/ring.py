@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import threading
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence
 
@@ -76,24 +77,42 @@ def _require_degree(k: int) -> None:
         raise ValueError(f"degree must be nonnegative, got {k}")
 
 
+def _shifted(p: Polynomial, n: Fraction | int) -> Polynomial:
+    """``exp(n*D) p`` for the locally nilpotent derivation ``D = P*d/dT1 +
+    2*T2*d/dP``: a ring map, sending ``T1`` to ``T1 + n*P + n^2*T2`` and ``P``
+    to ``P + 2*n*T2``.  ``D`` raises ``b + 2c`` of ``T1^a P^b T2^c``, at most
+    ``2 deg p``, by one, so ``D^(2 deg p + 1) p = 0``.  For integral ``q``,
+    ``D^j q / j!`` is the ``n^j`` coefficient of an integral substitution, so
+    each level of integer numerators is the last one's ``D`` divided by ``j``."""
+    _require_ring_vars(p)
+    _require_xi_free(p)
+    n, scale = Fraction(n), lcm(*(c.denominator for c in p.terms.values()))
+    level = {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+    top, total = 2 * p.total_degree(), {}
+    for j in range(1, top + 2):
+        weight, step = n.numerator ** (j - 1) * n.denominator ** (top + 1 - j), {}
+        for (x, a, b, c), v in level.items():
+            total[(x, a, b, c)] = total.get((x, a, b, c), 0) + weight * v
+            if a:
+                step[(x, a - 1, b + 1, c)] = step.get((x, a - 1, b + 1, c), 0) + a * v
+            if b:
+                step[(x, a, b - 1, c + 1)] = step.get((x, a, b - 1, c + 1), 0) + 2 * b * v
+        level = {e: v // j for e, v in step.items()}
+    return Polynomial._raw(RING_VARS, {e: Fraction(v, scale * n.denominator**top) for e, v in total.items()})
+
+
 def shift(p: Polynomial, n: int) -> Polynomial:
     """Pullback along the n-th shift automorphism of the family:
     ``T1 -> T1 + n*P + n^2*T2``, ``P -> P + 2*n*T2``, ``T2 -> T2``."""
-    _require_ring_vars(p)
-    _require_xi_free(p)
     if not isinstance(n, int):
         raise ValueError(f"shift amount must be an integer, got {n!r}")
-    return p.substitute({"T1": T1 + n * P + (n * n) * T2, "P": P + (2 * n) * T2})
+    return _shifted(p, n)
 
 
 def half_shift(p: Polynomial) -> Polynomial:
-    """Formal shift by one half: ``T1 -> T1 + P/2 + T2/4``, ``P -> P + T2``.
-
-    Composing it with itself gives ``shift(p, 1)``.
-    """
-    _require_ring_vars(p)
-    _require_xi_free(p)
-    return p.substitute({"T1": T1 + P / 2 + T2 / 4, "P": P + T2})
+    """Formal shift by one half: ``T1 -> T1 + P/2 + T2/4``, ``P -> P + T2``;
+    composed with itself it is ``shift(p, 1)``."""
+    return _shifted(p, Fraction(1, 2))
 
 
 def involution(p: Polynomial) -> Polynomial:
@@ -292,25 +311,22 @@ class RingContext:
     # ------------------------------------------------------------- reduction
 
     def normal_form(self, p: Polynomial) -> Polynomial:
-        """Canonical representative of ``p`` in the quotient ring: ``xi^x``
-        folds to ``xi*P^(x-1)``, then the xi-free factor of each term vanishes
-        past the socle degree ``2g-2`` (``R`` is generated in degree 1), stays
-        if it is a basis monomial, and is rewritten in its block otherwise."""
+        """Canonical representative of ``p`` in the quotient ring: in each term
+        ``xi^x`` folds to ``xi*P^(x-1)``, then its xi-free factor vanishes past
+        the socle degree ``2g-2`` (``R`` is generated in degree 1), stays if it
+        is a basis monomial, and is rewritten in its block otherwise."""
         _require_ring_vars(p)
-        folded: dict[Exponents, Fraction] = {}
-        for (x, a, b, c), coeff in p.terms.items():
-            key = (min(x, 1), a, b + max(x - 1, 0), c)
-            folded[key] = folded.get(key, 0) + coeff
         top = 2 * self.genus - 2
         out: dict[Exponents, Fraction] = {}
-        for (xi, a, b, c), coeff in folded.items():
+        for (x, a, b, c), coeff in p.terms.items():
+            x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
             if k > top:
                 continue
             mono = (0, a, b, c)
             images = ((mono, 1),) if b // 2 < self._rank(k, d) else self._block_rewrites(k, d)[mono]
-            for (_, x, y, z), factor in images:
-                out[(xi, x, y, z)] = out.get((xi, x, y, z), 0) + coeff * factor
+            for (_, u, v, w), factor in images:
+                out[(x, u, v, w)] = out.get((x, u, v, w), 0) + coeff * factor
         return Polynomial._raw(RING_VARS, out)
 
     def is_zero(self, p: Polynomial) -> bool:

@@ -30,6 +30,7 @@ from .ring import (
     T1,
     T2,
     _basis_images,
+    _shifted,
     degree_triples,
     extra_shift_invariant,
     invariant_generators,
@@ -184,17 +185,25 @@ def boundary_zero_section(ctx: RingContext) -> Polynomial:
     return Polynomial.monomial(RING_VARS, exps, Fraction(1, factorial(g - 1)))
 
 
+def _triangular_sum(genus: int, basis: str) -> Polynomial:
+    """The ``basis`` combination of ``(T1 - T2/4, -2*T2, T2^2 - P^2)``, whose
+    shifts by ``-1/2`` and ``+1/2`` are ``(theta, boundary, gluing)`` under
+    ``xi -> 0`` and ``xi -> P``.  Its ``"alpha"`` images are ``(T1, -2*T2,
+    4*T1*T2 - P^2)``."""
+    images = _basis_images(basis, T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
+    return combine(getattr(coefficient_table(genus), basis), images)
+
+
 def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     """The invariant-basis combination predicted to equal the zero-section
-    class, as its xi-linear representative ``A0 + xi*A1``, not the raw
-    expansion.  ``xi -> 0`` and ``xi -> P`` are ring maps out of ``R~``:
-    ``A0`` is the image under ``xi -> 0``, and ``P*A1`` the image under
-    ``xi -> P`` minus ``A0``, checked to be divisible by ``P``."""
-    images = _basis_images(basis, *invariant_generators())
-    table = getattr(coefficient_table(ctx.genus), basis)
-    at_infinity = combine(table, [restrict_infty(image) for image in images])
+    class, as its xi-linear representative ``A0 + xi*A1``.  The ring maps
+    ``xi -> 0`` and ``xi -> P`` out of ``R~`` send it to the shifts by ``-1/2``
+    and ``+1/2`` of the triangular sum: ``A0`` is the first, and ``P*A1`` the
+    second minus ``A0``, checked to be divisible by ``P``."""
+    triangular = _triangular_sum(ctx.genus, basis)
+    at_infinity = _shifted(triangular, Fraction(-1, 2))
     terms = dict(at_infinity.terms)
-    for (_, a, b, c), coeff in (combine(table, [restrict_zero(image) for image in images]) - at_infinity).terms.items():
+    for (_, a, b, c), coeff in (_shifted(triangular, Fraction(1, 2)) - at_infinity).terms.items():
         if not b:
             raise ArithmeticError(f"P does not divide the term {coeff}*T1^{a}*T2^{c} of the xi -> P image")
         terms[(1, a, b - 1, c)] = coeff
@@ -276,21 +285,8 @@ def verify_triangular(genus: int) -> VerificationReport:
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
     started = time.perf_counter()
-    total = combine(coefficient_table(genus).alpha, (T1, -2 * T2, 4 * T1 * T2 - P * P))
+    total = _triangular_sum(genus, "alpha")
     return _report("triangular_identity", genus, make_context(genus).normal_form(total), started)
-
-
-def _invariance_checks(ctx: RingContext) -> list[tuple[str, Polynomial, bool]]:
-    """(label, class, check_involution) triples for the invariance suite."""
-    gens = invariant_generators()
-    return [
-        ("theta", gens.theta, True),
-        ("boundary", gens.boundary, True),
-        ("gluing", gens.gluing, True),
-        ("q", q_class(), True),
-        ("extra", extra_shift_invariant(), False),
-        ("zero_section", boundary_zero_section(ctx), True),
-    ]
 
 
 def verify_invariance(genus: int) -> list[VerificationReport]:
@@ -304,8 +300,16 @@ def verify_invariance(genus: int) -> list[VerificationReport]:
     itself does not.
     """
     ctx = make_context(genus)
+    gens = invariant_generators()
     reports = []
-    for label, cls, check_involution in _invariance_checks(ctx):
+    for label, cls, check_involution in (
+        ("theta", gens.theta, True),
+        ("boundary", gens.boundary, True),
+        ("gluing", gens.gluing, True),
+        ("q", q_class(), True),
+        ("extra", extra_shift_invariant(), False),
+        ("zero_section", boundary_zero_section(ctx), True),
+    ):
         started = time.perf_counter()
         residual = ctx.normal_form(shift(restrict_infty(cls), 1) - restrict_zero(cls))
         reports.append(_report(f"shift_invariance[{label}]", genus, residual, started))

@@ -228,6 +228,17 @@ def test_large_ring_commands_finish(capsys, argv):
     assert (code, err) == (0, "")
 
 
+def test_verify_at_genus_70_finishes(capsys):
+    # Took 13-18 s while the right-hand side was expanded from both
+    # restrictions of the generators; it is now the shifts of one sum.
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["verify", "--genus", "70"])
+    assert time.perf_counter() - start < 8
+    assert (code, err) == (0, "")
+
+
 def test_verify_invariance_is_looked_up_by_name(capsys, monkeypatch):
     # A wrapper installed on the CLI module's name after import must be the
     # verifier that runs, as for the other identity families.
@@ -572,6 +583,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "--max-genus", "5", "--json"): "f3592c23d1b833fa2360c045b469443e9c3bda30ce0ceed342b61f425ce83e59",
     ("verify", "--max-genus", "6"): "1bf19de134ffc50714aea9c7bfa07a4200ba1915f7bcd0ee7e93a22fa63a52de",
     ("verify", "--genus", "20", "--json"): "5b2366cddfc1531dbf42a01ff02c8130811626176b97c1684cbc1a340dd05499",
+    ("verify", "--genus", "25", "--json"): "2a996fb241c6a6c11e7e81cfb15beabac1c88207d112d679ddacfb8d8ff3d192",
     ("ring", "--genus", "6", "pairing"): "b3a2af28372edbbf199a81737be5ab77ce0c077713393e662e7597c8ef1ab4a2",
     ("ring", "--genus", "8", "pairing"): "d4746f82318f62ac98f814f5692d662404b477cd41512582fd216b9d0899060a",
     ("ring", "--genus", "10", "pairing"): "ccbf76cdc63d80d5718c5040f0162fb05559d041bc34dc426f54c3035da05634",

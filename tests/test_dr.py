@@ -23,7 +23,6 @@ from chowkit import (
     specialize_compact_type,
     theta_pullback,
 )
-from chowkit.poly import combine
 from chowkit.zero_section import coefficient_table
 
 F = Fraction
@@ -466,6 +465,27 @@ def test_deserialize_refuses_coefficients_not_written_n_or_n_over_d(coeff):
         deserialize(text)
 
 
+@pytest.mark.parametrize(
+    "symbol, match",
+    [
+        ({"kind": "delta", "h": 1, "P": [2, 2, 3]}, "distinct"),
+        ({"kind": "K", "i": 1, "h": 5, "P": [9]}, "do not belong"),
+        ({"kind": "delta_irr", "mystery": 1}, "do not belong"),
+    ],
+    ids=str,
+)
+def test_deserialize_refuses_a_symbol_of_the_wrong_shape(symbol, match):
+    # serialize writes none of these: a repeated point would be dropped, and
+    # a field of another kind ignored.
+    with pytest.raises(ValueError, match=match):
+        deserialize(one_term(symbol, g=3, weights=[1, 1, -2]))
+
+
+def test_deserialize_accepts_points_out_of_order():
+    text = one_term({"kind": "delta", "h": 1, "P": [3, 2], "power": 2}, g=3, weights=[1, 1, -2])
+    assert deserialize(text).terms == {((sep(3, 1, [2, 3], 3), 2),): F(1)}
+
+
 def test_deserialize_canonicalizes_symbols():
     # A payload naming the complementary side still lands on the canonical one.
     text = json.dumps(
@@ -569,7 +589,14 @@ PROPERTY_WEIGHTS = [(3, -3), (0, 0), (1, 2, -3), (2, 0, -2), (1, 2, 4, -7), (1, 
 def reference_dr(g, weights):
     # The eta-weighted sum over general FormalClass arithmetic, merging as it goes.
     parts = (theta_pullback(g, weights), boundary_pullback(g, weights), gluing_pullback(g, weights))
-    return combine(coefficient_table(g).eta, parts)
+    total = FormalClass.zero(g, weights)
+    for exps, coeff in coefficient_table(g).eta.items():
+        factors = [part**e for part, e in zip(parts, exps) if e]  # a + b + 2c = g >= 1
+        term = factors[0]
+        for factor in factors[1:]:
+            term = term * factor
+        total = total + term * coeff
+    return total
 
 
 def expected_term_count(g, weights):

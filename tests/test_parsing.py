@@ -197,6 +197,18 @@ def test_powers_are_bounded_when_reduce_kills_no_power():
         assert time.perf_counter() - start < 2
 
 
+def test_powers_with_a_constant_term_are_bounded_without_reduce():
+    # Squaring (1+T1) with no reduce ran past 15 s; the binomial sum stops at
+    # its first summand past the bound.
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="coefficients") as info:
+        parse("(1+T1)^100000000")
+    assert info.value.position == 6
+    assert time.perf_counter() - start < 5
+
+
 def test_coefficients_are_bounded_at_their_operator():
     # Literals are refused by length before int() reads them; sums,
     # products and powers when a coefficient passes the bound, at the

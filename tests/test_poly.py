@@ -251,36 +251,27 @@ def naive_combine(terms, images, zero):
 
 
 def combine_cases():
-    from chowkit import boundary_pullback, gluing_pullback, theta_pullback
-    from chowkit.dr import FormalClass
-
     rng = random.Random(61)
     free = [Polynomial.variable(INVARIANT_VARS, v) for v in INVARIANT_VARS]
     polys = [random_poly(rng, RING_VARS, max_exp=2, terms=3) for _ in range(3)]
-    weights = (2, -1, -1)
-    theta, irr, glue = (f(2, weights) for f in (theta_pullback, boundary_pullback, gluing_pullback))
     return [
         (free, Polynomial.zero(INVARIANT_VARS)),
         ([free[0] - free[1] / 8, free[1], free[2] - 2 * free[0] * free[1]], Polynomial.zero(INVARIANT_VARS)),
         (polys, Polynomial.zero(RING_VARS)),
-        ([theta, irr, glue], FormalClass.zero(2, weights)),
-        ([theta * irr + glue, irr, theta], FormalClass.zero(2, weights)),
-        ([Fraction(3, 2), Fraction(-2), Fraction(5, 7)], Fraction(0)),
-        # Polynomial images, which combine expands over integer numerators,
-        # with terms of exponents up to 6: denominators 2, 3 and 8; a zero
-        # image; images with a constant term.
+        # Terms of exponents up to 6: denominators 2, 3 and 8; a zero image;
+        # images with a constant term.
         ([parse("1/2*T1 + P"), parse("1/3*P - T2"), parse("1/8*T2 - T1 + 3/8*xi")], Polynomial.zero(RING_VARS)),
         ([Polynomial.zero(RING_VARS), parse("1/2 + 1/3*T1"), parse("5 - 1/8*P*T2")], Polynomial.zero(RING_VARS)),
         ([Polynomial.constant(INVARIANT_VARS, Fraction(3, 4)), free[0] - free[1] / 8 + 1, free[2] / 3], Polynomial.zero(INVARIANT_VARS)),
     ]
 
 
-@pytest.mark.parametrize("case", range(9))
+@pytest.mark.parametrize("case", range(6))
 def test_combine_matches_naive_sum(case):
     from chowkit.poly import combine
 
     images, zero = combine_cases()[case]
-    top = 6 if case >= 6 else 2
+    top = 6 if case >= 3 else 2
     rng = random.Random(case)
     terms = {(0, 0, 0): Fraction(-5, 3), (top, top, top): Fraction(1, 7)}
     for _ in range(6):

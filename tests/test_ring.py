@@ -581,6 +581,38 @@ def test_half_shift_squares_to_unit_shift():
         assert half_shift(half_shift(p)) == shift(p, 1)
 
 
+SHIFT_AMOUNTS = [*range(-3, 4), F(1, 2), F(-1, 2), F(2, 3)]
+
+
+def substituted_shift(p, n):
+    # The shift by n as the substitution it is, independent of exp(n*D).
+    t1, pp, t2 = (Polynomial.variable(RING_VARS, v) for v in ("T1", "P", "T2"))
+    return p.substitute({"T1": t1 + n * pp + n * n * t2, "P": pp + 2 * n * t2})
+
+
+def xi_free_polys(seed, count):
+    rng = random.Random(seed)
+    polys = [Polynomial.zero(RING_VARS), parse("1"), parse("-7/3")]
+    return polys + [random_poly(rng, max_exp=4, terms=6, max_den=6).substitute({"xi": 0}) for _ in range(count)]
+
+
+@pytest.mark.parametrize("n", SHIFT_AMOUNTS, ids=str)
+def test_exp_of_the_derivation_is_the_substituted_shift(n):
+    from chowkit.ring import _shifted
+
+    for p in xi_free_polys(11, 25):
+        assert _shifted(p, n) == substituted_shift(p, n)
+
+
+def test_exp_of_the_derivation_is_a_group_law():
+    from chowkit.ring import _shifted
+
+    rng = random.Random(12)
+    for p in xi_free_polys(13, 12):
+        a, b = (F(rng.randint(-6, 6), rng.randint(1, 4)) for _ in range(2))
+        assert _shifted(_shifted(p, a), b) == _shifted(p, a + b)
+
+
 def test_involution_fixtures():
     assert involution(parse("P")) == parse("-1*P")
     assert involution(parse("xi")) == parse("xi - P")

@@ -168,12 +168,38 @@ def test_assembly_is_the_xi_linear_form_of_the_raw_expansion(g, basis):
     assert ctx.normal_form(rhs) == ctx.normal_form(raw)
 
 
+def two_restriction_assembly(ctx, basis):
+    # The assembly from the two restrictions of the invariant generators,
+    # each expanded on its own: A0 = image under xi -> 0, P*A1 = image under
+    # xi -> P minus A0.
+    from chowkit.poly import combine
+    from chowkit.ring import _basis_images
+
+    images = _basis_images(basis, *invariant_generators())
+    table = getattr(coefficient_table(ctx.genus), basis)
+    at_infinity = combine(table, [restrict_infty(image) for image in images])
+    terms = dict(at_infinity.terms)
+    for (_, a, b, c), coeff in (combine(table, [restrict_zero(image) for image in images]) - at_infinity).terms.items():
+        assert b, "P divides the difference of the two images"
+        terms[(1, a, b - 1, c)] = coeff
+    return Polynomial(RING_VARS, terms)
+
+
+@pytest.mark.parametrize("basis", ["alpha", "eta"])
+@pytest.mark.parametrize("g", range(1, 11))
+def test_assembly_equals_the_two_restriction_expansion(g, basis):
+    ctx = make_context(g)
+    assert assemble_main_rhs(ctx, basis) == two_restriction_assembly(ctx, basis)
+
+
 def test_assembly_checks_the_division_by_p(monkeypatch):
-    # xi -> T1 is not a ring map out of R[xi]/(xi^2 - xi*P): the difference
-    # of the two images is not a multiple of P, and no term may be dropped.
+    # A P-free term added to the xi -> P image, the shift by +1/2, leaves a
+    # difference of the two images that P does not divide, and no term may
+    # be dropped.
     import chowkit.zero_section as zs
 
-    monkeypatch.setattr(zs, "restrict_zero", lambda p: p.substitute({"xi": parse("T1")}))
+    shifted = zs._shifted
+    monkeypatch.setattr(zs, "_shifted", lambda p, n: shifted(p, n) + (parse("T1^3") if n > 0 else 0))
     with pytest.raises(ArithmeticError):
         assemble_main_rhs(make_context(3))
 
