@@ -258,6 +258,10 @@ def combine_cases():
         (free, Polynomial.zero(INVARIANT_VARS)),
         ([free[0] - free[1] / 8, free[1], free[2] - 2 * free[0] * free[1]], Polynomial.zero(INVARIANT_VARS)),
         (polys, Polynomial.zero(RING_VARS)),
+        # Images built from one another, and constant images.
+        ([polys[0] * polys[1] + polys[2], polys[1], polys[0]], Polynomial.zero(RING_VARS)),
+        ([polys[2], polys[0] - polys[2], Polynomial.zero(RING_VARS)], Polynomial.zero(RING_VARS)),
+        ([Polynomial.constant(RING_VARS, c) for c in (Fraction(3, 2), Fraction(-2), Fraction(5, 7))], Polynomial.zero(RING_VARS)),
         # Terms of exponents up to 6: denominators 2, 3 and 8; a zero image;
         # images with a constant term.
         ([parse("1/2*T1 + P"), parse("1/3*P - T2"), parse("1/8*T2 - T1 + 3/8*xi")], Polynomial.zero(RING_VARS)),
@@ -266,12 +270,12 @@ def combine_cases():
     ]
 
 
-@pytest.mark.parametrize("case", range(6))
+@pytest.mark.parametrize("case", range(9))
 def test_combine_matches_naive_sum(case):
     from chowkit.poly import combine
 
     images, zero = combine_cases()[case]
-    top = 6 if case >= 3 else 2
+    top = 6 if case >= 6 else 2
     rng = random.Random(case)
     terms = {(0, 0, 0): Fraction(-5, 3), (top, top, top): Fraction(1, 7)}
     for _ in range(6):
