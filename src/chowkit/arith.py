@@ -34,10 +34,7 @@ def double_factorial(n: int) -> int:
     """
     if n < -1 or n % 2 == 0:
         raise ValueError(f"double_factorial needs an odd n >= -1, got {n}")
-    result = 1
-    for k in range(n, 1, -2):
-        result *= k
-    return result
+    return math.prod(range(n, 1, -2))
 
 
 _bernoulli_lock = threading.Lock()
@@ -45,18 +42,23 @@ _bernoulli_table: list[Fraction] = [Fraction(1)]
 
 
 def bernoulli(m: int) -> Fraction:
-    """The m-th Bernoulli number.
+    """The m-th Bernoulli number (``B_1 = -1/2``, ``B_m = 0`` for odd ``m > 1``).
 
-    Computed from the recurrence ``sum_{j=0}^{m} C(m+1, j) * B_j = 0`` with
-    ``B_0 = 1``, which fixes the convention ``B_1 = -1/2``.  Values are
-    memoized in a table that grows on demand; the table is guarded by a lock
-    so concurrent callers see each value computed exactly once.
+    ``B_(2k) = (-1)^(k-1) 2k T_k / (4^k (4^k - 1))`` for the tangent numbers,
+    ``tan x = sum T_k x^(2k-1)/(2k-1)!``, by Brent and Harvey's integer
+    recurrence ("Fast computation of Bernoulli, Tangent and Secant numbers",
+    2011).  The table grows on demand, at least doubling, under a lock so
+    concurrent callers see each value computed exactly once.
     """
     if m < 0:
         raise ValueError(f"bernoulli undefined for negative index {m}")
     with _bernoulli_lock:
-        while len(_bernoulli_table) <= m:
-            k = len(_bernoulli_table)
-            acc = sum(binomial(k + 1, j) * _bernoulli_table[j] for j in range(k))
-            _bernoulli_table.append(-Fraction(acc) / (k + 1))
+        if len(_bernoulli_table) <= m:
+            n = max(m, 2 * len(_bernoulli_table)) // 2
+            t = [0] + [math.factorial(k - 1) for k in range(1, n + 1)]
+            for k in range(2, n + 1):
+                for j in range(k, n + 1):
+                    t[j] = (j - k) * t[j - 1] + (j - k + 2) * t[j]
+            even = (Fraction((-1) ** (k - 1) * 2 * k * t[k], 4**k * (4**k - 1)) for k in range(1, n + 1))
+            _bernoulli_table[1:] = [Fraction(-1, 2), *(v for b in even for v in (b, Fraction(0)))]
         return _bernoulli_table[m]

@@ -537,14 +537,22 @@ _SYMBOL_FIELDS = {  # the fields each kind of symbol may carry
 }
 
 
+def _fields(obj: object, what: str, **kinds: type) -> list:
+    """The values of the fields that ``kinds`` names, refused unless ``obj`` is a JSON object that has each, of its kind."""
+    if not isinstance(obj, dict) or not all(name in obj and isinstance(obj[name], kind) for name, kind in kinds.items()):
+        fields = ", ".join(f"{name} ({kind.__name__})" for name, kind in kinds.items())
+        raise ValueError(f"{what} must be a JSON object with the fields {fields}, got {obj!r:.100}")
+    return [obj[name] for name in kinds]
+
+
 def deserialize(text: str) -> FormalClass:
     """Rebuild a formal class from its JSON form.  Every integer field must be
     a JSON integer (``int()`` would truncate 2.9 and read ``true`` as 1), the
     weights must sum to zero, each coefficient must be the ``n`` or ``n/d``
     that :func:`serialize` writes, and a symbol has only its kind's fields
-    and no repeated point."""
+    and no repeated point; malformed structure is a ``ValueError`` too."""
     payload = json.loads(text)
-    genus, weights = payload["g"], payload["weights"]
+    genus, weights, entries = _fields(payload, "a payload", g=object, weights=list, terms=list)
     if {type(v) for v in (genus, *weights, payload.get("n", 0), payload.get("codim", 0))} != {int}:
         raise ValueError("g, n, codim and the weights must be integers")
     weights = _validate_weights(genus, weights)
@@ -570,21 +578,22 @@ def deserialize(text: str) -> FormalClass:
             raise ValueError(f"unknown symbol kind {kind!r}")
         return symbol, power
 
-    def read(s: dict) -> tuple[DivisorSymbol, int]:
-        allowed = _SYMBOL_FIELDS.get(s["kind"], s.keys())  # an unknown kind is refused in decode
+    def read(s: object) -> tuple[DivisorSymbol, int]:
+        kind, = _fields(s, "a symbol", kind=str)
+        allowed = _SYMBOL_FIELDS.get(kind, s.keys())  # an unknown kind is refused in decode
         if not s.keys() <= allowed:
-            raise ValueError(f"fields {sorted(s.keys() - allowed)} do not belong to a {s['kind']!r} symbol")
-        i, h, points, power = s.get("i", 0), s.get("h", 0), tuple(s.get("P", ())), s.get("power", 1)
-        if {type(i), type(h), type(power), *map(type, points)} != {int}:
+            raise ValueError(f"fields {sorted(s.keys() - allowed)} do not belong to a {kind!r} symbol")
+        i, h, points, power = s.get("i", 0), s.get("h", 0), s.get("P", []), s.get("power", 1)
+        if not isinstance(points, list) or {type(i), type(h), type(power), *map(type, points)} != {int}:
             raise ValueError(f"symbol fields must be integers, got {s}")
-        return decode(s["kind"], i, h, points, power)
+        return decode(kind, i, h, tuple(points), power)
 
     terms = []
-    for entry in payload["terms"]:
-        coeff = entry["coeff"]
+    for entry in entries:
+        coeff, symbols = _fields(entry, "a term", coeff=object, symbols=list)
         if not isinstance(coeff, str) or not EXACT_FORM.fullmatch(coeff):
             raise ValueError(f"coefficients are written n or n/d, got {coeff!r}")
-        terms.append(([read(s) for s in entry["symbols"]], exact_fraction(coeff)))
+        terms.append(([read(s) for s in symbols], exact_fraction(coeff)))
     cls = FormalClass(genus, weights, terms)
     if payload.get("codim", cls.codimension()) != cls.codimension():
         raise ValueError(f"inconsistent payload: codim={payload['codim']} but the terms have codimension {cls.codimension()}")

@@ -16,9 +16,10 @@ exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 
 Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
-the interpreter stack.  Literals too long for ``MAX_POWER_BITS`` bits, and
-sums, products and powers whose coefficients would pass them, are rejected
-the same way, at the literal or the operator.
+the interpreter stack.  Literals too long for ``MAX_POWER_BITS`` bits, sums,
+products and powers whose coefficients would pass them, and products past
+``MAX_TERM_PAIRS`` term pairs with no ``reduce`` are rejected the same way,
+at the literal or the operator.
 """
 
 from __future__ import annotations
@@ -45,6 +46,9 @@ MAX_DEPTH = 100
 #: for a power.  Reduction bounds degrees, not coefficients; this keeps them
 #: under CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
 MAX_POWER_BITS = 10_000
+
+#: Most term pairs ``len(a) * len(b)`` of a product with no ``reduce``: ``(T1+P)^20000`` has no other bound.
+MAX_TERM_PAIRS = 1_000_000
 
 
 class ParseError(ValueError):
@@ -104,7 +108,9 @@ class _Parser:
         return p
 
     def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
-        """``a * b``, passed through ``reduce`` when there is one."""
+        """``a * b``, through ``reduce`` if there is one, else refused past ``MAX_TERM_PAIRS`` term pairs."""
+        if self.reduce is None and len(a) * len(b) > MAX_TERM_PAIRS:
+            raise ParseError(f"product of {len(a)} by {len(b)} terms passes {MAX_TERM_PAIRS} term pairs", position)
         p = a * b
         return self.checked(self.reduce(p) if self.reduce else p, position)
 
@@ -214,8 +220,8 @@ def parse(text: str, variables: Vars = RING_VARS, reduce: Reduce | None = None) 
     is a binomial sum, ended once its non-constant part's powers reduce to 0.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
-    outside the variable set and on coefficients past ``MAX_POWER_BITS``,
-    with the offending position attached.
+    outside the variable set, on coefficients past ``MAX_POWER_BITS`` and on
+    unreduced products past ``MAX_TERM_PAIRS``, at the offending position.
     """
     parser = _Parser(text, tuple(variables), reduce)
     result = parser.parse_expr()

@@ -77,28 +77,36 @@ def _require_degree(k: int) -> None:
         raise ValueError(f"degree must be nonnegative, got {k}")
 
 
-def _shifted(p: Polynomial, n: Fraction | int) -> Polynomial:
-    """``exp(n*D) p`` for the locally nilpotent derivation ``D = P*d/dT1 +
-    2*T2*d/dP``: a ring map, sending ``T1`` to ``T1 + n*P + n^2*T2`` and ``P``
-    to ``P + 2*n*T2``.  ``D`` raises ``b + 2c`` of ``T1^a P^b T2^c``, at most
-    ``2 deg p``, by one, so ``D^(2 deg p + 1) p = 0``.  For integral ``q``,
-    ``D^j q / j!`` is the ``n^j`` coefficient of an integral substitution, so
-    each level of integer numerators is the last one's ``D`` divided by ``j``."""
+def _shift_parts(p: Polynomial, n: Fraction | int) -> tuple[Polynomial, Polynomial]:
+    """``(E, O)``, the sums over even and odd ``j`` of the levels ``n^j D^j p /
+    j!`` of ``exp(n*D) p = E + O`` (so ``exp(-n*D) p = E - O``), for the
+    locally nilpotent ``D = P*d/dT1 + 2*T2*d/dP``.  ``D`` raises ``b + 2c`` of
+    ``T1^a P^b T2^c``, at most ``2 deg p``, by one.  For integral ``q``, ``D^j
+    q / j!`` is the ``n^j`` coefficient of an integral substitution, so each
+    level of integer numerators is the last one's ``D`` divided by ``j``."""
     _require_ring_vars(p)
     _require_xi_free(p)
     n, scale = Fraction(n), lcm(*(c.denominator for c in p.terms.values()))
     level = {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
-    top, total = 2 * p.total_degree(), {}
-    for j in range(1, top + 2):
-        weight, step = n.numerator ** (j - 1) * n.denominator ** (top + 1 - j), {}
+    top, parts, j = 2 * p.total_degree(), ({}, {}), 0
+    while level:
+        weight, part, step = n.numerator**j * n.denominator ** (top - j), parts[j % 2], {}
         for (x, a, b, c), v in level.items():
-            total[(x, a, b, c)] = total.get((x, a, b, c), 0) + weight * v
+            part[(x, a, b, c)] = part.get((x, a, b, c), 0) + weight * v
             if a:
                 step[(x, a - 1, b + 1, c)] = step.get((x, a - 1, b + 1, c), 0) + a * v
             if b:
                 step[(x, a, b - 1, c + 1)] = step.get((x, a, b - 1, c + 1), 0) + 2 * b * v
-        level = {e: v // j for e, v in step.items()}
-    return Polynomial._raw(RING_VARS, {e: Fraction(v, scale * n.denominator**top) for e, v in total.items()})
+        j += 1
+        level = {e: v // j for e, v in step.items() if v}
+    den = scale * n.denominator**top
+    return tuple(Polynomial._raw(RING_VARS, {e: Fraction(v, den) for e, v in part.items()}) for part in parts)
+
+
+def _shifted(p: Polynomial, n: Fraction | int) -> Polynomial:
+    """``exp(n*D) p``, a ring map sending ``T1`` to ``T1 + n*P + n^2*T2`` and
+    ``P`` to ``P + 2*n*T2``."""
+    return add(*_shift_parts(p, n))
 
 
 def shift(p: Polynomial, n: int) -> Polynomial:
@@ -118,19 +126,26 @@ def half_shift(p: Polynomial) -> Polynomial:
 def involution(p: Polynomial) -> Polynomial:
     """Pullback along fiberwise inversion: ``xi -> xi - P``, ``P -> -P``."""
     _require_ring_vars(p)
-    return p.substitute({"xi": XI - P, "P": -P})
+    out: dict[Exponents, Fraction] = {}
+    for (x, a, b, c), coeff in p.terms.items():
+        for i in range(x + 1):  # (xi - P)^x by the binomial theorem
+            out[(x - i, a, b + i, c)] = out.get((x - i, a, b + i, c), 0) + (-1) ** (b + i) * binomial(x, i) * coeff
+    return Polynomial._raw(RING_VARS, out)
 
 
 def restrict_zero(p: Polynomial) -> Polynomial:
     """Restriction to the zero section of the compactifying bundle: ``xi -> P``."""
     _require_ring_vars(p)
-    return p.substitute({"xi": P})
+    out: dict[Exponents, Fraction] = {}
+    for (x, a, b, c), coeff in p.terms.items():
+        out[(0, a, b + x, c)] = out.get((0, a, b + x, c), 0) + coeff
+    return Polynomial._raw(RING_VARS, out)
 
 
 def restrict_infty(p: Polynomial) -> Polynomial:
     """Restriction to the infinity section: ``xi -> 0``."""
     _require_ring_vars(p)
-    return p.substitute({"xi": 0})
+    return Polynomial._raw(RING_VARS, {e: c for e, c in p.terms.items() if not e[0]})
 
 
 class InvariantGenerators(NamedTuple):

@@ -21,6 +21,7 @@ import time
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from math import comb, lcm
 
 from .arith import bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Polynomial, RING_VARS, combine, format_polynomial
@@ -30,7 +31,7 @@ from .ring import (
     T1,
     T2,
     _basis_images,
-    _shifted,
+    _shift_parts,
     degree_triples,
     extra_shift_invariant,
     invariant_generators,
@@ -128,14 +129,33 @@ class CoefficientTable:
 
 @lru_cache(maxsize=None)
 def coefficient_table(genus: int) -> CoefficientTable:
+    """Both families at ``genus``, each coefficient one integer sum and one ``Fraction``.
+
+    With ``s = b + c``, ``n = b + 2c = g - a`` and ``T(m) = (2 - 4^m) B_(2m)``
+    on one denominator, ``alpha(a, b, c) = (-1)^s T(s) (2g-2c-1)!! / (8^s
+    (2a+2c-1)!! (2s-1)!! a! b! c!)``.  In ``eta``'s sum over ``x = k``,
+    ``(2p-1)!! = (2p)!/(2^p p!)`` and ``(2s-2k) + (2c+2k) = 2n`` give ``eta(a,
+    b, c) = (-1)^s (2s-1)!! 2^n / (8^s a! c! (2n)!) * sum_(k<=b) T(c+k) w_k``,
+    where ``8^s / 2^n = 2^(2b+c)`` and ``w_k = C(2n, 2c+2k) (s-k)!/(b-k)!
+    (c+k)!/k!``.  Only these integer weights are hypergeometric in ``k``:
+    ``w_(k+1)/w_k = (2n-u) (2n-u-1) (b-k) (c+k+1) / ((u+1) (u+2) (s-k) (k+1))``
+    for ``u = 2c+2k`` (Petkovsek-Wilf-Zeilberger, "A = B", 1996).
+    """
     if genus < 1:
         raise ValueError(f"genus must be a positive integer, got {genus}")
-    triples = degree_triples(genus)
-    return CoefficientTable(
-        genus=genus,
-        alpha={t: alpha(*t) for t in triples},
-        eta={t: eta(*t) for t in triples},
-    )
+    fact, dfact = [factorial(i) for i in range(2 * genus + 1)], [double_factorial(2 * p - 1) for p in range(genus + 1)]
+    den = lcm(*(bernoulli(2 * m).denominator for m in range(genus + 1)))
+    t = [int((2 - 4**m) * bernoulli(2 * m) * den) for m in range(genus + 1)]
+    alphas, etas = {}, {}
+    for a, b, c in degree_triples(genus):
+        s, n, sign = b + c, b + 2 * c, (-1) ** (b + c)
+        alphas[a, b, c] = Fraction(sign * t[s] * dfact[genus - c], den * dfact[a + c] * dfact[s] * fact[a] * fact[b] * fact[c] << 3 * s)
+        w, total = comb(2 * n, 2 * c) * fact[s] // fact[b] * fact[c], 0
+        for k in range(b):
+            total, u = total + t[c + k] * w, 2 * (c + k)
+            w = w * ((2 * n - u) * (2 * n - u - 1) * (b - k) * (c + k + 1)) // ((u + 1) * (u + 2) * (s - k) * (k + 1))
+        etas[a, b, c] = Fraction(sign * dfact[s] * (total + t[s] * w), den * fact[a] * fact[c] * fact[2 * n] << 2 * b + c)
+    return CoefficientTable(genus=genus, alpha=alphas, eta=etas)
 
 
 # -------------------------------------------------------------- inner sum
@@ -198,16 +218,15 @@ def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     """The invariant-basis combination predicted to equal the zero-section
     class, as its xi-linear representative ``A0 + xi*A1``.  The ring maps
     ``xi -> 0`` and ``xi -> P`` out of ``R~`` send it to the shifts by ``-1/2``
-    and ``+1/2`` of the triangular sum: ``A0`` is the first, and ``P*A1`` the
-    second minus ``A0``, checked to be divisible by ``P``."""
-    triangular = _triangular_sum(ctx.genus, basis)
-    at_infinity = _shifted(triangular, Fraction(-1, 2))
-    terms = dict(at_infinity.terms)
-    for (_, a, b, c), coeff in (_shifted(triangular, Fraction(1, 2)) - at_infinity).terms.items():
+    and ``+1/2`` of the triangular sum, ``E - O`` and ``E + O`` for the even and
+    odd parts of one ``exp(D/2)`` walk: ``A0 = E - O``, and ``P*A1 = 2*O``."""
+    even, odd = _shift_parts(_triangular_sum(ctx.genus, basis), Fraction(1, 2))
+    terms = dict((even - odd).terms)
+    for (_, a, b, c), coeff in odd.terms.items():
         if not b:
-            raise ArithmeticError(f"P does not divide the term {coeff}*T1^{a}*T2^{c} of the xi -> P image")
-        terms[(1, a, b - 1, c)] = coeff
-    return Polynomial(RING_VARS, terms)
+            raise ArithmeticError(f"P does not divide the term {2 * coeff}*T1^{a}*T2^{c} of the xi -> P image")
+        terms[(1, a, b - 1, c)] = 2 * coeff
+    return Polynomial._raw(RING_VARS, terms)
 
 
 # -------------------------------------------------------------- reports
@@ -276,8 +295,7 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
     table = coefficient_table(genus)
     lhs = combine(table.alpha, _basis_images("alpha", *free))
-    rhs = combine(table.eta, _basis_images("eta", *free))
-    return _report("eta_alpha_expansion", genus, lhs - rhs, started)
+    return _report("eta_alpha_expansion", genus, lhs - Polynomial(INVARIANT_VARS, table.eta), started)
 
 
 def verify_triangular(genus: int) -> VerificationReport:

@@ -46,6 +46,16 @@ def test_bernoulli_thread_safety():
     assert results[0] == bernoulli(40)
 
 
+def test_bernoulli_equals_the_recurrence():
+    # The table comes from tangent numbers; the recurrence
+    # sum_{j<=m} C(m+1, j) B_j = 0 with B_0 = 1 is an independent oracle.
+    expected = [Fraction(1)]
+    for m in range(1, 201):
+        expected.append(-sum(binomial(m + 1, j) * expected[j] for j in range(m)) / (m + 1))
+    assert [bernoulli(m) for m in range(201)] == expected
+    assert all(type(bernoulli(m)) is Fraction for m in range(201))
+
+
 def test_double_factorial_values():
     assert double_factorial(-1) == 1
     assert double_factorial(1) == 1

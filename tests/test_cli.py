@@ -239,6 +239,19 @@ def test_verify_at_genus_70_finishes(capsys):
     assert (code, err) == (0, "")
 
 
+def test_coeffs_at_genus_150_finishes(capsys):
+    # Took 10-13 s while each coefficient was its own Fraction sum over
+    # Bernoulli numbers from the O(m^2) recurrence.
+    import hashlib
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["coeffs", "--genus", "150"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "b8c6670630316d5be8ab808492abf9b24c91c5051926a2861d0141c3b5914559"
+
+
 def test_verify_invariance_is_looked_up_by_name(capsys, monkeypatch):
     # A wrapper installed on the CLI module's name after import must be the
     # verifier that runs, as for the other identity families.
@@ -605,6 +618,7 @@ GOLDEN_STDOUT_SHA256 = {
     ("coeffs", "--genus", "6"): "e9906c5ee1daeb468199450a3846deb366350961d6060e3a906403c7f836d097",
     ("coeffs", "--genus", "6", "--json"): "535b733a0062016ef59896ce02d975126c2cbd9d99e614b150dd09b2093cf3f9",
     ("coeffs", "--genus", "5", "--table", "eta"): "48d468db421b8a93344fc90b73ad8b2ad3cf4594932137f5f7c09d48061776fa",
+    ("coeffs", "--genus", "40", "--json"): "0122037fd3ada525e272c9e59c15e610363d98c81a5adf514b8622e0483fc159",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "latex"): "7a106dbb07584048e96bf94238cbf615eaaf6fcd894e34eb75a25d6eb1dc9bfe",
     ("dr", "--genus", "3", "--weights=2,1,-3", "--format", "json"): "c7793ed7c162cd7a61c0974fa3e7cceda1dcc01f79398d8e72fc10e36e470356",
     # The 94,212-term class, where term order and fragment rendering matter most.
@@ -683,13 +697,15 @@ def test_benchmark_tracer_sees_every_ring_layer():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 9
     calls = result["calls"]
-    # No CLI command reaches these five: only express_in_invariants calls
+    # No CLI command reaches these six: only express_in_invariants calls
     # solve, dr_class expands over integer symbol ids, never through
     # FormalClass arithmetic, and pairing_matrix reads phi through _gram,
     # not through socle_pushforward.  Only reduction past degree g reaches
     # rref, hence the degree-2g-2 reduce (not of (T1+P+T2)^6: (T1+P+T2)^g
     # is the sum of the relations, so that power is zero from degree g on).
-    unreachable = {"linalg.solve", "dr.mul", "dr.pow", "dr.add", "ring.socle_pushforward"}
+    # No CLI path substitutes: the restrictions and the involution are term
+    # maps, shifts are exp(n*D), and the eta side is the table itself.
+    unreachable = {"linalg.solve", "dr.mul", "dr.pow", "dr.add", "ring.socle_pushforward", "poly.substitute"}
     assert unreachable <= set(calls)
     assert [layer for layer in calls if layer not in unreachable and not calls[layer]] == []
 

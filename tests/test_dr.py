@@ -481,6 +481,48 @@ def test_deserialize_refuses_a_symbol_of_the_wrong_shape(symbol, match):
         deserialize(one_term(symbol, g=3, weights=[1, 1, -2]))
 
 
+def test_deserialize_refuses_a_symbol_without_a_kind():
+    with pytest.raises(ValueError, match=r"a symbol must be a JSON object with the fields kind \(str\)"):
+        deserialize(one_term({"i": 1}))
+
+
+def test_deserialize_refuses_a_kind_that_is_not_a_string():
+    with pytest.raises(ValueError, match=r"a symbol must be a JSON object with the fields kind \(str\)"):
+        deserialize(one_term({"kind": ["K"]}))
+
+
+def test_deserialize_refuses_a_term_without_symbols():
+    text = json.dumps({"g": 2, "weights": [1, -1], "terms": [{"coeff": "1"}]})
+    with pytest.raises(ValueError, match=r"a term must be a JSON object with the fields coeff \(object\), symbols \(list\)"):
+        deserialize(text)
+
+
+def test_deserialize_refuses_a_payload_without_terms():
+    with pytest.raises(ValueError, match=r"a payload must be a JSON object with the fields g \(object\), weights \(list\), terms \(list\)"):
+        deserialize(json.dumps({"g": 2, "weights": [1, -1]}))
+
+
+def test_deserialize_refuses_a_top_level_array():
+    with pytest.raises(ValueError, match="a payload must be a JSON object"):
+        deserialize(json.dumps([{"g": 2, "weights": [1, -1], "terms": []}]))
+
+
+@pytest.mark.parametrize(
+    "payload",
+    [
+        {"g": 2, "weights": 5, "terms": []},
+        {"g": 2, "weights": [1, -1], "terms": {"coeff": "1"}},
+        {"g": 2, "weights": [1, -1], "terms": [{"coeff": "1", "symbols": 5}]},
+        {"g": 2, "weights": [1, -1], "terms": [{"coeff": "1", "symbols": ["K"]}]},
+        {"g": 3, "weights": [1, 1, -2], "terms": [{"coeff": "1", "symbols": [{"kind": "delta", "h": 1, "P": 2}]}]},
+    ],
+    ids=str,
+)
+def test_deserialize_refuses_lists_and_objects_in_each_others_place(payload):
+    with pytest.raises(ValueError):
+        deserialize(json.dumps(payload))
+
+
 def test_deserialize_accepts_points_out_of_order():
     text = one_term({"kind": "delta", "h": 1, "P": [3, 2], "power": 2}, g=3, weights=[1, 1, -2])
     assert deserialize(text).terms == {((sep(3, 1, [2, 3], 3), 2),): F(1)}

@@ -6,7 +6,7 @@ from fractions import Fraction
 import pytest
 
 from chowkit import INVARIANT_VARS, ParseError, Polynomial, RING_VARS, format_polynomial, parse
-from chowkit.parsing import MAX_DEPTH, MAX_POWER_BITS
+from chowkit.parsing import MAX_DEPTH, MAX_POWER_BITS, MAX_TERM_PAIRS
 from chowkit.ring import make_context
 from test_poly import random_poly
 
@@ -207,6 +207,26 @@ def test_powers_with_a_constant_term_are_bounded_without_reduce():
         parse("(1+T1)^100000000")
     assert info.value.position == 6
     assert time.perf_counter() - start < 5
+
+
+def test_unreduced_products_are_bounded_by_their_term_pairs():
+    # With no reduce and no constant term, (T1+P)^20000 squared its way to
+    # products of two 10,000-term powers and ran past 15 s; now the first
+    # product past the bound is refused at its operator.
+    import time
+
+    start = time.perf_counter()
+    with pytest.raises(ParseError, match="term pairs") as info:
+        parse("(T1+P)^20000")
+    assert info.value.position == 6
+    assert time.perf_counter() - start < 5
+    wide = "+".join(f"T1^{k}" for k in range(1001))
+    with pytest.raises(ParseError, match="term pairs") as info:
+        parse(f"({wide})*({wide})")
+    assert info.value.position == len(wide) + 2
+    # A reduce lifts the bound: the CLI always passes one.
+    assert 1001 * 1001 > MAX_TERM_PAIRS
+    assert parse(f"({wide})*({wide})", reduce=up_to_degree(2)) == parse("1 + 2*T1 + 3*T1^2")
 
 
 def test_coefficients_are_bounded_at_their_operator():

@@ -630,6 +630,26 @@ def test_restrictions():
     assert restrict_infty(parse("xi*T1 + T2")) == parse("T2")
 
 
+TERM_MAPS = {
+    "restrict_infty": (restrict_infty, {"xi": 0}),
+    "restrict_zero": (restrict_zero, {"xi": parse("P")}),
+    "involution": (involution, {"xi": parse("xi - P"), "P": parse("-1*P")}),
+}
+
+
+@pytest.mark.parametrize("name", TERM_MAPS)
+def test_term_maps_are_their_substitutions(name):
+    # The maps move terms directly; substitute expands the images as
+    # polynomials, so it is an independent oracle.
+    term_map, images = TERM_MAPS[name]
+    rng = random.Random(14)
+    polys = [Polynomial.zero(RING_VARS), parse("1"), parse("-7/3"), parse("xi^2"), parse("3*xi^4*T1 - xi^3*P^2 + 1/2")]
+    polys += [random_poly(rng, max_exp=4, terms=8, max_den=6) for _ in range(40)]
+    assert any(p.degree_in("xi") >= 3 for p in polys[5:])
+    for p in polys:
+        assert term_map(p) == p.substitute(images)
+
+
 # ------------------------------------------------------------------ invariants
 
 

@@ -32,6 +32,8 @@ from chowkit import (
     verify_triangular,
 )
 
+from test_poly import random_poly
+
 F = Fraction
 
 
@@ -121,6 +123,16 @@ def test_coefficient_table_contents():
 # ------------------------------------------------------------------ assembly
 
 
+@pytest.mark.parametrize("g", range(1, 41))
+def test_coefficient_table_equals_the_public_formulas(g):
+    # The table sums eta over integers with term-ratio weights; the public
+    # alpha and eta are the formulas as written, one Fraction at a time.
+    table = coefficient_table(g)
+    assert list(table.alpha) == list(table.eta) == degree_triples(g)
+    assert table.alpha == {t: alpha(*t) for t in degree_triples(g)}
+    assert table.eta == {t: eta(*t) for t in degree_triples(g)}
+
+
 def test_zero_section_fixtures():
     assert boundary_zero_section(make_context(1)) == parse("xi")
     assert boundary_zero_section(make_context(2)) == parse("xi*T1")
@@ -193,15 +205,34 @@ def test_assembly_equals_the_two_restriction_expansion(g, basis):
 
 
 def test_assembly_checks_the_division_by_p(monkeypatch):
-    # A P-free term added to the xi -> P image, the shift by +1/2, leaves a
-    # difference of the two images that P does not divide, and no term may
-    # be dropped.
+    # A P-free term added to the odd part of the shared walk changes the
+    # xi -> P image minus the xi -> 0 image, twice the odd part, by a term
+    # that P does not divide, and no term may be dropped.
     import chowkit.zero_section as zs
 
-    shifted = zs._shifted
-    monkeypatch.setattr(zs, "_shifted", lambda p, n: shifted(p, n) + (parse("T1^3") if n > 0 else 0))
+    shift_parts = zs._shift_parts
+
+    def injected(p, n):
+        even, odd = shift_parts(p, n)
+        return even, odd + parse("T1^3")
+
+    monkeypatch.setattr(zs, "_shift_parts", injected)
     with pytest.raises(ArithmeticError):
         assemble_main_rhs(make_context(3))
+
+
+def test_half_shift_pair_is_the_two_shifts():
+    # One walk gives the even and odd parts E and O of the shift by +1/2;
+    # the shifts by -1/2 and +1/2 are E - O and E + O.
+    from chowkit.ring import _shift_parts, _shifted
+
+    rng = random.Random(15)
+    polys = [Polynomial.zero(RING_VARS), parse("1"), parse("-7/3"), parse("T1^5*T2 - 3*P^4")]
+    polys += [random_poly(rng, max_exp=4, terms=8, max_den=6).substitute({"xi": 0}) for _ in range(30)]
+    for p in polys:
+        even, odd = _shift_parts(p, F(1, 2))
+        assert even - odd == _shifted(p, F(-1, 2))
+        assert even + odd == _shifted(p, F(1, 2))
 
 
 def test_assemble_rejects_unknown_basis():
