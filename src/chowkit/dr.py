@@ -180,10 +180,7 @@ class FormalClass:
 
     def __init__(self, genus: int, weights: Sequence[int], terms: Mapping[Term, Scalar] | Iterable | None = None):
         """``terms``: a mapping or ``(term, coeff)`` pairs; repeated symbols and terms merge."""
-        if genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {genus}")
-        if len(weights) < 1:
-            raise ValueError("at least one marked point is required")
+        weights = _validate_weights(genus, weights)
         items = list(terms.items() if isinstance(terms, Mapping) else terms or ())
         symbols = sorted({s for term, _ in items for s, _ in term}, key=DivisorSymbol.sort_key)
         index = {s: i for i, s in enumerate(symbols)}
@@ -196,7 +193,7 @@ class FormalClass:
             key = _key(powers)
             ids[key] = ids.get(key, 0) + Fraction(coeff)
         self.genus = genus
-        self.weights = tuple(int(d) for d in weights)
+        self.weights = weights
         self.symbols = tuple(symbols)
         self.ids = {key: coeff for key, coeff in ids.items() if coeff}
 
@@ -369,7 +366,10 @@ def _power_terms(form: Sequence[tuple[int, int]], exponent: int) -> list[tuple[K
 
 
 def _validate_weights(genus: int, weights: Sequence[int]) -> tuple[int, ...]:
-    weights = tuple(int(d) for d in weights)
+    """The one ambient check; a number that is not an ``int`` is refused, not truncated."""
+    weights = tuple(weights)
+    if {type(v) for v in (genus, *weights)} != {int}:
+        raise ValueError(f"the genus and the weights must be integers, got {genus!r} and {weights!r}")
     if genus < 1:
         raise ValueError(f"genus must be a positive integer, got {genus}")
     if len(weights) < 1:
@@ -403,7 +403,6 @@ def theta_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
 
 def boundary_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
     """Pullback of the boundary class: the irreducible boundary divisor."""
-    weights = _validate_weights(genus, weights)
     return FormalClass.from_symbol(genus, weights, DivisorSymbol.irreducible())
 
 
@@ -553,8 +552,8 @@ def deserialize(text: str) -> FormalClass:
     and no repeated point; malformed structure is a ``ValueError`` too."""
     payload = json.loads(text)
     genus, weights, entries = _fields(payload, "a payload", g=object, weights=list, terms=list)
-    if {type(v) for v in (genus, *weights, payload.get("n", 0), payload.get("codim", 0))} != {int}:
-        raise ValueError("g, n, codim and the weights must be integers")
+    if {type(payload.get(name, 0)) for name in ("n", "codim")} != {int}:
+        raise ValueError("n and codim must be integers")
     weights = _validate_weights(genus, weights)
     n = len(weights)
     if payload.get("n", n) != n:

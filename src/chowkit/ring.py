@@ -243,30 +243,25 @@ class RingContext:
         if not isinstance(genus, int) or genus < 1:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         self.genus = genus
-        self.relation_grades = tuple(range(genus, -genus - 1, -1))
-        self.relations = self._build_relations()
+        self.relation_grades = range(genus, -genus - 1, -1)
         self._rewrites: dict[tuple[int, int], dict[Exponents, Rewrite]] = {}
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- relations
 
-    def _build_relations(self) -> tuple[Polynomial, ...]:
-        g = self.genus
-        buckets: dict[int, dict[Exponents, Fraction]] = {l: {} for l in self.relation_grades}
-        for i in range(g + 1):
-            for j in range(g - i + 1):
-                k = g - i - j
-                coeff = Fraction(factorial(g), factorial(i) * factorial(j) * factorial(k))
-                # T1^i P^j T2^k contributes to the coefficient of n^(j+2k),
-                # i.e. to the relation of d-grade l = i - k.
-                buckets[i - k][(0, i, j, k)] = coeff
-        return tuple(Polynomial(RING_VARS, buckets[l]) for l in self.relation_grades)
-
     def relation(self, l: int) -> Polynomial:
-        """The defining relation of d-grade ``l`` (``-g <= l <= g``)."""
-        if not -self.genus <= l <= self.genus:
-            raise ValueError(f"d-grade must satisfy -{self.genus} <= l <= {self.genus}, got {l}")
-        return self.relations[self.genus - l]
+        """The defining relation of d-grade ``l`` (``-g <= l <= g``): the block
+        of degree ``g`` and d-grade ``l``, each ``T1^i P^j T2^k`` weighted by
+        ``g!/(i! j! k!)``, built when asked."""
+        g = self.genus
+        if not -g <= l <= g:
+            raise ValueError(f"d-grade must satisfy -{g} <= l <= {g}, got {l}")
+        return Polynomial(RING_VARS, {e: binomial(g, e[1]) * binomial(g - e[1], e[2]) for e in _block(g, l)})
+
+    @property
+    def relations(self) -> tuple[Polynomial, ...]:
+        """The defining relations, in the order of ``relation_grades``."""
+        return tuple(map(self.relation, self.relation_grades))
 
     # ------------------------------------------------------------- normal form data
 
@@ -308,10 +303,9 @@ class RingContext:
             if (k, d) in self._rewrites:
                 return self._rewrites[(k, d)]
             g, rewrites = self.genus, {}
-            if k == g:
-                rel = self.relation(d).terms
-                lead = min(rel)
-                rewrites[lead] = tuple((m, -c / rel[lead]) for m, c in sorted(rel.items()) if m != lead)
+            if k == g:  # one division per block; a Gram rref here made verify jobs about 25 % slower
+                (lead, c0), *rest = sorted(self.relation(d).terms.items())
+                rewrites[lead] = tuple((m, -c / c0) for m, c in rest)
             elif g < k <= 2 * g - 2:
                 block, r = _block(k, d), self._rank(k, d)
                 rows, pivots = rref(self._gram(_block(2 * g - 2 - k, -d), block))
@@ -359,10 +353,12 @@ class RingContext:
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
-        given, of its d-grade-``l`` subspace."""
+        given, of its d-grade-``l`` subspace.  The blocks of degree ``m =
+        min(k, 2g-2-k)`` give the d-grade parts their sizes and partition the
+        ``C(m+2, 2)`` monomials of that degree, none once ``m < 0``."""
         _require_degree(k)
         m = min(k, 2 * self.genus - 2 - k)
-        return self._rank(k, l) if l is not None else sum(self._rank(k, d) for d in range(-m, m + 1))
+        return self._rank(k, l) if l is not None else max(m + 1, 0) * (m + 2) // 2
 
     def socle_pushforward(self, p: Polynomial) -> Fraction:
         """Pushforward of a top-degree class to the base, as an exact rational.

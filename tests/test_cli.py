@@ -213,19 +213,29 @@ def test_verify_at_genus_35_finishes(capsys):
 
 @pytest.mark.parametrize(
     "argv",
-    [["ring", "--genus", "24", "dims"], ["ring", "--genus", "16", "pairing"], ["ring", "--genus", "80", "dims"]],
+    [
+        ["ring", "--genus", "24", "dims"],
+        ["ring", "--genus", "16", "pairing"],
+        ["ring", "--genus", "80", "dims"],
+        ["ring", "--genus", "1000", "dims"],
+    ],
     ids=" ".join,
 )
 def test_large_ring_commands_finish(capsys, argv):
     # The first two took 28 s and 4.3 s while every degree above g was found
-    # by eliminating the shifted relations, and dims at genus 40 took 10 s
-    # while it still eliminated every block above g.
+    # by eliminating the shifted relations, dims at genus 40 took 10 s while
+    # it still eliminated every block above g, and dims at genus 1000 took
+    # 87-94 s while every context built its relations.
     import time
 
     start = time.perf_counter()
     code, out, err = run(capsys, argv)
     assert time.perf_counter() - start < 10
     assert (code, err) == (0, "")
+    if argv[-1] == "dims":
+        # C(k+2, 2) below g, symmetric about g-1 down to 1 in degree 2g-2, then 0.
+        free = [(k + 1) * (k + 2) // 2 for k in range(int(argv[2]))]
+        assert out.splitlines() == [f"k={k}: {d}" for k, d in enumerate(free + free[-2::-1] + [0])]
 
 
 def test_verify_at_genus_70_finishes(capsys):

@@ -5,7 +5,7 @@ import hashlib
 import json
 import random
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 
 import pytest
@@ -115,6 +115,15 @@ def test_weight_validation():
         theta_pullback(0, (0,))
     with pytest.raises(ValueError):
         dr_class(2, ())
+    # Numbers that are not ints are refused, not truncated by int().
+    with pytest.raises(ValueError, match="must be integers"):
+        dr_class(1, (1.5, -1.5))
+    with pytest.raises(ValueError, match="must be integers"):
+        theta_pullback(2, (0.9, -0.9))
+    with pytest.raises(ValueError, match="must be integers"):
+        FormalClass(2, (2.7, -2.2))
+    with pytest.raises(ValueError, match="must be integers"):
+        dr_class(True, (1, -1))
 
 
 # ------------------------------------------------------------------ pullbacks
@@ -184,13 +193,35 @@ def test_negation_invariance():
         assert dr_class(g, w).terms == dr_class(g, flipped).terms
 
 
-def test_relabeling_equivariance_spot_check():
-    # (1,1,-2) and (-2,1,1) differ by swapping the roles of points 1 and 3.
-    a = theta_pullback(3, (1, 1, -2)).terms
-    b = theta_pullback(3, (-2, 1, 1)).terms
-    assert a[single(DivisorSymbol.cotangent(3))] == b[single(DivisorSymbol.cotangent(1))]
-    assert a[single(sep(3, 0, [1, 2], 3))] == b[single(sep(3, 0, [2, 3], 3))]
-    assert a[single(sep(3, 1, [3], 3))] == b[single(sep(3, 1, [1], 3))]
+def relabeled(cls, new_label):
+    """``cls`` with each symbol's marked point ``i`` renamed ``new_label[i]``."""
+    g, n = cls.genus, cls.n
+
+    def rename(symbol):
+        if symbol.kind == "K":
+            return DivisorSymbol.cotangent(new_label[symbol.index])
+        if symbol.kind == "xi":
+            return DivisorSymbol.rational_bridge(new_label[symbol.index])
+        if symbol.kind == "delta":
+            return sep(g, symbol.genus_part, [new_label[i] for i in symbol.points], n)
+        return symbol
+
+    weights = [0] * n
+    for i, d in enumerate(cls.weights, 1):
+        weights[new_label[i] - 1] = d
+    return FormalClass(g, weights, {tuple((rename(s), p) for s, p in term): c for term, c in cls.terms.items()})
+
+
+def test_relabeling_equivariance():
+    # Permuting the weights permutes the marked points of every symbol: 96
+    # permutations in all (g = 3 with n = 4 would take about 12 s).
+    cases = [(1, (1, 2, -3)), (2, (1, 2, -3)), (3, (2, -1, -1)), (3, (1, 2, -3)), (1, (1, 2, 4, -7)), (2, (1, -1, 2, -2)), (2, (1, 2, 4, -7))]
+    for g, weights in cases:
+        for order in permutations(range(1, len(weights) + 1)):
+            new_label = dict(zip(order, range(1, len(weights) + 1)))
+            permuted = tuple(weights[i - 1] for i in order)
+            for build in (theta_pullback, dr_class):
+                assert build(g, permuted) == relabeled(build(g, weights), new_label)
 
 
 # ------------------------------------------------------------------ dr class
