@@ -12,6 +12,7 @@ printed — so identical invocations produce byte-identical output.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import re
 import sys
@@ -124,9 +125,15 @@ def cmd_ring(args: argparse.Namespace) -> int:
             lines.append(f"k={k}: determinant {det}")
             lines.extend("  [" + " ".join(row) + "]" for row in entries)
     elif args.action == "relations":
-        rendered = [(l, format_polynomial(ctx.relation(l))) for l in ctx.relation_grades]
+        rendered = ((l, format_polynomial(ctx.relation(l))) for l in ctx.relation_grades)
+        if not args.json:
+            # Each line is written as it is made: at large genus one relation is megabytes of text.
+            if not args.quiet:
+                for l, text in rendered:
+                    print(f"l={l}:", text)
+            return 0
         payload["relations"] = [{"d_grade": l, "polynomial": text} for l, text in rendered]
-        lines = [f"l={l}: {text}" for l, text in rendered]
+        lines = []
     else:  # action == "reduce"
         if args.expr is None:
             return _usage_error("ring reduce needs an expression argument")
@@ -181,6 +188,7 @@ def cmd_dr(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ wiring
 
 
+@functools.cache  # one parser per process: main copies argv and sets args.expr on the namespace
 def _build_parser() -> argparse.ArgumentParser:
     quiet = argparse.ArgumentParser(add_help=False)
     quiet.add_argument("--quiet", action="store_true", help="suppress output (exit code carries the result)")

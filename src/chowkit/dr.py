@@ -456,8 +456,15 @@ def specialize_compact_type(cls: FormalClass) -> FormalClass:
 
 
 def _json_fragment(symbol: DivisorSymbol, power: int) -> str:
-    # One entry of a term's "symbols" list, indented as in the whole payload.
-    return "        " + json.dumps(symbol.to_json_dict(power), indent=2).replace("\n", "\n        ")
+    # One entry of a term's "symbols" list, as json.dumps(payload, indent=2) prints it at that depth.
+    fields = []
+    for name, value in symbol.to_json_dict(power).items():
+        if isinstance(value, str):
+            value = f'"{value}"'
+        elif isinstance(value, list):
+            value = "[\n            " + ",\n            ".join(map(str, value)) + "\n          ]" if value else "[]"
+        fields.append(f'"{name}": {value}')
+    return "        {\n          " + ",\n          ".join(fields) + "\n        }"
 
 
 # The fixed text around a term's coefficient and its "symbols" entries.

@@ -395,21 +395,28 @@ def signed_sum(terms: Iterable[tuple[Fraction, list[str]]], render_coeff, separa
 
     A term's body is ``render_coeff(|coeff|)`` followed by its pieces, all
     joined by ``separator``; a unit coefficient is left out when there are
-    pieces.
+    pieces.  Each coefficient object's sign, text and unit test are made
+    once: many terms may share one object.
     """
+    # By id(): each entry holds its coefficient, so no id is reused during the call.
+    leads: dict[int, tuple[Fraction, bool, str, bool]] = {}
     chunks: list[str] = []
     for coeff, pieces in terms:
-        magnitude = abs(coeff)
+        lead = leads.get(id(coeff))
+        if lead is None:
+            magnitude = abs(coeff)
+            lead = leads[id(coeff)] = (coeff, coeff < 0, render_coeff(magnitude), magnitude == 1)
+        _, negative, text, unit = lead
         if not pieces:
-            body = render_coeff(magnitude)
-        elif magnitude == 1:
+            body = text
+        elif unit:
             body = separator.join(pieces)
         else:
-            body = separator.join([render_coeff(magnitude), *pieces])
+            body = separator.join([text, *pieces])
         if chunks:
-            chunks.append(f" - {body}" if coeff < 0 else f" + {body}")
+            chunks.append(f" - {body}" if negative else f" + {body}")
         else:
-            chunks.append(f"-{body}" if coeff < 0 else body)
+            chunks.append(f"-{body}" if negative else body)
     return "".join(chunks) or "0"
 
 

@@ -389,6 +389,39 @@ def test_ring_relations_json(capsys):
     assert payload["relations"][2] == {"d_grade": 0, "polynomial": "2*T1*T2 + P^2"}
 
 
+def test_ring_relations_are_written_one_at_a_time():
+    # Holding every relation's text (and two more copies of it) before printing
+    # peaked at over 800 times the longest line here.
+    import io
+    import tracemalloc
+    from contextlib import redirect_stdout
+
+    class Sink(io.TextIOBase):
+        """Counts the longest line and keeps nothing."""
+
+        longest = current = 0
+
+        def write(self, text):
+            *ended, rest = text.split("\n")
+            for piece in ended:
+                self.longest = max(self.longest, self.current + len(piece))
+                self.current = 0
+            self.current += len(rest)
+            return len(text)
+
+    sink = Sink()
+    main(["ring", "--genus", "2", "relations"])  # imports and first-call set-up, outside the trace
+    with redirect_stdout(sink):
+        tracemalloc.start()
+        try:
+            code = main(["ring", "--genus", "200", "relations"])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0 and sink.longest > 9000
+    assert peak <= 20 * sink.longest
+
+
 # ------------------------------------------------------------------ coeffs
 
 
@@ -533,6 +566,32 @@ def test_help_exits_zero(capsys):
     code, out, _ = run(capsys, ["--help"])
     assert code == 0
     assert "chowkit" in out
+
+
+PARSER_REUSE = [
+    ["ring", "--genus", "0", "dims"],
+    ["verify", "--genus", "3", "--quiet"],
+    ["ring", "--genus", "3", "--json", "dims"],
+    ["ring", "--genus", "3", "reduce", "--", "-T1"],
+    ["dr", "--genus", "1", "--weights", "-1,1", "--format", "latex"],
+    ["--help"],
+]
+
+
+def test_one_parser_serves_every_call(capsys):
+    # The parser is built once per process; no call may leave state in it.
+    from chowkit.cli import _build_parser
+
+    assert _build_parser() is _build_parser()
+    alone = []
+    for argv in PARSER_REUSE:
+        _build_parser.cache_clear()
+        alone.append(run(capsys, argv)[:2])
+    assert [code for code, _ in alone] == [2, 0, 0, 0, 0, 0]
+    _build_parser.cache_clear()
+    parser = _build_parser()
+    assert [run(capsys, argv)[:2] for argv in PARSER_REUSE] == alone
+    assert _build_parser() is parser
 
 
 def test_unknown_choice_is_usage_error(capsys):

@@ -9,20 +9,26 @@ from itertools import combinations, permutations
 from math import comb
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from chowkit import (
+    INVARIANT_VARS,
     DivisorSymbol,
     FormalClass,
+    Polynomial,
     boundary_pullback,
     deserialize,
     dr_class,
     eta,
     factorial,
+    format_polynomial,
     gluing_pullback,
+    parse,
     serialize,
     specialize_compact_type,
     theta_pullback,
 )
+from chowkit.poly import signed_sum
 from chowkit.zero_section import coefficient_table
 
 F = Fraction
@@ -371,6 +377,191 @@ SERIALIZED_CLASSES = {
 def test_json_text_is_that_of_json_dumps(name):
     cls = SERIALIZED_CLASSES[name]()
     assert serialize(cls) == json.dumps(full_payload(cls), indent=2)
+
+
+# ------------------------------------------------------------------ signed sums against a reference
+
+
+def reference_signed_sum(terms, render_coeff, separator):
+    """The signed join worked out term by term, with nothing shared between terms."""
+    chunks = []
+    for coeff, pieces in terms:
+        magnitude = abs(coeff)
+        if not pieces:
+            body = render_coeff(magnitude)
+        elif magnitude == 1:
+            body = separator.join(pieces)
+        else:
+            body = separator.join([render_coeff(magnitude), *pieces])
+        if not chunks:
+            chunks.append("-" + body if coeff < 0 else body)
+        else:
+            chunks.append(("- " if coeff < 0 else "+ ") + body)
+    return " ".join(chunks) or "0"
+
+
+def reference_coeff_latex(magnitude):
+    if magnitude.denominator == 1:
+        return str(magnitude.numerator)
+    return r"\frac{%d}{%d}" % (magnitude.numerator, magnitude.denominator)
+
+
+def reference_latex(cls):
+    """The LaTeX of a class from its public ``sorted_terms``, one term at a time."""
+
+    def factor(symbol, power):
+        if power == 1:
+            return symbol.latex()
+        if symbol.kind == "delta":
+            return "(%s)^{%d}" % (symbol.latex(), power)
+        return "%s^{%d}" % (symbol.latex(), power)
+
+    terms = [(coeff, [factor(s, p) for s, p in term]) for term, coeff in cls.sorted_terms()]
+    return reference_signed_sum(terms, reference_coeff_latex, " ")
+
+
+def shared_and_distinct_coefficients():
+    # One coefficient object shared by two terms beside equal-valued distinct ones, of both signs.
+    k1, k2, irr = DivisorSymbol.cotangent(1), DivisorSymbol.cotangent(2), DivisorSymbol.irreducible()
+    shared, symbols = F(-1, 2), (k1, k2, irr)
+    ids = {(0, 1): shared, (1, 1): F(-1, 2), (2, 1): shared, (0, 1, 1, 1): F(1, 2), (1, 2): F(-1), (2, 2): F(-1)}
+    return FormalClass._raw(2, (1, -1), symbols, ids)
+
+
+RENDERED_CLASSES = {
+    **SERIALIZED_CLASSES,
+    "first term minus one times a symbol": lambda: FormalClass(
+        2, (1, -1), {single(DivisorSymbol.cotangent(1)): F(-1), single(DivisorSymbol.cotangent(2)): F(1, 2)}
+    ),
+    "lone negative constant": lambda: FormalClass(2, (1, -1), {(): F(-3, 4)}),
+    "lone minus one": lambda: FormalClass(2, (1, -1), {(): F(-1)}),
+    "plus one constant beside symbols": lambda: FormalClass(
+        2, (1, -1), {(): F(1), single(DivisorSymbol.cotangent(1)): F(-2), single(DivisorSymbol.irreducible()): F(1)}
+    ),
+    "equal-valued distinct coefficients": lambda: FormalClass(
+        2,
+        (1, -1),
+        {single(s): F(-1, 3) for s in (DivisorSymbol.cotangent(1), DivisorSymbol.cotangent(2), DivisorSymbol.irreducible())},
+    ),
+    "shared and distinct coefficient objects": shared_and_distinct_coefficients,
+}
+
+
+@pytest.mark.parametrize("name", RENDERED_CLASSES)
+def test_latex_matches_the_term_by_term_reference(name):
+    cls = RENDERED_CLASSES[name]()
+    assert serialize(cls, "latex") == reference_latex(cls)
+
+
+def test_latex_reference_reads_the_fixtures():
+    # The reference itself against hand-written text.
+    assert reference_latex(RENDERED_CLASSES["first term minus one times a symbol"]()) == r"-K_{1} + \frac{1}{2} K_{2}"
+    assert reference_latex(RENDERED_CLASSES["lone negative constant"]()) == r"-\frac{3}{4}"
+    assert reference_latex(RENDERED_CLASSES["plus one constant beside symbols"]()) == r"1 - 2 K_{1} + \delta_{irr}"
+    assert reference_latex(shared_and_distinct_coefficients()) == (
+        r"-\frac{1}{2} K_{1} + \frac{1}{2} K_{1} K_{2} - \frac{1}{2} K_{2} - K_{2}^{2}"
+        r" - \frac{1}{2} \delta_{irr} - \delta_{irr}^{2}"
+    )
+
+
+def reference_polynomial_text(p, latex=False):
+    names = {"xi": r"\xi", "Theta": r"\Theta", "Delta": r"\Delta"} if latex else {}
+    terms = []
+    for exps, coeff in p.sorted_terms():
+        pieces = [
+            names.get(v, v) if e == 1 else ("%s^{%d}" if latex else "%s^%d") % (names.get(v, v), e)
+            for v, e in zip(p.vars, exps)
+            if e
+        ]
+        # A leading -1 before a power is written out: "-T1^2" would read as (-T1)^2.
+        if not latex and not terms and coeff == -1 and pieces and "^" in pieces[0]:
+            pieces = ["1", *pieces]
+        terms.append((coeff, pieces))
+    return reference_signed_sum(terms, reference_coeff_latex if latex else str, " " if latex else "*")
+
+
+RENDERED_POLYNOMIALS = [
+    "0",
+    "-7/3",
+    "-1",
+    "1 - T1",
+    "-T1^2 + P",
+    "-T1 + P^2",
+    "-T1*P^2 - T2",
+    "xi*T1 - xi*P + 1/2*T2^3 - 1/2*P - 1/2",
+    "2*T1*T2 + P^2 - T2 + 1",
+    "-(T1 + P + T2)^4",
+    "(1/2*xi - 2/3*T1 + P - 1)^3",
+]
+
+
+@pytest.mark.parametrize("expr", RENDERED_POLYNOMIALS)
+def test_polynomial_text_and_latex_match_the_term_by_term_reference(expr):
+    p = parse(expr)
+    assert format_polynomial(p) == reference_polynomial_text(p)
+    assert format_polynomial(p, "latex") == reference_polynomial_text(p, latex=True)
+    theta = Polynomial(INVARIANT_VARS, {(e[1], e[2], e[0] + e[3]): c for e, c in p.terms.items()})
+    assert format_polynomial(theta, "latex") == reference_polynomial_text(theta, latex=True)
+
+
+def test_signed_sum_of_coefficients_that_die_after_use():
+    # Each Fraction is made for its term and freed after it, so its address can
+    # come back for the next one; a lead looked up by id() must not be reused.
+    values = [F(1), F(-1), F(2, 3), F(-5), F(7, 2), F(-2, 3), F(0)] * 40
+
+    def fresh():
+        for i, value in enumerate(values):
+            yield F(value.numerator, value.denominator), ["x"] * (i % 3)
+
+    expected = reference_signed_sum(((value, ["x"] * (i % 3)) for i, value in enumerate(values)), str, "*")
+    assert signed_sum(fresh(), str, "*") == expected
+    assert signed_sum(iter(()), str, "*") == "0"
+
+
+# ------------------------------------------------------------------ dr through the CLI
+
+
+@st.composite
+def _weight_lists(draw):
+    weights = draw(st.lists(st.integers(-4, 4), min_size=1, max_size=4))
+    if draw(st.booleans()) and abs(sum(weights[1:])) <= 4:
+        weights[0] = -sum(weights[1:])  # a valid vector: the weights sum to zero
+    return weights
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(genus=st.integers(1, 3), weights=_weight_lists(), mode=st.sampled_from(["json", "latex", "compact"]))
+# The largest classes in range, which the search above seldom reaches.
+@example(genus=3, weights=[4, -4, 3, -3], mode="latex")
+@example(genus=3, weights=[2, 1, -1, -2], mode="json")
+@example(genus=3, weights=[4, 3, -3, -4], mode="compact")
+def test_dr_fuzz_keeps_the_exit_code_contract(genus, weights, mode):
+    import io
+    import time
+    from contextlib import redirect_stderr, redirect_stdout
+
+    from chowkit.cli import main
+
+    argv = ["dr", "--genus", str(genus), "--weights=" + ",".join(map(str, weights))]
+    argv += ["--compact-type"] if mode == "compact" else ["--format", mode]
+    out, err = io.StringIO(), io.StringIO()
+    start = time.perf_counter()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    assert time.perf_counter() - start < 10
+    assert "Traceback" not in err.getvalue()
+    if sum(weights):
+        assert (code, out.getvalue()) == (2, "")
+        return
+    assert code == 0
+    cls = dr_class(genus, weights)
+    if mode == "compact":
+        cls = specialize_compact_type(cls)
+    text = out.getvalue().removesuffix("\n")
+    if mode == "latex":
+        assert text == reference_latex(cls)
+    else:
+        assert deserialize(text) == cls
 
 
 def test_json_peak_memory_stays_near_the_output_size():
