@@ -125,15 +125,20 @@ def cmd_ring(args: argparse.Namespace) -> int:
             lines.append(f"k={k}: determinant {det}")
             lines.extend("  [" + " ".join(row) + "]" for row in entries)
     elif args.action == "relations":
-        rendered = ((l, format_polynomial(ctx.relation(l))) for l in ctx.relation_grades)
-        if not args.json:
-            # Each line is written as it is made: at large genus one relation is megabytes of text.
-            if not args.quiet:
-                for l, text in rendered:
-                    print(f"l={l}:", text)
+        # Each relation is written as it is made: at large genus one relation is megabytes of text.
+        if args.quiet:
             return 0
-        payload["relations"] = [{"d_grade": l, "polynomial": text} for l, text in rendered]
-        lines = []
+        if args.json:  # json.dumps(payload, indent=2), its relations array written entry by entry
+            print(json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "relations": [', end="")
+        for i, l in enumerate(ctx.relation_grades):
+            text = format_polynomial(ctx.relation(l))
+            if args.json:
+                print(f'{"," if i else ""}\n    {{\n      "d_grade": {l},\n      "polynomial": {json.dumps(text)}\n    }}', end="")
+            else:
+                print(f"l={l}:", text)
+        if args.json:
+            print("\n  ]\n}")
+        return 0
     else:  # action == "reduce"
         if args.expr is None:
             return _usage_error("ring reduce needs an expression argument")

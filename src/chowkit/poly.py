@@ -285,6 +285,12 @@ def _add_product(out: dict, a: dict, b: dict, factor: int = 1) -> dict:
     return out
 
 
+def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[int, dict[Exponents, int]]:
+    """``(scale, {exponents: scale * coeff})`` for ``scale`` the least common denominator."""
+    scale = lcm(*(c.denominator for c in terms.values()))
+    return scale, {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
+
+
 def combine(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> Polynomial:
     """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping,
     expanded over integer numerators: each image's denominators are cleared
@@ -300,8 +306,8 @@ def combine(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> 
     tops = [max((exps[i] for exps in coeffs), default=0) for i in range(len(images))]
     scales, ladders = [], []
     for image, top in zip(images, tops):
-        scales.append(lcm(*(c.denominator for c in image.terms.values())))
-        base = {e: c.numerator * (scales[-1] // c.denominator) for e, c in image.terms.items()}
+        scale, base = _numerators(image.terms)
+        scales.append(scale)
         ladders.append([unit, base])
         while len(ladders[-1]) <= top:
             ladders[-1].append(_add_product({}, ladders[-1][-1], base))

@@ -20,15 +20,15 @@ the distinguished invariant classes — live at module level.
 
 from __future__ import annotations
 
+import functools
 import threading
 from fractions import Fraction
-from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import Polynomial, RING_VARS, combine, d_grade
+from .poly import Polynomial, RING_VARS, _numerators, combine, d_grade
 
 __all__ = [
     "InvariantGenerators",
@@ -86,8 +86,7 @@ def _shift_parts(p: Polynomial, n: Fraction | int) -> tuple[Polynomial, Polynomi
     level of integer numerators is the last one's ``D`` divided by ``j``."""
     _require_ring_vars(p)
     _require_xi_free(p)
-    n, scale = Fraction(n), lcm(*(c.denominator for c in p.terms.values()))
-    level = {e: c.numerator * (scale // c.denominator) for e, c in p.terms.items()}
+    n, (scale, level) = Fraction(n), _numerators(p.terms)
     top, parts, j = 2 * p.total_degree(), ({}, {}), 0
     while level:
         weight, part, step = n.numerator**j * n.denominator ** (top - j), parts[j % 2], {}
@@ -154,6 +153,7 @@ class InvariantGenerators(NamedTuple):
     gluing: Polynomial
 
 
+@functools.cache  # built on first use, then shared: its polynomials are immutable
 def invariant_generators() -> InvariantGenerators:
     """The three distinguished shift- and inversion-invariant classes.
 

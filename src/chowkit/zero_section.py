@@ -22,9 +22,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
+from operator import add, sub
 
 from .arith import bernoulli, double_factorial, factorial
-from .poly import INVARIANT_VARS, Polynomial, RING_VARS, combine, format_polynomial
+from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, combine, format_polynomial
 from .ring import (
     P,
     RingContext,
@@ -205,11 +206,34 @@ def boundary_zero_section(ctx: RingContext) -> Polynomial:
     return Polynomial.monomial(RING_VARS, exps, Fraction(1, factorial(g - 1)))
 
 
+def _walked(variables: tuple[str, ...], scale: int, terms: dict[Exponents, int], *walks) -> Polynomial:
+    """``terms / scale`` after each walk ``(slot, x, y, den)`` in turn, on
+    integer numerators.  A walk puts ``(x + y) / den``, with ``x`` and ``y``
+    integer multiples of monomials, for the variable at ``slot``: ``v^e ->
+    sum_j C(e, j) x^(e-j) y^j``, one row per ``e`` scaled to ``den^top`` for
+    the largest ``e``.  With ``x = den*v`` this is ``exp((y/den) d/dv)``."""
+    for slot, (nx, ux), (ny, uy), den in walks:
+        top, out, step = max(e[slot] for e in terms), {}, tuple(map(sub, uy, ux))
+        rows = [[comb(e, j) * nx ** (e - j) * ny**j * den ** (top - e) for j in range(e + 1)] for e in range(top + 1)]
+        for exps, v in terms.items():
+            mono = tuple(m + exps[slot] * (u - (i == slot)) for i, (m, u) in enumerate(zip(exps, ux)))
+            for w in rows[exps[slot]]:
+                out[mono] = out.get(mono, 0) + v * w
+                mono = tuple(map(add, mono, step))
+        scale, terms = scale * den**top, out
+    return Polynomial._raw(variables, {e: Fraction(v, scale) for e, v in terms.items() if v})
+
+
 def _triangular_sum(genus: int, basis: str) -> Polynomial:
     """The ``basis`` combination of ``(T1 - T2/4, -2*T2, T2^2 - P^2)``, whose
     shifts by ``-1/2`` and ``+1/2`` are ``(theta, boundary, gluing)`` under
     ``xi -> 0`` and ``xi -> P``.  Its ``"alpha"`` images are ``(T1, -2*T2,
-    4*T1*T2 - P^2)``."""
+    4*T1*T2 - P^2)``, so it is one walk, ``xi -> 4*T1*T2 - P^2`` in ``sum
+    alpha * T1^a (-2*T2)^b xi^c``, with ``xi`` holding the exponent ``c``."""
+    if basis == "alpha":
+        scale, terms = _numerators(coefficient_table(genus).alpha)
+        terms = {(c, a, 0, b): v * (-2) ** b for (a, b, c), v in terms.items()}
+        return _walked(RING_VARS, scale, terms, (0, (4, (0, 1, 0, 1)), (-1, (0, 0, 2, 0)), 1))
     images = _basis_images(basis, T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
     return combine(getattr(coefficient_table(genus), basis), images)
 
@@ -290,12 +314,13 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     """Check that the eta family is the expansion of the alpha family: in the
     free polynomial ring on the invariant variables,
     ``sum alpha * (Theta - D/8)^a D^b (Delta - 2 Theta D)^c`` equals
-    ``sum eta * Theta^a D^b Delta^c`` identically."""
+    ``sum eta * Theta^a D^b Delta^c`` identically.  The left side is two walks,
+    ``Theta -> Theta - D/8`` and then ``Delta -> Delta - 2*Theta*D``, each O(g^3)."""
     started = time.perf_counter()
-    free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
     table = coefficient_table(genus)
-    lhs = combine(table.alpha, _basis_images("alpha", *free))
-    return _report("eta_alpha_expansion", genus, lhs - Polynomial(INVARIANT_VARS, table.eta), started)
+    walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
+    lhs = _walked(INVARIANT_VARS, *_numerators(table.alpha), *walks)
+    return _report("eta_alpha_expansion", genus, lhs - Polynomial._raw(INVARIANT_VARS, table.eta), started)
 
 
 def verify_triangular(genus: int) -> VerificationReport:

@@ -7,7 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from chowkit.cli import main
 from chowkit.zero_section import VerificationReport
-from chowkit.poly import Polynomial, RING_VARS
+from chowkit.poly import Polynomial, RING_VARS, format_polynomial
+from chowkit.ring import make_context
 
 
 def run(capsys, argv):
@@ -389,9 +390,9 @@ def test_ring_relations_json(capsys):
     assert payload["relations"][2] == {"d_grade": 0, "polynomial": "2*T1*T2 + P^2"}
 
 
-def test_ring_relations_are_written_one_at_a_time():
-    # Holding every relation's text (and two more copies of it) before printing
-    # peaked at over 800 times the longest line here.
+def _traced_relations(*flags):
+    """``(exit code, longest stdout line, traced peak bytes)`` of ``ring --genus 200
+    relations`` with ``flags``."""
     import io
     import tracemalloc
     from contextlib import redirect_stdout
@@ -410,16 +411,41 @@ def test_ring_relations_are_written_one_at_a_time():
             return len(text)
 
     sink = Sink()
-    main(["ring", "--genus", "2", "relations"])  # imports and first-call set-up, outside the trace
+    main(["ring", *flags, "--genus", "2", "relations"])  # imports and first-call set-up, outside the trace
     with redirect_stdout(sink):
         tracemalloc.start()
         try:
-            code = main(["ring", "--genus", "200", "relations"])
+            code = main(["ring", *flags, "--genus", "200", "relations"])
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-    assert code == 0 and sink.longest > 9000
-    assert peak <= 20 * sink.longest
+    return code, sink.longest, peak
+
+
+def test_ring_relations_are_written_one_at_a_time():
+    # Holding every relation's text (and two more copies of it) before printing
+    # peaked at over 800 times the longest line here.
+    code, longest, peak = _traced_relations()
+    assert code == 0 and longest > 9000
+    assert peak <= 20 * longest
+
+
+def test_ring_json_relations_are_written_one_at_a_time():
+    # The relations array is written entry by entry: building the whole
+    # json.dumps text first peaked at several times every relation's text.
+    code, longest, peak = _traced_relations("--json")
+    assert code == 0 and longest > 9000
+    assert peak <= 20 * longest
+
+
+@pytest.mark.parametrize("g", [1, 2, 3, 8])
+def test_ring_json_relations_are_the_indented_dump(capsys, g):
+    # Written one entry at a time, the bytes are still json.dumps(payload, indent=2).
+    ctx = make_context(g)
+    relations = [{"d_grade": l, "polynomial": format_polynomial(ctx.relation(l))} for l in ctx.relation_grades]
+    payload = {"command": "ring", "action": "relations", "genus": g, "relations": relations}
+    assert run(capsys, ["ring", "--genus", str(g), "--json", "relations"]) == (0, json.dumps(payload, indent=2) + "\n", "")
+    assert run(capsys, ["ring", "--genus", str(g), "--json", "--quiet", "relations"]) == (0, "", "")
 
 
 # ------------------------------------------------------------------ coeffs
@@ -666,6 +692,8 @@ GOLDEN_STDOUT_SHA256 = {
     ("verify", "--max-genus", "6"): "1bf19de134ffc50714aea9c7bfa07a4200ba1915f7bcd0ee7e93a22fa63a52de",
     ("verify", "--genus", "20", "--json"): "5b2366cddfc1531dbf42a01ff02c8130811626176b97c1684cbc1a340dd05499",
     ("verify", "--genus", "25", "--json"): "2a996fb241c6a6c11e7e81cfb15beabac1c88207d112d679ddacfb8d8ff3d192",
+    # Past g = 25 the walks carry coefficients of hundreds of digits.
+    ("verify", "--genus", "70", "--json"): "2f31cd677cb3ab45052ad3001e0d5b426a566086826b5ddfdbf754f3b3d59b48",
     ("ring", "--genus", "6", "pairing"): "b3a2af28372edbbf199a81737be5ab77ce0c077713393e662e7597c8ef1ab4a2",
     ("ring", "--genus", "8", "pairing"): "d4746f82318f62ac98f814f5692d662404b477cd41512582fd216b9d0899060a",
     ("ring", "--genus", "10", "pairing"): "ccbf76cdc63d80d5718c5040f0162fb05559d041bc34dc426f54c3035da05634",

@@ -106,6 +106,116 @@ def test_eta_alpha_expansion_report(g):
     assert report.residual.is_zero()
 
 
+# ------------------------------------------------------------------ walks
+
+
+def test_walks_are_substitutions():
+    # Each walk puts (x + y)/den for one variable, x and y integer multiples
+    # of monomials; one to three walks in turn, against Polynomial.substitute.
+    from chowkit.poly import _numerators
+    from chowkit.zero_section import _walked
+
+    rng = random.Random(21)
+    for _ in range(60):
+        variables = rng.choice([RING_VARS, INVARIANT_VARS])
+        p = expected = random_poly(rng, variables, max_exp=4, terms=6, max_den=5)
+        if p.is_zero():
+            continue
+        walks = []
+        for _ in range(rng.randint(1, 3)):
+            slot = rng.randrange(len(variables))
+            x = (rng.choice([-3, 1, 2, 8]), tuple(rng.randint(0, 2) for _ in variables))
+            y = (rng.choice([-2, -1, 5]), tuple(rng.randint(0, 2) for _ in variables))
+            den = rng.choice([1, 4, 8])
+            walks.append((slot, x, y, den))
+            image = (Polynomial.monomial(variables, x[1], x[0]) + Polynomial.monomial(variables, y[1], y[0])) / den
+            expected = expected.substitute({variables[slot]: image})
+        assert _walked(variables, *_numerators(p.terms), *walks) == expected
+
+
+@pytest.mark.parametrize("g", range(1, 41))
+def test_alpha_walks_match_combine(g):
+    # combine's power ladders and products are the oracle for both walks:
+    # the triangular sum, and the eta side (the left side is the residual
+    # plus the eta table).
+    from chowkit.poly import combine
+    from chowkit.ring import P, T1, T2, _basis_images
+    from chowkit.zero_section import _triangular_sum
+
+    table = coefficient_table(g)
+    images = _basis_images("alpha", T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
+    assert _triangular_sum(g, "alpha") == combine(table.alpha, images)
+    free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
+    lhs = verify_eta_alpha(g).residual + Polynomial(INVARIANT_VARS, table.eta)
+    assert lhs == combine(table.alpha, _basis_images("alpha", *free))
+
+
+def _table_off_by(monkeypatch, g, family, triple, delta):
+    # coefficient_table at genus g with one entry of one family moved by delta.
+    import dataclasses
+
+    import chowkit.zero_section as zs
+
+    table = coefficient_table(g)
+    entries = dict(getattr(table, family))
+    entries[triple] += delta
+    broken = dataclasses.replace(table, **{family: entries})
+    monkeypatch.setattr(zs, "coefficient_table", lambda genus: broken if genus == g else coefficient_table(genus))
+
+
+@pytest.mark.parametrize("g, delta", [(2, F(1)), (5, F(-3, 7)), (9, F(1, 10**6)), (14, F(5))])
+def test_broken_alpha_entry_fails_every_alpha_check(monkeypatch, g, delta):
+    # T1*T2^(g-1) is not in I_g, so moving alpha(1, g-1, 0) moves both the
+    # main and the triangular residual; the eta residual is delta times the
+    # entry's expansion, exactly.
+    from chowkit.poly import combine
+    from chowkit.ring import _basis_images
+
+    _table_off_by(monkeypatch, g, "alpha", (1, g - 1, 0), delta)
+    assert not verify_main(g).holds
+    assert not verify_triangular(g).holds
+    report = verify_eta_alpha(g)
+    free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
+    assert not report.holds
+    assert report.residual == combine({(1, g - 1, 0): delta}, _basis_images("alpha", *free))
+
+
+@pytest.mark.parametrize("g, delta", [(1, F(2)), (6, F(-1, 3)), (11, F(7, 9))])
+def test_broken_entries_leave_one_monomial_eta_residuals(monkeypatch, g, delta):
+    # alpha(0, g, 0) multiplies D^g alone, so the eta residual is +delta*D^g;
+    # the main and triangular checks still hold, since T2^g lies in I_g.
+    _table_off_by(monkeypatch, g, "alpha", (0, g, 0), delta)
+    assert verify_eta_alpha(g).residual == Polynomial.monomial(INVARIANT_VARS, (0, g, 0), delta)
+    assert verify_main(g).holds and verify_triangular(g).holds
+    monkeypatch.undo()
+    # An eta entry moved by delta: the residual is -delta times its monomial,
+    # and the alpha checks, which never read eta, still hold.
+    triple = degree_triples(g)[-1]
+    _table_off_by(monkeypatch, g, "eta", triple, delta)
+    report = verify_eta_alpha(g)
+    assert not report.holds
+    assert report.residual == Polynomial.monomial(INVARIANT_VARS, triple, -delta)
+    assert verify_main(g).holds and verify_triangular(g).holds
+
+
+def test_verify_expands_no_alpha_combination_through_combine(monkeypatch, capsys):
+    # The alpha path is the walks alone: with combine unusable in
+    # zero_section, verify --genus 12 --json still succeeds.
+    import json
+
+    import chowkit.zero_section as zs
+    from chowkit.cli import main
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("combine called on the alpha path")
+
+    monkeypatch.setattr(zs, "combine", refuse)
+    assert main(["verify", "--genus", "12", "--json"]) == 0
+    assert json.loads(capsys.readouterr().out)["all_hold"] is True
+    with pytest.raises(AssertionError):
+        assemble_main_rhs(make_context(3), "eta")
+
+
 # ------------------------------------------------------------------ tables
 
 
