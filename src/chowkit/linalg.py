@@ -12,7 +12,7 @@ import math
 from fractions import Fraction
 from typing import Iterable, Sequence
 
-__all__ = ["determinant", "rank", "rref", "solve"]
+__all__ = ["determinant", "rref", "solve"]
 
 Row = list[Fraction]
 
@@ -61,10 +61,6 @@ def rref(rows: Iterable[Sequence[Fraction]]) -> tuple[list[Row], list[int]]:
     zeros in every other pivot position.
     """
     return _gauss_jordan(rows)[:2]
-
-
-def rank(rows: Iterable[Sequence[Fraction]]) -> int:
-    return len(rref(rows)[1])
 
 
 def solve(rows: Iterable[Sequence[Fraction]], rhs: Sequence[Fraction], ncols: int) -> tuple[list[Fraction] | None, int]:

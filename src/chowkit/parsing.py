@@ -18,7 +18,7 @@ Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
 the interpreter stack.  Literals too long for ``MAX_POWER_BITS`` bits, sums,
 products and powers whose coefficients would pass them, and products past
-``MAX_TERM_PAIRS`` term pairs with no ``reduce`` are rejected the same way,
+``MAX_TERM_PAIRS`` term pairs with no ``multiply`` are rejected the same way,
 at the literal or the operator.
 """
 
@@ -32,7 +32,7 @@ from .poly import Polynomial, RING_VARS, Vars
 
 __all__ = ["ParseError", "parse"]
 
-Reduce = Callable[[Polynomial], Polynomial]
+Multiply = Callable[[Polynomial, Polynomial], Polynomial]
 
 _SYMBOLS = set("+-*^/()")
 # Literals are ASCII only: str.isdigit also accepts superscripts and other
@@ -47,7 +47,7 @@ MAX_DEPTH = 100
 #: under CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
 MAX_POWER_BITS = 10_000
 
-#: Most term pairs ``len(a) * len(b)`` of a product with no ``reduce``: ``(T1+P)^20000`` has no other bound.
+#: Most term pairs ``len(a) * len(b)`` of a product with no ``multiply``: ``(T1+P)^20000`` has no other bound.
 MAX_TERM_PAIRS = 1_000_000
 
 
@@ -94,12 +94,12 @@ def _bits(c: Fraction) -> int:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Vars, reduce: Reduce | None):
+    def __init__(self, text: str, variables: Vars, multiply: Multiply | None):
         self.tokens = _tokenize(text)
         self.pos = 0
         self.depth = 0
         self.vars = variables
-        self.reduce = reduce
+        self.multiply = multiply
 
     def checked(self, p: Polynomial, position: int) -> Polynomial:
         """``p``, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits."""
@@ -108,18 +108,17 @@ class _Parser:
         return p
 
     def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
-        """``a * b``, through ``reduce`` if there is one, else refused past ``MAX_TERM_PAIRS`` term pairs."""
-        if self.reduce is None and len(a) * len(b) > MAX_TERM_PAIRS:
+        """``multiply(a, b)``, or with no ``multiply`` ``a * b``, refused past ``MAX_TERM_PAIRS`` term pairs."""
+        if not self.multiply and len(a) * len(b) > MAX_TERM_PAIRS:
             raise ParseError(f"product of {len(a)} by {len(b)} terms passes {MAX_TERM_PAIRS} term pairs", position)
-        p = a * b
-        return self.checked(self.reduce(p) if self.reduce else p, position)
+        return self.checked(self.multiply(a, b) if self.multiply else a * b, position)
 
     def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the
         constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
         squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k)
         * c^(n-k) * u^k`` for ``u = base - c``, each summand checked, up to the
-        first ``u^k`` that reduces to zero."""
+        first ``u^k`` that is zero."""
         constant = base.coefficient((0,) * len(self.vars))
         if exponent * _bits(constant) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
@@ -211,21 +210,25 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)
 
 
-def parse(text: str, variables: Vars = RING_VARS, reduce: Reduce | None = None) -> Polynomial:
+def parse(text: str, variables: Vars = RING_VARS, multiply: Multiply | None = None) -> Polynomial:
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
-    With ``reduce``, every product and the result pass through it, and
-    ``reduce(a * b)`` must equal ``reduce(reduce(a) * b)``, as for a degree
-    truncation or ``RingContext.normal_form``.  A power with a constant term
-    is a binomial sum, ended once its non-constant part's powers reduce to 0.
+    With ``multiply``, every product, each step of a power included, is
+    ``multiply(a, b)``, and the result is the caller's to reduce:
+    ``ctx.normal_form(parse(text, multiply=ctx.multiply))`` reduces each
+    product as it forms it, over integer numerators and the ring's block
+    rewrites (integers over one denominator per block, each block of
+    negative d-grade the ``T1 <-> T2`` mirror of its partner).  A power with
+    a constant term is a binomial sum, ended once its non-constant part's
+    powers multiply to 0.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
     outside the variable set, on coefficients past ``MAX_POWER_BITS`` and on
-    unreduced products past ``MAX_TERM_PAIRS``, at the offending position.
+    products past ``MAX_TERM_PAIRS`` with no ``multiply``, at the offending position.
     """
-    parser = _Parser(text, tuple(variables), reduce)
+    parser = _Parser(text, tuple(variables), multiply)
     result = parser.parse_expr()
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {value!r}", position)
-    return reduce(result) if reduce else result
+    return result

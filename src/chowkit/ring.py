@@ -11,7 +11,10 @@ ideal of ``(st - u^2)^(g-1)``, whose socle functional ``phi`` is a closed
 form.  In a :class:`RingContext` the basis of each block of one degree and
 d-grade is its first ``r`` monomials by ascending ``P``-exponent, with ``r``
 fixed by the block sizes alone; every other monomial's image in that basis
-is read off the ``phi`` pairing, one block at a time, when first needed.
+is read off the ``phi`` pairing when first needed, as integers over one
+denominator per block.  ``I_g`` and ``phi`` are fixed by ``T1 <-> T2``, which
+maps the block of d-grade ``d`` onto that of ``-d`` and keeps ``P``-exponents,
+hence the basis: a block of ``d < 0`` is its partner's mirror, not solved.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -23,12 +26,13 @@ from __future__ import annotations
 import functools
 import threading
 from fractions import Fraction
+from math import lcm
 from operator import add
 from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import Polynomial, RING_VARS, _numerators, combine, d_grade
+from .poly import Polynomial, RING_VARS, _add_product, _numerators, combine, d_grade
 
 __all__ = [
     "InvariantGenerators",
@@ -229,7 +233,7 @@ def _block(k: int, d: int) -> list[Exponents]:
     return [(0, z + d, k - d - 2 * z, z) for z in range((k - d) // 2, max(0, -d) - 1, -1)]
 
 
-Rewrite = tuple[tuple[Exponents, Fraction], ...]
+Rewrite = tuple[tuple[Exponents, int], ...]
 
 
 class RingContext:
@@ -244,8 +248,8 @@ class RingContext:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         self.genus = genus
         self.relation_grades = range(genus, -genus - 1, -1)
-        self._rewrites: dict[tuple[int, int], dict[Exponents, Rewrite]] = {}
-        self._lock = threading.Lock()
+        self._rewrites: dict[tuple[int, int], tuple[int, dict[Exponents, Rewrite]]] = {}
+        self._lock = threading.RLock()  # a mirror block takes its partner's under it
 
     # ------------------------------------------------------------- relations
 
@@ -292,9 +296,11 @@ class RingContext:
         m = min(k, 2 * self.genus - 2 - k)
         return (m - abs(d)) // 2 + 1 if m >= abs(d) else 0
 
-    def _block_rewrites(self, k: int, d: int) -> dict[Exponents, Rewrite]:
-        """The image in the basis of each non-basis monomial of degree ``k`` and
-        d-grade ``d``, built on first use: in degree ``g`` the block's relation
+    def _block_rewrites(self, k: int, d: int) -> tuple[int, dict[Exponents, Rewrite]]:
+        """``(den, images)``: ``den`` times the image in the basis of each
+        non-basis monomial of degree ``k`` and d-grade ``d``, as integers,
+        built on first use.  For ``d < 0`` it is the ``T1 <-> T2`` image of
+        the block of ``-d``.  Else in degree ``g`` the block's relation
         rewrites its largest-``P`` monomial; in degrees ``g+1 .. 2g-2`` the
         ``rref`` of the Gram matrix against the partner block, columns by
         ascending ``P``, must pivot on the first ``_rank(k, d)`` columns and
@@ -302,20 +308,25 @@ class RingContext:
         with self._lock:
             if (k, d) in self._rewrites:
                 return self._rewrites[(k, d)]
-            g, rewrites = self.genus, {}
-            if k == g:  # one division per block; a Gram rref here made verify jobs about 25 % slower
+            g, den, rewrites = self.genus, 1, {}
+            if d < 0:
+                den, images = self._block_rewrites(k, -d)
+                for (_, a, b, c), image in images.items():
+                    rewrites[(0, c, b, a)] = tuple(((0, w, v, u), f) for (_, u, v, w), f in image)
+            elif k == g:  # one division per block; a Gram rref here made verify jobs about 25 % slower
                 (lead, c0), *rest = sorted(self.relation(d).terms.items())
-                rewrites[lead] = tuple((m, -c / c0) for m, c in rest)
+                den, rewrites[lead] = c0.numerator, tuple((m, -c.numerator) for m, c in rest)
             elif g < k <= 2 * g - 2:
                 block, r = _block(k, d), self._rank(k, d)
                 rows, pivots = rref(self._gram(_block(2 * g - 2 - k, -d), block))
                 if pivots != list(range(r)):
                     raise ArithmeticError(f"block (k={k}, d={d}) has pivots {pivots}, not its first {r} columns")
+                den = lcm(*(row[j].denominator for row in rows for j in range(r, len(block))))
                 # By descending P, the basis monomials come in ascending graded-lex order.
                 for j in range(r, len(block)):
-                    rewrites[block[j]] = tuple((block[i], rows[i][j]) for i in reversed(range(r)) if rows[i][j])
-            self._rewrites[(k, d)] = rewrites
-            return rewrites
+                    rewrites[block[j]] = tuple((block[i], int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j])
+            self._rewrites[(k, d)] = den, rewrites
+            return den, rewrites
 
     # ------------------------------------------------------------- reduction
 
@@ -325,17 +336,37 @@ class RingContext:
         the socle degree ``2g-2`` (``R`` is generated in degree 1), stays if it
         is a basis monomial, and is rewritten in its block otherwise."""
         _require_ring_vars(p)
-        top = 2 * self.genus - 2
-        out: dict[Exponents, Fraction] = {}
-        for (x, a, b, c), coeff in p.terms.items():
+        return self._reduced(*_numerators(p.terms))
+
+    def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
+        """``normal_form(a * b)``, reduced in the pass that multiplies the integer
+        numerators of ``a`` and ``b``; 0 at once past degree ``2g-1``."""
+        _require_ring_vars(a)
+        _require_ring_vars(b)
+        if not a.terms or not b.terms or min(map(sum, a.terms)) + min(map(sum, b.terms)) > 2 * self.genus - 1:
+            return Polynomial.zero(RING_VARS)
+        (s, x), (t, y) = _numerators(a.terms), _numerators(b.terms)
+        return self._reduced(s * t, _add_product({}, x, y))
+
+    def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
+        """The normal form of integer ``terms`` over ``scale``: no rewrite leaves
+        its block, so each output term is one ``Fraction`` over ``scale * den``."""
+        top, kept, images, dens = 2 * self.genus - 2, {}, {}, {}
+        for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
             if k > top:
                 continue
-            mono = (0, a, b, c)
-            images = ((mono, 1),) if b // 2 < self._rank(k, d) else self._block_rewrites(k, d)[mono]
-            for (_, u, v, w), factor in images:
-                out[(x, u, v, w)] = out.get((x, u, v, w), 0) + coeff * factor
+            if b // 2 < self._rank(k, d):
+                kept[(x, a, b, c)] = kept.get((x, a, b, c), 0) + v
+            else:
+                dens[(k, d)], rewrites = self._block_rewrites(k, d)
+                for (_, u, w, y), f in rewrites[(0, a, b, c)]:
+                    images[(x, u, w, y)] = images.get((x, u, w, y), 0) + v * f
+        out = {}
+        for e in kept.keys() | images.keys():
+            den = dens.get((e[1] + e[2] + e[3], e[1] - e[3]), 1)
+            out[e] = Fraction(kept.get(e, 0) * den + images.get(e, 0), scale * den)
         return Polynomial._raw(RING_VARS, out)
 
     def is_zero(self, p: Polynomial) -> bool:

@@ -6,9 +6,14 @@ from fractions import Fraction
 
 import pytest
 
-from chowkit.linalg import determinant, rank, rref, solve
+from chowkit.linalg import determinant, rref, solve
 
 F = Fraction
+
+
+def rank(rows):
+    """The number of pivots of ``rref``: the tests' rank, with no caller in the package."""
+    return len(rref(rows)[1])
 
 
 def _mat(rows):

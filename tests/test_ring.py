@@ -36,9 +36,10 @@ from chowkit import (
     restrict_zero,
     shift,
 )
-from chowkit.linalg import determinant, rank, rref
+from chowkit.linalg import determinant, rref
 from chowkit.poly import d_grade
-from chowkit.ring import _monomials
+from chowkit.ring import _block, _monomials
+from test_linalg import rank
 from test_poly import random_poly
 
 F = Fraction
@@ -156,7 +157,7 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
         f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}",
         f"(xi + T1)^{g}*(P + T2)^{g} + T1",
     ):
-        assert ctx.normal_form(parse(text, reduce=ctx.normal_form)) == ctx.normal_form(parse(text))
+        assert ctx.normal_form(parse(text, multiply=ctx.multiply)) == ctx.normal_form(parse(text))
     if g > 1:
         assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
 
@@ -182,7 +183,7 @@ def test_reduction_builds_no_degree_past_the_top(g):
     ctx = make_context(g)
     product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
     for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
-        ctx.normal_form(parse(text, reduce=ctx.normal_form))
+        ctx.normal_form(parse(text, multiply=ctx.multiply))
         assert max(built_degrees(ctx)) < 2 * g - 1
     assert 2 * g - 2 in built_degrees(ctx)
 
@@ -190,6 +191,7 @@ def test_reduction_builds_no_degree_past_the_top(g):
 def test_concurrent_reductions_solve_each_block_once(monkeypatch):
     # Threads share one context; the rewrite cache is filled under its lock,
     # so a block solved twice (a lost update) would show as an extra rref.
+    # A block of negative d-grade is its partner's mirror, solved with it.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
@@ -209,7 +211,9 @@ def test_concurrent_reductions_solve_each_block_once(monkeypatch):
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: ctx.normal_form(p), range(16), timeout=120))
             assert results == [expected] * 16
-            assert len(solved) == sum(1 for k, _ in ctx._rewrites if k > g) > 0
+            pairs = {(k, abs(d)) for k, d in ctx._rewrites if k > g}
+            assert len(solved) == len(pairs) > 0
+            assert any((k, -d) in ctx._rewrites for k, d in pairs if d)
     finally:
         sys.setswitchinterval(interval)
 
@@ -232,6 +236,36 @@ def test_normal_form_respects_products():
         p = random_poly(rng, max_exp=2, terms=3)
         q = random_poly(rng, max_exp=2, terms=3)
         assert ctx.normal_form(p * q) == ctx.normal_form(ctx.normal_form(p) * ctx.normal_form(q))
+
+
+def ring_class(rng, ctx):
+    """A random class for the multiply property: zero, a constant, or
+    terms of mixed degrees, up to past ``2g-1``, with xi powers up to 3,
+    and then reduced in one case of four."""
+    g, shape = ctx.genus, rng.randrange(6)
+    if shape == 0:
+        return Polynomial.zero(RING_VARS)
+    if shape == 1:
+        return Polynomial.constant(RING_VARS, F(rng.randint(-9, 9), rng.randint(1, 4)))
+    p = random_poly(rng, max_exp=rng.choice((1, 2, (g + 1) // 2, g)), terms=8)
+    p += Polynomial.monomial(RING_VARS, (rng.randint(0, 3), 0, 0, 0), F(1, rng.randint(1, 3)))
+    return ctx.normal_form(p) if shape == 2 else p
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+def test_multiply_is_the_normal_form_of_the_product(g):
+    ctx = make_context(g)
+    rng = random.Random(1000 + g)
+    for _ in range(60):
+        a, b = ring_class(rng, ctx), ring_class(rng, ctx)
+        assert ctx.multiply(a, b) == ctx.normal_form(a * b)
+        assert ctx.multiply(b, a) == ctx.normal_form(a * b)
+    # Past degree 2g-1 every product is 0 at once; at 2g-1 xi*R_(2g-2) is not.
+    top = Polynomial.monomial(RING_VARS, (1, g - 1, 0, 0))
+    assert ctx.multiply(top, Polynomial.monomial(RING_VARS, (0, 0, 0, g - 1))) == ctx.normal_form(parse(f"xi*T1^{g - 1}*T2^{g - 1}")) != 0
+    assert ctx.multiply(top, Polynomial.monomial(RING_VARS, (0, 0, 0, g))).is_zero()
+    with pytest.raises(ValueError):
+        ctx.multiply(top, Polynomial.variable(("Theta",), "Theta"))
 
 
 def test_normal_form_rejects_wrong_vars():
@@ -303,7 +337,60 @@ def degree_rewrites(ctx, k):
     if k > 2 * ctx.genus - 2:
         assert all(ctx.normal_form(Polynomial.monomial(RING_VARS, m)).is_zero() for m in _monomials(k))
         return {m: () for m in _monomials(k)}
-    return {m: image for d in range(-k, k + 1) for m, image in ctx._block_rewrites(k, d).items()}
+    rewrites = {}
+    for d in range(-k, k + 1):
+        rewrites.update(as_fractions(ctx._block_rewrites(k, d)))
+    return rewrites
+
+
+def as_fractions(table):
+    """A block's ``(den, images)`` table of integers as images with ``Fraction`` coefficients."""
+    den, images = table
+    return {m: tuple((e, F(v, den)) for e, v in image) for m, image in images.items()}
+
+
+def swap(e):
+    """The ``T1 <-> T2`` image of a monomial."""
+    x, a, b, c = e
+    return (x, c, b, a)
+
+
+def swapped(p):
+    """The ``T1 <-> T2`` image of a class."""
+    return Polynomial(RING_VARS, {swap(e): c for e, c in p.terms.items()})
+
+
+def solved_block(ctx, k, d):
+    """The rewrites of block ``(k, d)`` solved on their own, as ``Fraction``s:
+    by its relation in degree ``g``, else by the ``rref`` of its Gram matrix
+    against the partner block."""
+    g = ctx.genus
+    if k == g:
+        (lead, c0), *rest = sorted(ctx.relation(d).terms.items())
+        return {lead: tuple((m, -c / c0) for m, c in rest)}
+    block, r = _block(k, d), ctx._rank(k, d)
+    rows, pivots = rref(ctx._gram(_block(2 * g - 2 - k, -d), block))
+    assert pivots == list(range(r))
+    return {block[j]: tuple((block[i], rows[i][j]) for i in reversed(range(r)) if rows[i][j]) for j in range(r, len(block))}
+
+
+@pytest.mark.parametrize("g", range(1, 11))
+def test_negative_d_grades_are_mirror_images(g):
+    # I_g and phi are fixed by T1 <-> T2, which keeps P-exponents and so the
+    # basis: block (k, -d) is the swap of block (k, d), and equals that block
+    # solved on its own.  So reduction commutes with the swap.
+    ctx = make_context(g)
+    for k in range(g, 2 * g - 1):
+        for d in range(1, k + 1):
+            den, images = ctx._block_rewrites(k, d)
+            mirror = {swap(m): tuple((swap(e), v) for e, v in image) for m, image in images.items()}
+            assert ctx._block_rewrites(k, -d) == (den, mirror)
+            assert as_fractions((den, mirror)) == solved_block(ctx, k, -d)
+            assert as_fractions((den, images)) == solved_block(ctx, k, d)
+    rng = random.Random(60 + g)
+    for _ in range(20):
+        p = random_poly(rng, max_exp=g, terms=8)
+        assert ctx.normal_form(swapped(p)) == swapped(ctx.normal_form(p))
 
 
 @pytest.mark.parametrize("g", range(1, 13))
@@ -507,6 +594,42 @@ def test_socle_pushforward_matches_reduction(g):
     for m in _monomials(2 * g - 2):
         p = Polynomial.monomial(RING_VARS, m)
         assert ctx.socle_pushforward(p) == reduced_pushforward(ctx, p)
+
+
+@pytest.mark.parametrize("g", [30, 40])
+def test_reductions_have_no_phi_moments(g):
+    # R is Gorenstein: a class of degree j <= 2g-2 and d-grade d is zero iff
+    # phi of it times every monomial of degree 2g-2-j and d-grade -d is zero,
+    # and R~ is free over R on 1 and xi.  So both xi-parts of p - normal_form(p),
+    # xi^x folded to xi*P^(x-1), have every phi-moment zero: a check of single
+    # reductions with no rref, relation or rewrite, past the elimination
+    # oracle's genera.  Only the blocks of non-basis monomials are built.
+    ctx = make_context(g)
+    rng = random.Random(70 + g)
+    needed, nonzero = set(), 0
+    for k in range(g, 2 * g - 1):
+        p = Polynomial.zero(RING_VARS)
+        for _ in range(2):  # up to three monomials of one block, so basis ones share it
+            x = rng.randint(0, 3)
+            _, a, _, c = rng.choice(_monomials(k - x))
+            block = _block(k - x, a - c)
+            for _, a, b, c in rng.sample(block, min(3, len(block))):
+                p += Polynomial.monomial(RING_VARS, (x, a, b, c), F(rng.choice((-1, 1)) * rng.randint(1, 9), rng.randint(1, 5)))
+        folded = Polynomial.zero(RING_VARS)
+        for (x, a, b, c), coeff in p.terms.items():
+            folded += Polynomial.monomial(RING_VARS, (min(x, 1), a, b + max(x - 1, 0), c), coeff)
+            if (b + max(x - 1, 0)) // 2 >= ctx._rank(k - min(x, 1), a - c):
+                needed.add((k - min(x, 1), abs(a - c)))
+        residual = folded - ctx.normal_form(p)
+        nonzero += not residual.is_zero()
+        pieces = {}
+        for (x, a, b, c), coeff in residual.terms.items():
+            pieces.setdefault((x, a - c), {})[(0, a, b, c)] = coeff
+        for (x, d), piece in pieces.items():
+            for m in _block(2 * g - 2 - (k - x), -d):
+                assert ctx.socle_pushforward(Polynomial(RING_VARS, piece) * Polynomial.monomial(RING_VARS, m)) == 0
+    assert {(k, abs(d)) for k, d in ctx._rewrites} == needed
+    assert nonzero > g // 2
 
 
 def test_socle_pushforward_validation():
