@@ -159,7 +159,7 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
     table = coefficient_table(args.genus)
     names = [name for name in ("alpha", "eta") if args.table in (name, "both")]
     rows = [
-        {"a": a, "b": b, "c": c, **{name: str(getattr(table, name)[a, b, c]) for name in names}}
+        {"a": a, "b": b, "c": c, **{name: exact_text(getattr(table, name)[a, b, c]) for name in names}}
         for a, b, c in table.triples()
     ]
     headers = ["a", "b", "c", *names]

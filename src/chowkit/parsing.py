@@ -43,8 +43,8 @@ _DIGITS = set("0123456789")
 MAX_DEPTH = 100
 
 #: Largest ``_bits`` of a coefficient, and of ``exponent * _bits(constant)``
-#: for a power.  Reduction bounds degrees, not coefficients; this keeps them
-#: under CPython's 4,300-digit (about 14,000-bit) limit on printing an int.
+#: for a power.  Reduction bounds degrees, not coefficients; this bounds the
+#: time and memory their arithmetic takes.  Printing needs no bound.
 MAX_POWER_BITS = 10_000
 
 #: Most term pairs ``len(a) * len(b)`` of a product with no ``multiply``: ``(T1+P)^20000`` has no other bound.

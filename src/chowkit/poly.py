@@ -451,7 +451,7 @@ def _format_text(p: Polynomial) -> str:
         if not terms and coeff == -1 and pieces and "^" in pieces[0]:
             pieces = ["1", *pieces]
         terms.append((coeff, pieces))
-    return signed_sum(terms, str, "*")
+    return signed_sum(terms, exact_text, "*")
 
 
 def _format_latex(p: Polynomial) -> str:
@@ -462,7 +462,7 @@ def _format_latex(p: Polynomial) -> str:
 def _json_dict(p: Polynomial) -> dict:
     return {
         "vars": list(p.vars),
-        "terms": [{"coeff": str(c), "exps": list(e)} for e, c in p.sorted_terms()],
+        "terms": [{"coeff": exact_text(c), "exps": list(e)} for e, c in p.sorted_terms()],
     }
 
 
@@ -494,5 +494,5 @@ def polynomial_from_json(data: "str | dict") -> Polynomial:
     terms: dict[Exponents, Fraction] = {}
     for entry in data["terms"]:
         exps = tuple(int(e) for e in entry["exps"])
-        terms[exps] = terms.get(exps, Fraction(0)) + Fraction(entry["coeff"])
+        terms[exps] = terms.get(exps, Fraction(0)) + exact_fraction(entry["coeff"])
     return Polynomial(variables, terms)

@@ -32,7 +32,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import Polynomial, RING_VARS, _add_product, _numerators, combine, d_grade
+from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _numerators, d_grade
 
 __all__ = [
     "InvariantGenerators",
@@ -216,8 +216,8 @@ def invariant_basis_element(triple: tuple[int, int, int], basis: str = "alpha") 
     ``"alpha"`` basis: ``(theta - boundary/8)^a * boundary^b * (gluing - 2*theta*boundary)^c``;
     ``"eta"`` basis: ``theta^a * boundary^b * gluing^c``.
     """
-    a, b, c = triple
-    return combine({(a, b, c): 1}, _basis_images(basis, *invariant_generators()))
+    images = dict(zip(INVARIANT_VARS, _basis_images(basis, *invariant_generators())))
+    return Polynomial.monomial(INVARIANT_VARS, triple).substitute(images)
 
 
 # ----------------------------------------------------------------- ring context

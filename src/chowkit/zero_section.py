@@ -25,13 +25,9 @@ from math import comb, lcm
 from operator import add, sub
 
 from .arith import bernoulli, double_factorial, factorial
-from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, combine, format_polynomial
+from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, format_polynomial
 from .ring import (
-    P,
     RingContext,
-    T1,
-    T2,
-    _basis_images,
     _shift_parts,
     degree_triples,
     extra_shift_invariant,
@@ -227,15 +223,19 @@ def _walked(variables: tuple[str, ...], scale: int, terms: dict[Exponents, int],
 def _triangular_sum(genus: int, basis: str) -> Polynomial:
     """The ``basis`` combination of ``(T1 - T2/4, -2*T2, T2^2 - P^2)``, whose
     shifts by ``-1/2`` and ``+1/2`` are ``(theta, boundary, gluing)`` under
-    ``xi -> 0`` and ``xi -> P``.  Its ``"alpha"`` images are ``(T1, -2*T2,
-    4*T1*T2 - P^2)``, so it is one walk, ``xi -> 4*T1*T2 - P^2`` in ``sum
-    alpha * T1^a (-2*T2)^b xi^c``, with ``xi`` holding the exponent ``c``."""
-    if basis == "alpha":
-        scale, terms = _numerators(coefficient_table(genus).alpha)
-        terms = {(c, a, 0, b): v * (-2) ** b for (a, b, c), v in terms.items()}
-        return _walked(RING_VARS, scale, terms, (0, (4, (0, 1, 0, 1)), (-1, (0, 0, 2, 0)), 1))
-    images = _basis_images(basis, T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
-    return combine(getattr(coefficient_table(genus), basis), images)
+    ``xi -> 0`` and ``xi -> P``: ``sum coeff * T1^a (-2*T2)^b xi^c``, ``xi``
+    holding ``c``, walked.  The ``"alpha"`` images are ``(T1, -2*T2, 4*T1*T2 -
+    P^2)``, one walk ``xi -> 4*T1*T2 - P^2``; ``"eta"`` takes two, ``T1 -> T1 -
+    T2/4`` and then ``xi -> T2^2 - P^2``."""
+    walks = {
+        "alpha": [(0, (4, (0, 1, 0, 1)), (-1, (0, 0, 2, 0)), 1)],
+        "eta": [(1, (4, (0, 1, 0, 0)), (-1, (0, 0, 0, 1)), 4), (0, (1, (0, 0, 0, 2)), (-1, (0, 0, 2, 0)), 1)],
+    }
+    if basis not in walks:
+        raise ValueError(f"unknown basis {basis!r}; expected 'alpha' or 'eta'")
+    scale, terms = _numerators(getattr(coefficient_table(genus), basis))
+    terms = {(c, a, 0, b): v * (-2) ** b for (a, b, c), v in terms.items()}
+    return _walked(RING_VARS, scale, terms, *walks[basis])
 
 
 def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:

@@ -555,6 +555,8 @@ def test_dr_fuzz_keeps_the_exit_code_contract(genus, weights, mode):
         return
     assert code == 0
     cls = dr_class(genus, weights)
+    flipped = dr_class(genus, [-w for w in weights])  # DR(d) = DR(-d)
+    assert (flipped.symbols, flipped.ids) == (cls.symbols, cls.ids)
     if mode == "compact":
         cls = specialize_compact_type(cls)
     text = out.getvalue().removesuffix("\n")
@@ -787,6 +789,23 @@ def test_theta_pullback_pin():
     grid = [(1, -1), (2, -1, -1), (0, 0), (3, -1, -1, -1), (1, 1, 1, -3), (2, 0, -2), (5, -2, -3, 0, 0)]
     text = "".join(serialize(theta_pullback(g, w)) for g in range(1, 7) for w in grid)
     assert hashlib.sha256(text.encode()).hexdigest() == "f65c1312cea836f7bf6d28d17086212e92896e9869f3b428b9ef4090bcf3871f"
+
+
+def test_theta_pulls_back_along_forgetting_a_weight_zero_point():
+    # Appending a point of weight 0 is the forgetful pullback: K_i stays K_i
+    # and delta_h^P becomes delta_h^P + delta_h^(P u {n+1}) on n+1 points.
+    grid = [(1, -1), (2, -1, -1), (0, 0), (3, -1, -1, -1), (1, 1, 1, -3), (2, 0, -2), (5, -2, -3, 0, 0)]
+    for g in range(1, 7):
+        for weights in grid:
+            n, pulled = len(weights), []
+            for ((symbol, power),), coeff in theta_pullback(g, weights).terms.items():
+                assert power == 1 and symbol.kind in ("K", "delta")
+                if symbol.kind == "K":
+                    pulled.append((((symbol, 1),), coeff))
+                    continue
+                for points in (symbol.points, (*symbol.points, n + 1)):
+                    pulled.append((((sep(g, symbol.genus_part, points, n + 1), 1),), coeff))
+            assert theta_pullback(g, (*weights, 0)) == FormalClass(g, (*weights, 0), pulled)
 
 
 def test_theta_subset_enumeration_is_complete():

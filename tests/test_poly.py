@@ -328,3 +328,21 @@ def test_exact_fraction_reads_exact_text_past_the_digit_limit():
     for text in ("1" * 3000 + "-" + "2" * 3000, "1" * 5000 + ".5", "1" * 5000 + "/", "-" * 2 + "1" * 5000):
         with pytest.raises(ValueError):
             exact_fraction(text)
+
+
+def test_every_format_prints_past_the_digit_limit():
+    # Text, JSON and repr raised CPython's int-to-string digit limit once a
+    # coefficient had more than 4,300 digits; LaTeX printed.  int("7" * 5000)
+    # would hit the limit too, so the integers are built arithmetically.
+    from chowkit.poly import exact_text
+
+    numerator, denominator = 7 * (10**5000 - 1) // 9, 2**14614
+    coeff = Fraction(-numerator, denominator)
+    assert (len(exact_text(numerator)), len(exact_text(denominator))) == (5000, 4400)
+    p = Polynomial(RING_VARS, {(1, 2, 0, 0): coeff, (0, 0, 1, 0): 3})
+    text = format_polynomial(p)
+    assert text == f"-{exact_text(-coeff)}*xi*T1^2 + 3*P"
+    assert format_polynomial(p, "latex").startswith(rf"-\frac{{{exact_text(numerator)}}}{{{exact_text(denominator)}}}")
+    assert repr(p) == f"Polynomial({text!r})"
+    assert json.loads(format_polynomial(p, "json"))["terms"][0]["coeff"] == exact_text(coeff)
+    assert polynomial_from_json(format_polynomial(p, "json")) == p

@@ -596,7 +596,7 @@ def test_socle_pushforward_matches_reduction(g):
         assert ctx.socle_pushforward(p) == reduced_pushforward(ctx, p)
 
 
-@pytest.mark.parametrize("g", [30, 40])
+@pytest.mark.parametrize("g", [30, 40, 60])
 def test_reductions_have_no_phi_moments(g):
     # R is Gorenstein: a class of degree j <= 2g-2 and d-grade d is zero iff
     # phi of it times every monomial of degree 2g-2-j and d-grade -d is zero,

@@ -150,6 +150,20 @@ def test_alpha_walks_match_combine(g):
     assert lhs == combine(table.alpha, _basis_images("alpha", *free))
 
 
+@pytest.mark.parametrize("g", range(1, 41))
+def test_eta_walks_match_combine(g):
+    # The eta triangular sum is two walks, T1 -> T1 - T2/4 and then
+    # xi -> T2^2 - P^2; combine's expansion of the eta basis is its oracle.
+    from chowkit.poly import combine
+    from chowkit.ring import P, T1, T2, _basis_images
+    from chowkit.zero_section import _triangular_sum
+
+    images = _basis_images("eta", T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
+    assert _triangular_sum(g, "eta") == combine(coefficient_table(g).eta, images)
+    with pytest.raises(ValueError, match="unknown basis"):
+        _triangular_sum(g, "gamma")
+
+
 def _table_off_by(monkeypatch, g, family, triple, delta):
     # coefficient_table at genus g with one entry of one family moved by delta.
     import dataclasses
@@ -199,21 +213,27 @@ def test_broken_entries_leave_one_monomial_eta_residuals(monkeypatch, g, delta):
 
 
 def test_verify_expands_no_alpha_combination_through_combine(monkeypatch, capsys):
-    # The alpha path is the walks alone: with combine unusable in
-    # zero_section, verify --genus 12 --json still succeeds.
+    # Both tables are expanded by walks alone: neither zero_section nor ring
+    # holds combine, verify --genus 12 --json succeeds, and with poly's
+    # combine unusable both bases still assemble the same class.
     import json
 
-    import chowkit.zero_section as zs
+    import chowkit.poly
+    import chowkit.ring
+    import chowkit.zero_section
     from chowkit.cli import main
 
-    def refuse(*args, **kwargs):
-        raise AssertionError("combine called on the alpha path")
-
-    monkeypatch.setattr(zs, "combine", refuse)
+    assert "combine" not in vars(chowkit.zero_section)
+    assert "combine" not in vars(chowkit.ring)
     assert main(["verify", "--genus", "12", "--json"]) == 0
     assert json.loads(capsys.readouterr().out)["all_hold"] is True
-    with pytest.raises(AssertionError):
-        assemble_main_rhs(make_context(3), "eta")
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("combine called on a coefficient table")
+
+    monkeypatch.setattr(chowkit.poly, "combine", refuse)
+    ctx = make_context(5)
+    assert assemble_main_rhs(ctx, "eta") == assemble_main_rhs(ctx, "alpha")
 
 
 # ------------------------------------------------------------------ tables
