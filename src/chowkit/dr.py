@@ -56,7 +56,8 @@ __all__ = [
     "theta_pullback",
 ]
 
-_KIND_ORDER = {"K": 0, "delta_irr": 1, "delta": 2, "xi": 3}
+#: Each symbol kind, in sort order, with the JSON fields of its entries besides ``kind`` and ``power``.
+_FIELDS = {"K": ("i",), "delta_irr": (), "delta": ("h", "P"), "xi": ("i",)}
 
 
 @dataclass(frozen=True)
@@ -110,7 +111,7 @@ class DivisorSymbol:
 
     def sort_key(self) -> tuple:
         return (
-            _KIND_ORDER[self.kind],
+            tuple(_FIELDS).index(self.kind),
             self.index if self.index is not None else -1,
             self.genus_part if self.genus_part is not None else -1,
             self.points or (),
@@ -127,12 +128,8 @@ class DivisorSymbol:
         return rf"\delta_{{{self.genus_part}}}^{{\{{{point_set}\}}}}"
 
     def to_json_dict(self, power: int) -> dict:
-        payload: dict = {"kind": self.kind}
-        if self.kind in ("K", "xi"):
-            payload["i"] = self.index
-        elif self.kind == "delta":
-            payload["h"] = self.genus_part
-            payload["P"] = list(self.points)
+        values = {"kind": self.kind, "i": self.index, "h": self.genus_part, "P": list(self.points or ())}
+        payload = {name: values[name] for name in ("kind", *_FIELDS[self.kind])}
         if power != 1:
             payload["power"] = power
         return payload
@@ -535,14 +532,6 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
     raise ValueError(f"unknown serialization mode {mode!r}")
 
 
-_SYMBOL_FIELDS = {  # the fields each kind of symbol may carry
-    "K": {"kind", "i", "power"},
-    "xi": {"kind", "i", "power"},
-    "delta_irr": {"kind", "power"},
-    "delta": {"kind", "h", "P", "power"},
-}
-
-
 def _fields(obj: object, what: str, **kinds: type) -> list:
     """The values of the fields that ``kinds`` names, refused unless ``obj`` is a JSON object that has each, of its kind."""
     if not isinstance(obj, dict) or not all(name in obj and isinstance(obj[name], kind) for name, kind in kinds.items()):
@@ -565,6 +554,7 @@ def deserialize(text: str) -> FormalClass:
     n = len(weights)
     if payload.get("n", n) != n:
         raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
+    allowed = {kind: {"kind", "power", *fields} for kind, fields in _FIELDS.items()}
 
     @cache  # each distinct entry is decoded once; read() checks the types first, as 1 == True
     def decode(kind: str, i: int, h: int, points: tuple[int, ...], power: int) -> tuple[DivisorSymbol, int]:
@@ -586,9 +576,8 @@ def deserialize(text: str) -> FormalClass:
 
     def read(s: object) -> tuple[DivisorSymbol, int]:
         kind, = _fields(s, "a symbol", kind=str)
-        allowed = _SYMBOL_FIELDS.get(kind, s.keys())  # an unknown kind is refused in decode
-        if not s.keys() <= allowed:
-            raise ValueError(f"fields {sorted(s.keys() - allowed)} do not belong to a {kind!r} symbol")
+        if not s.keys() <= allowed.get(kind, s.keys()):  # an unknown kind is refused in decode
+            raise ValueError(f"fields {sorted(s.keys() - allowed[kind])} do not belong to a {kind!r} symbol")
         i, h, points, power = s.get("i", 0), s.get("h", 0), s.get("P", []), s.get("power", 1)
         if not isinstance(points, list) or {type(i), type(h), type(power), *map(type, points)} != {int}:
             raise ValueError(f"symbol fields must be integers, got {s}")

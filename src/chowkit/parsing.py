@@ -16,7 +16,7 @@ exponentiation: ``-T1^2`` denotes ``(-T1)^2``.  The text formatter in
 
 Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
-the interpreter stack.  Literals too long for ``MAX_POWER_BITS`` bits, sums,
+the interpreter stack.  Rationals past ``MAX_POWER_BITS`` bits, sums,
 products and powers whose coefficients would pass them, and products past
 ``MAX_TERM_PAIRS`` term pairs with no ``multiply`` are rejected the same way,
 at the literal or the operator.
@@ -197,8 +197,8 @@ class _Parser:
                 _, denom, dpos = self.expect("number")
                 if int(denom) == 0:
                     raise ParseError("zero denominator", dpos)
-                return Polynomial.constant(self.vars, Fraction(int(value), int(denom)))
-            return Polynomial.constant(self.vars, int(value))
+                return self.checked(Polynomial.constant(self.vars, Fraction(int(value), int(denom))), position)
+            return self.checked(Polynomial.constant(self.vars, int(value)), position)
         if kind == "name":
             if value not in self.vars:
                 raise ParseError(f"unknown variable {value!r}", position)

@@ -24,6 +24,7 @@ descending order (leading term first); quotient-ring reduction in
 
 from __future__ import annotations
 
+import json
 import re
 from fractions import Fraction
 from math import lcm, prod
@@ -469,17 +470,17 @@ def _json_dict(p: Polynomial) -> dict:
 def format_polynomial(p: Polynomial, mode: str = "text") -> str:
     """Render ``p`` as ``"text"`` (grammar-compatible), ``"latex"`` or ``"json"``.
 
-    The text form round-trips through :func:`chowkit.parsing.parse`; the JSON
-    form round-trips through :func:`polynomial_from_json`.  Terms are listed
-    in descending canonical order in every mode.
+    The text form round-trips through :func:`chowkit.parsing.parse` only while
+    every numerator and denominator is below ``2**(MAX_POWER_BITS + 1)``: past
+    that, ``parse`` refuses the literal.  The JSON form round-trips through
+    :func:`polynomial_from_json` at any size.  Terms are listed in descending
+    canonical order in every mode.
     """
     if mode == "text":
         return _format_text(p)
     if mode == "latex":
         return _format_latex(p)
     if mode == "json":
-        import json
-
         return json.dumps(_json_dict(p))
     raise ValueError(f"unknown format mode {mode!r}")
 
@@ -487,8 +488,6 @@ def format_polynomial(p: Polynomial, mode: str = "text") -> str:
 def polynomial_from_json(data: "str | dict") -> Polynomial:
     """Rebuild a polynomial from its JSON form (a string or parsed dict)."""
     if isinstance(data, str):
-        import json
-
         data = json.loads(data)
     variables = tuple(data["vars"])
     terms: dict[Exponents, Fraction] = {}

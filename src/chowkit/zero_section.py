@@ -23,6 +23,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import comb, lcm
 from operator import add, sub
+from typing import Callable
 
 from .arith import bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, format_polynomial
@@ -288,14 +289,12 @@ class VerificationReport:
         return f"{self.name} (genus {self.genus}): {verdict}"
 
 
-def _report(name: str, genus: int, residual: Polynomial, started: float) -> VerificationReport:
-    return VerificationReport(
-        name=name,
-        genus=genus,
-        holds=residual.is_zero(),
-        residual=residual,
-        seconds=time.perf_counter() - started,
-    )
+def _checked(name: str, genus: int, residual: Callable[[], Polynomial]) -> VerificationReport:
+    """Time ``residual()`` and report it: the check holds when it is zero."""
+    clock = time.perf_counter
+    started = clock()
+    value = residual()
+    return VerificationReport(name=name, genus=genus, holds=value.is_zero(), residual=value, seconds=clock() - started)
 
 
 # -------------------------------------------------------------- verifiers
@@ -304,10 +303,8 @@ def _report(name: str, genus: int, residual: Polynomial, started: float) -> Veri
 def verify_main(genus: int) -> VerificationReport:
     """Check the main identity: the assembled alpha combination reduces to
     the zero-section class in the quotient ring."""
-    started = time.perf_counter()
     ctx = make_context(genus)
-    residual = ctx.normal_form(assemble_main_rhs(ctx, "alpha") - boundary_zero_section(ctx))
-    return _report("main_identity", genus, residual, started)
+    return _checked("main_identity", genus, lambda: ctx.normal_form(assemble_main_rhs(ctx, "alpha") - boundary_zero_section(ctx)))
 
 
 def verify_eta_alpha(genus: int) -> VerificationReport:
@@ -316,20 +313,20 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     ``sum alpha * (Theta - D/8)^a D^b (Delta - 2 Theta D)^c`` equals
     ``sum eta * Theta^a D^b Delta^c`` identically.  The left side is two walks,
     ``Theta -> Theta - D/8`` and then ``Delta -> Delta - 2*Theta*D``, each O(g^3)."""
-    started = time.perf_counter()
-    table = coefficient_table(genus)
-    walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
-    lhs = _walked(INVARIANT_VARS, *_numerators(table.alpha), *walks)
-    return _report("eta_alpha_expansion", genus, lhs - Polynomial._raw(INVARIANT_VARS, table.eta), started)
+
+    def residual() -> Polynomial:
+        table = coefficient_table(genus)
+        walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
+        return _walked(INVARIANT_VARS, *_numerators(table.alpha), *walks) - Polynomial._raw(INVARIANT_VARS, table.eta)
+
+    return _checked("eta_alpha_expansion", genus, residual)
 
 
 def verify_triangular(genus: int) -> VerificationReport:
     """Check the triangularity identity: substituting ``T1`` for the shifted
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
-    started = time.perf_counter()
-    total = _triangular_sum(genus, "alpha")
-    return _report("triangular_identity", genus, make_context(genus).normal_form(total), started)
+    return _checked("triangular_identity", genus, lambda: make_context(genus).normal_form(_triangular_sum(genus, "alpha")))
 
 
 def verify_invariance(genus: int) -> list[VerificationReport]:
@@ -353,13 +350,9 @@ def verify_invariance(genus: int) -> list[VerificationReport]:
         ("extra", extra_shift_invariant(), False),
         ("zero_section", boundary_zero_section(ctx), True),
     ):
-        started = time.perf_counter()
-        residual = ctx.normal_form(shift(restrict_infty(cls), 1) - restrict_zero(cls))
-        reports.append(_report(f"shift_invariance[{label}]", genus, residual, started))
+        reports.append(_checked(f"shift_invariance[{label}]", genus, lambda: ctx.normal_form(shift(restrict_infty(cls), 1) - restrict_zero(cls))))
         if check_involution:
-            started = time.perf_counter()
-            residual = ctx.normal_form(involution(cls) - cls)
-            reports.append(_report(f"involution_invariance[{label}]", genus, residual, started))
+            reports.append(_checked(f"involution_invariance[{label}]", genus, lambda: ctx.normal_form(involution(cls) - cls)))
     return reports
 
 

@@ -284,6 +284,16 @@ def test_ring_reduce_huge_constant_powers_are_parse_errors(capsys):
         assert "cannot parse" in err and f"(at position {position})" in err
 
 
+def test_ring_reduce_refuses_a_literal_past_the_bit_bound(capsys):
+    # 3,300 nines pass the digit count but not the 10,000-bit bound.
+    for expr in (str(2**10001), "1/" + str(2**10001), "9" * 3300, "1/" + "9" * 3300):
+        code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: cannot parse expression: ") and "(at position 0)" in err
+    code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", str(2**10001 - 1)])
+    assert (code, out, err) == (0, f"{2**10001 - 1}\n", "")
+
+
 def test_ring_reduce_huge_literals_and_products_are_parse_errors(capsys):
     # Literals whose digit count implies more than MAX_POWER_BITS bits are
     # refused before int() reads them, and products at the '*' whose

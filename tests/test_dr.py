@@ -28,6 +28,7 @@ from chowkit import (
     specialize_compact_type,
     theta_pullback,
 )
+from chowkit.dr import _FIELDS
 from chowkit.poly import signed_sum
 from chowkit.zero_section import coefficient_table
 
@@ -703,6 +704,32 @@ def test_deserialize_refuses_a_symbol_of_the_wrong_shape(symbol, match):
     # a field of another kind ignored.
     with pytest.raises(ValueError, match=match):
         deserialize(one_term(symbol, g=3, weights=[1, 1, -2]))
+
+
+SYMBOL_OF_EACH_KIND = {
+    "K": DivisorSymbol.cotangent(1),
+    "delta_irr": DivisorSymbol.irreducible(),
+    "delta": DivisorSymbol.separating(3, 1, [1, 2], 3),
+    "xi": DivisorSymbol.rational_bridge(2),
+}
+FIELD_VALUES = {"i": 1, "h": 1, "P": [1, 2]}
+
+
+def test_one_table_holds_the_json_fields_of_each_symbol_kind():
+    assert _FIELDS == {"K": ("i",), "delta_irr": (), "delta": ("h", "P"), "xi": ("i",)}
+    assert set(SYMBOL_OF_EACH_KIND) == set(_FIELDS)
+
+
+@pytest.mark.parametrize("power", [1, 2])
+@pytest.mark.parametrize("kind", sorted(SYMBOL_OF_EACH_KIND))
+def test_symbol_entries_are_written_and_read_by_the_field_table(kind, power):
+    symbol = SYMBOL_OF_EACH_KIND[kind]
+    entry = symbol.to_json_dict(power)
+    assert list(entry) == ["kind", *_FIELDS[kind], *(["power"] if power != 1 else [])]
+    assert deserialize(one_term(entry, g=3, weights=[1, 1, -2])).sorted_terms() == [(((symbol, power),), 1)]
+    for field in sorted({f for fields in _FIELDS.values() for f in fields} - set(_FIELDS[kind])):
+        with pytest.raises(ValueError, match="do not belong"):
+            deserialize(one_term({**entry, field: FIELD_VALUES[field]}, g=3, weights=[1, 1, -2]))
 
 
 def test_deserialize_refuses_a_symbol_without_a_kind():

@@ -8,6 +8,7 @@ import pytest
 
 from chowkit import INVARIANT_VARS, ParseError, Polynomial, RING_VARS, format_polynomial, parse
 from chowkit.parsing import MAX_DEPTH, MAX_POWER_BITS, MAX_TERM_PAIRS
+from chowkit.poly import polynomial_from_json
 from chowkit.ring import make_context
 from test_poly import random_poly
 
@@ -253,3 +254,29 @@ def test_coefficients_are_bounded_at_their_operator():
         parse("(2*P)^100000000")
     assert info.value.position == 5
     assert parse(f"{big} + 1") == Polynomial.constant(RING_VARS, int(big) + 1)
+
+
+def test_number_literals_past_the_bit_bound_are_refused_at_the_literal():
+    # The digit count alone lets a literal of up to about 11,000 bits through;
+    # its value decides, for a numerator and a denominator alike.
+    largest = 2 ** (MAX_POWER_BITS + 1) - 1
+    assert parse(str(largest)) == Polynomial.constant(RING_VARS, largest)
+    assert parse(f"1/{largest}") == Polynomial.constant(RING_VARS, Fraction(1, largest))
+    for text in (str(largest + 1), f"1/{largest + 1}", "9" * 3300, "1/" + "9" * 3300):
+        with pytest.raises(ParseError, match=f"past {MAX_POWER_BITS} bits") as info:
+            parse(text)
+        assert info.value.position == 0
+    with pytest.raises(ParseError) as info:
+        parse(f"T1 + {largest + 1}")
+    assert info.value.position == 5
+
+
+def test_text_round_trips_below_the_literal_bound_and_json_at_any_size():
+    top = 2 ** (MAX_POWER_BITS + 1)
+    fits = Polynomial(RING_VARS, {(0, 1, 0, 0): Fraction(top - 1, 3), (0, 0, 0, 1): Fraction(-1, top - 1)})
+    assert parse(format_polynomial(fits)) == fits
+    for coeff in (Fraction(top, 3), Fraction(-1, top), Fraction(10**4000 + 1, 3)):
+        past = Polynomial(RING_VARS, {(0, 1, 0, 0): coeff})
+        with pytest.raises(ParseError):
+            parse(format_polynomial(past))
+        assert polynomial_from_json(format_polynomial(past, "json")) == past

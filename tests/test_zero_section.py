@@ -453,6 +453,41 @@ def test_report_failure_summary():
     assert report.to_dict()["holds"] is False
 
 
+REPORT_NAMES = [
+    "main_identity",
+    "eta_alpha_expansion",
+    "triangular_identity",
+    "shift_invariance[theta]",
+    "involution_invariance[theta]",
+    "shift_invariance[boundary]",
+    "involution_invariance[boundary]",
+    "shift_invariance[gluing]",
+    "involution_invariance[gluing]",
+    "shift_invariance[q]",
+    "involution_invariance[q]",
+    "shift_invariance[extra]",
+    "shift_invariance[zero_section]",
+    "involution_invariance[zero_section]",
+]
+
+
+@pytest.mark.parametrize("g", range(1, 5))
+def test_every_report_is_timed_and_holds_exactly_when_its_residual_is_zero(g):
+    reports = verify_all(g)
+    assert [r.name for r in reports] == REPORT_NAMES
+    for report in reports:
+        assert report.genus == g and report.seconds >= 0
+        assert report.holds == report.residual.is_zero()
+
+
+def test_a_check_with_a_nonzero_residual_fails():
+    from chowkit.zero_section import _checked
+
+    report = _checked("demo", 3, lambda: parse("2*T1"))
+    assert (report.name, report.genus, report.holds, report.residual) == ("demo", 3, False, parse("2*T1"))
+    assert report.seconds >= 0
+
+
 # ------------------------------------------------------------------ inner sums
 
 
