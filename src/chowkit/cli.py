@@ -4,6 +4,7 @@ Exit codes:
     0   success; every requested verification holds
     1   at least one verification failed
     2   usage or input errors: bad flags, malformed expressions, bad weights
+    141 (killed by SIGPIPE) when the reader closes stdout early, as in ``| head``
 
 Output is deterministic — no timing, timestamps or environment data is ever
 printed — so identical invocations produce byte-identical output.
@@ -15,10 +16,10 @@ import argparse
 import functools
 import json
 import re
+import signal
 import sys
 
 from .dr import dr_class, serialize, specialize_compact_type
-from .linalg import determinant
 from .parsing import ParseError, parse
 from .poly import exact_text, format_polynomial
 from .ring import make_context
@@ -118,9 +119,8 @@ def cmd_ring(args: argparse.Namespace) -> int:
         payload["pairings"] = []
         lines = []
         for k in range(g):
-            matrix = ctx.pairing_matrix(k)
-            entries = [[exact_text(entry) for entry in row] for row in matrix]
-            det = exact_text(determinant(matrix))
+            entries = [[exact_text(entry) if entry else "0" for entry in row] for row in ctx.pairing_gram(k)]
+            det = exact_text(ctx.pairing_determinant(k))
             payload["pairings"].append({"k": k, "matrix": entries, "determinant": det})
             lines.append(f"k={k}: determinant {det}")
             lines.extend("  [" + " ".join(row) + "]" for row in entries)
@@ -250,6 +250,8 @@ def main(argv: "list[str] | None" = None) -> int:
             args.expr = extra.pop()
         if extra:
             parser.error("unrecognized arguments: " + " ".join(extra))
+        if args.subcommand == "ring" and args.action != "reduce" and args.expr is not None:
+            parser.error(f"ring {args.action} takes no expression, got {args.expr!r}")
     except SystemExit as exc:
         return int(exc.code or 0)
     command = {"verify": cmd_verify, "ring": cmd_ring, "coeffs": cmd_coeffs, "dr": cmd_dr}[args.subcommand]
@@ -260,4 +262,7 @@ def main(argv: "list[str] | None" = None) -> int:
 
 
 def entry() -> None:
+    # A reader that closes the pipe early (`| head`) ends the process as it does any filter.
+    if hasattr(signal, "SIGPIPE"):
+        signal.signal(signal.SIGPIPE, signal.SIG_DFL)
     sys.exit(main(sys.argv[1:]))

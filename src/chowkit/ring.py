@@ -15,6 +15,8 @@ is read off the ``phi`` pairing when first needed, as integers over one
 denominator per block.  ``I_g`` and ``phi`` are fixed by ``T1 <-> T2``, which
 maps the block of d-grade ``d`` onto that of ``-d`` and keeps ``P``-exponents,
 hence the basis: a block of ``d < 0`` is its partner's mirror, not solved.
+Below degree ``g`` every monomial is a basis monomial, and each pairing
+determinant is a product of Hankel minors in closed form, not eliminated.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -23,8 +25,10 @@ the distinguished invariant classes — live at module level.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import threading
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 from operator import add
@@ -32,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _numerators, d_grade
+from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _numerators
 
 __all__ = [
     "InvariantGenerators",
@@ -233,6 +237,15 @@ def _block(k: int, d: int) -> list[Exponents]:
     return [(0, z + d, k - d - 2 * z, z) for z in range((k - d) // 2, max(0, -d) - 1, -1)]
 
 
+def _sort_sign(keys: Sequence[int]) -> int:
+    """The sign of the stable sort of ``keys``: -1 to the number of inversions."""
+    seen, inversions = [], 0
+    for key in keys:
+        inversions += len(seen) - bisect.bisect_right(seen, key)
+        bisect.insort(seen, key)
+    return -1 if inversions % 2 else 1
+
+
 Rewrite = tuple[tuple[Exponents, int], ...]
 
 
@@ -351,22 +364,22 @@ class RingContext:
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
         """The normal form of integer ``terms`` over ``scale``: no rewrite leaves
         its block, so each output term is one ``Fraction`` over ``scale * den``."""
-        top, kept, images, dens = 2 * self.genus - 2, {}, {}, {}
+        g, top, kept, images, dens = self.genus, 2 * self.genus - 2, {}, {}, {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
             if k > top:
                 continue
-            if b // 2 < self._rank(k, d):
+            if k < g or b // 2 < self._rank(k, d):  # R_k is free below g
                 kept[(x, a, b, c)] = kept.get((x, a, b, c), 0) + v
             else:
                 dens[(k, d)], rewrites = self._block_rewrites(k, d)
                 for (_, u, w, y), f in rewrites[(0, a, b, c)]:
                     images[(x, u, w, y)] = images.get((x, u, w, y), 0) + v * f
-        out = {}
-        for e in kept.keys() | images.keys():
-            den = dens.get((e[1] + e[2] + e[3], e[1] - e[3]), 1)
-            out[e] = Fraction(kept.get(e, 0) * den + images.get(e, 0), scale * den)
+        out = {e: Fraction(v, scale) for e, v in kept.items()}
+        for e, v in images.items():
+            den = dens[(e[1] + e[2] + e[3], e[1] - e[3])]
+            out[e] = Fraction(kept.get(e, 0) * den + v, scale * den)
         return Polynomial._raw(RING_VARS, out)
 
     def is_zero(self, p: Polynomial) -> bool:
@@ -380,7 +393,7 @@ class RingContext:
         (ascending graded-lex order): in each d-grade block, the
         :meth:`_rank` monomials of smallest ``P``-exponent."""
         _require_degree(k)
-        return tuple(m for m in _monomials(k) if m[2] // 2 < self._rank(k, d_grade(m)))
+        return tuple(m for m in _monomials(k) if k < self.genus or m[2] // 2 < self._rank(k, m[1] - m[3]))
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
@@ -420,17 +433,46 @@ class RingContext:
         return (-1) ** (y // 2) * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, y // 2)
 
     def _gram(self, rows: Sequence[Exponents], cols: Sequence[Exponents]) -> list[list[int]]:
-        """The matrix ``phi(r*c)`` over two monomial lists of complementary degrees."""
-        return [[self._phi(tuple(map(add, r, c))) for c in cols] for r in rows]
+        """The matrix ``phi(r*c)`` over two monomial lists of complementary
+        degrees: 0, with no ``phi`` call, where the d-grades do not cancel."""
+        return [[self._phi(tuple(map(add, r, c))) if r[1] - r[3] == c[3] - c[1] else 0 for c in cols] for r in rows]
 
-    def pairing_matrix(self, k: int) -> list[list[Fraction]]:
-        """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``: each
-        entry is ``phi`` of the product of the two basis monomials, which
-        vanishes unless their d-grades cancel."""
+    def _pairing_bases(self, k: int) -> tuple[tuple[Exponents, ...], tuple[Exponents, ...]]:
         if not 0 <= k <= self.genus - 1:
             raise ValueError(f"pairing offset must satisfy 0 <= k <= {self.genus - 1}, got {k}")
-        gram = self._gram(self.basis(self.genus - 1 - k), self.basis(self.genus - 1 + k))
-        return [list(map(Fraction, row)) for row in gram]
+        return self.basis(self.genus - 1 - k), self.basis(self.genus - 1 + k)
+
+    def pairing_gram(self, k: int) -> list[list[int]]:
+        """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``, as
+        integers: each entry is ``phi`` of the product of the two basis
+        monomials, which vanishes unless their d-grades cancel."""
+        return self._gram(*self._pairing_bases(k))
+
+    def pairing_matrix(self, k: int) -> list[list[Fraction]]:
+        """:meth:`pairing_gram` with ``Fraction`` entries."""
+        return [list(map(Fraction, row)) for row in self.pairing_gram(k)]
+
+    def pairing_determinant(self, k: int) -> int:
+        """The determinant of :meth:`pairing_matrix`, in closed form.  Grouping
+        its rows by d-grade and its columns by minus d-grade, both stably,
+        makes it block diagonal, at the cost of the two permutations' signs.
+        Inside a block both bases run by descending ``P``, the Hankel order of
+        :meth:`_rank` reversed on both sides, so the block is the leading
+        ``r x r`` minor of ``h(s+i+j)``, ``s = (g-1-k-|d|) mod 2``, by the
+        product formula there, computed once per ``(s, r)``.  With ``A`` and
+        ``B - 1 - A`` half-integers, ``4 c_(2i-1) c_(2i)`` is a ratio of
+        integers, so each minor is one exact integer division."""
+        rows, cols = self._pairing_bases(k)
+        g, sizes = self.genus, Counter(m[1] - m[3] for m in rows)
+        det = _sort_sign([m[1] - m[3] for m in rows]) * _sort_sign([m[3] - m[1] for m in cols])
+        for (s, r), n in Counter(((g - 1 - k - abs(d)) % 2, r) for d, r in sizes.items()).items():
+            h = (-1) ** s * factorial(g - 1) * factorial(g - 1 - s) * factorial(2 * s) // factorial(s)
+            num, den = h**r * 2 ** (r * (r - 1)), 1
+            for i in range(1, r):  # (4 c_(2i-1) c_(2i))^(r-i), with A = s + 1/2 and B = s + 1 - g
+                num *= ((2 * s + 2 * i - 1) * (s - 1 - g + i) * i * (2 * i - 2 * g - 1)) ** (r - i)
+                den *= ((s - 2 - g + 2 * i) * (s - 1 - g + 2 * i) ** 2 * (s - g + 2 * i)) ** (r - i)
+            det *= (num // den) ** n
+        return det
 
     # ------------------------------------------------------------- invariance
 

@@ -1,6 +1,7 @@
 """End-to-end CLI behaviour: exit codes, output shapes, determinism."""
 
 import json
+import signal
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -200,6 +201,19 @@ def test_ring_reduce_huge_power_with_a_constant_term_is_fast(capsys):
     assert time.perf_counter() - start < 5
     assert (code, err) == (0, "")
     assert hashlib.sha256(out.encode("utf-8")).hexdigest().startswith("f304ada52c4e1e6c")
+
+
+def test_ring_pairing_at_genus_30_is_fast(capsys):
+    # Took 4.6-7.3 s while each determinant was eliminated from the dense
+    # Fraction matrix; the pin is the output of that elimination.
+    import hashlib
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ring", "--genus", "30", "pairing"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "3fef4bb969ee9f55d01328e0b2b6cb3583c3e4180d422967446bbd64ffb92e8e"
 
 
 def test_verify_at_genus_35_finishes(capsys):
@@ -653,6 +667,10 @@ def test_values_may_start_with_a_minus_sign(capsys, argv, same_as):
 
 UNKNOWN_ARGUMENTS = [
     (["ring", "--genus", "3", "dims", "-T1"], "unrecognized arguments: -T1"),
+    # Only reduce reads an expression; the other actions ignored one and exited 0.
+    (["ring", "--genus", "3", "dims", "T1"], "ring dims takes no expression, got 'T1'"),
+    (["ring", "--genus", "3", "pairing", "xi"], "ring pairing takes no expression, got 'xi'"),
+    (["ring", "--genus", "3", "--json", "relations", "P^2"], "ring relations takes no expression, got 'P^2'"),
     (["ring", "--genus", "3", "reduce", "P^2", "-T1"], "unrecognized arguments: -T1"),
     (["ring", "--genus", "3", "reduce", "-T1", "-T2"], "unrecognized arguments: -T1 -T2"),
     (["verify", "--genus", "2", "--bogus"], "unrecognized arguments: --bogus"),
@@ -756,6 +774,25 @@ def test_module_entry_point():
     assert proc.stdout == "-2*T1*T2\n"
 
 
+@pytest.mark.skipif(not hasattr(signal, "SIGPIPE"), reason="the platform has no SIGPIPE")
+def test_closed_stdout_ends_quietly_by_sigpipe():
+    # `| head` printed a BrokenPipeError traceback and exited 1, the code of a
+    # failed verification.  The output (5.5 MB) outgrows any pipe buffer.
+    import subprocess
+    import sys
+
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chowkit", "ring", "--genus", "30", "pairing"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline().startswith(b"k=0: determinant ")
+    proc.stdout.close()
+    assert proc.wait(timeout=60) == -signal.SIGPIPE
+    assert proc.stderr.read() == b""
+    proc.stderr.close()
+
+
 # ------------------------------------------------------------------ traced layers
 
 TRACED_RUN = """
@@ -804,15 +841,27 @@ def test_benchmark_tracer_sees_every_ring_layer():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 9
     calls = result["calls"]
-    # No CLI command reaches these six: only express_in_invariants calls
+    # No CLI command reaches these eight: only express_in_invariants calls
     # solve, dr_class expands over integer symbol ids, never through
-    # FormalClass arithmetic, and pairing_matrix reads phi through _gram,
-    # not through socle_pushforward.  Only reduction past degree g reaches
+    # FormalClass arithmetic, and ring pairing prints pairing_gram's
+    # integers and the closed-form pairing_determinant, so it calls neither
+    # pairing_matrix nor determinant (the tests' oracle for the closed
+    # form); phi is read through _gram, not through socle_pushforward.
+    # Only reduction past degree g reaches
     # rref, hence the degree-2g-2 reduce (not of (T1+P+T2)^6: (T1+P+T2)^g
     # is the sum of the relations, so that power is zero from degree g on).
     # No CLI path substitutes: the restrictions and the involution are term
     # maps, shifts are exp(n*D), and the eta side is the table itself.
-    unreachable = {"linalg.solve", "dr.mul", "dr.pow", "dr.add", "ring.socle_pushforward", "poly.substitute"}
+    unreachable = {
+        "linalg.solve",
+        "linalg.determinant",
+        "dr.mul",
+        "dr.pow",
+        "dr.add",
+        "ring.pairing_matrix",
+        "ring.socle_pushforward",
+        "poly.substitute",
+    }
     assert unreachable <= set(calls)
     assert [layer for layer in calls if layer not in unreachable and not calls[layer]] == []
 

@@ -13,6 +13,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chowkit import (
     NotInSpanError,
@@ -268,6 +269,33 @@ def test_multiply_is_the_normal_form_of_the_product(g):
         ctx.multiply(top, Polynomial.variable(("Theta",), "Theta"))
 
 
+@st.composite
+def below_g(draw, g):
+    """A class whose every term ``xi^x T1^a P^b T2^c`` has xi-folded degree
+    ``a + b + max(x-1, 0) + c`` below ``g``, where ``R_k`` is free."""
+    terms = {}
+    for _ in range(draw(st.integers(0, 6))):
+        x = draw(st.integers(0, min(3, g)))
+        n = draw(st.integers(0, g - 1 - max(x - 1, 0)))
+        a = draw(st.integers(0, n))
+        c = draw(st.integers(0, n - a))
+        terms[(x, a, n - a - c, c)] = F(draw(st.integers(-9, 9)), draw(st.integers(1, 4)))
+    return Polynomial(RING_VARS, terms)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=150)
+@given(data=st.data(), g=st.integers(1, 8))
+def test_below_g_reduction_only_folds_xi(data, g):
+    ctx = shared_context(g)
+    a, b = data.draw(below_g(g)), data.draw(below_g(g))
+    folded = {}
+    for (x, u, v, w), coeff in a.terms.items():
+        e = (min(x, 1), u, v + max(x - 1, 0), w)
+        folded[e] = folded.get(e, 0) + coeff
+    assert ctx.normal_form(a).terms == Polynomial(RING_VARS, folded).terms
+    assert ctx.multiply(a, b) == ctx.normal_form(a * b)
+
+
 def test_normal_form_rejects_wrong_vars():
     from chowkit import INVARIANT_VARS
 
@@ -450,6 +478,7 @@ def test_dims_bases_and_pairings_solve_no_block():
             ctx.dim_graded(k, l)
     for k in range(g):
         ctx.pairing_matrix(k)
+        ctx.pairing_determinant(k)
     assert ctx._rewrites == {}
 
 
@@ -659,6 +688,14 @@ def test_pairing_nonsingular(g):
         assert determinant(matrix) != 0
 
 
+@pytest.mark.parametrize("g", range(1, 17))
+def test_pairing_determinant_is_the_eliminated_determinant(g):
+    # The closed form against the elimination it replaced in the CLI.
+    ctx = shared_context(g)
+    for k in range(g):
+        assert ctx.pairing_determinant(k) == determinant(ctx.pairing_matrix(k))
+
+
 @pytest.mark.parametrize("g", range(2, 6))
 def test_balanced_multiplication_injective(g):
     # Multiplying the lower canonical basis by (T1*T2)^k stays independent.
@@ -678,8 +715,10 @@ def test_balanced_multiplication_injective(g):
 
 
 def test_pairing_rejects_bad_offset():
-    with pytest.raises(ValueError):
-        make_context(2).pairing_matrix(2)
+    for pairing in ("pairing_matrix", "pairing_gram", "pairing_determinant"):
+        for k in (-1, 2):
+            with pytest.raises(ValueError):
+                getattr(make_context(2), pairing)(k)
 
 
 # ------------------------------------------------------------------ operators
