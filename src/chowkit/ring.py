@@ -85,27 +85,36 @@ def _require_degree(k: int) -> None:
         raise ValueError(f"degree must be nonnegative, got {k}")
 
 
+def _level_sums(terms: dict[Exponents, int], weights: Sequence[int], parts: int = 1) -> tuple[dict[Exponents, int], ...]:
+    """The sums of ``weights[j] * D^j q / j!`` over ``j`` in each class mod ``parts``,
+    for integral ``q`` (its ``terms``) and the locally nilpotent ``D = P*d/dT1 +
+    2*T2*d/dP``.  ``D^j q / j!`` is the ``n^j`` coefficient of an integral
+    substitution, so each level is the last one's ``D`` divided by ``j``."""
+    sums: tuple[dict[Exponents, int], ...] = tuple({} for _ in range(parts))
+    for j, weight in enumerate(weights):
+        if j:
+            step: dict[Exponents, int] = {}
+            for (x, a, b, c), v in terms.items():
+                if a:
+                    step[(x, a - 1, b + 1, c)] = step.get((x, a - 1, b + 1, c), 0) + a * v
+                if b:
+                    step[(x, a, b - 1, c + 1)] = step.get((x, a, b - 1, c + 1), 0) + 2 * b * v
+            terms = {e: v // j for e, v in step.items() if v}
+        if weight:
+            part = sums[j % parts]
+            for e, v in terms.items():
+                part[e] = part.get(e, 0) + weight * v
+    return sums
+
+
 def _shift_parts(p: Polynomial, n: Fraction | int) -> tuple[Polynomial, Polynomial]:
     """``(E, O)``, the sums over even and odd ``j`` of the levels ``n^j D^j p /
-    j!`` of ``exp(n*D) p = E + O`` (so ``exp(-n*D) p = E - O``), for the
-    locally nilpotent ``D = P*d/dT1 + 2*T2*d/dP``.  ``D`` raises ``b + 2c`` of
-    ``T1^a P^b T2^c``, at most ``2 deg p``, by one.  For integral ``q``, ``D^j
-    q / j!`` is the ``n^j`` coefficient of an integral substitution, so each
-    level of integer numerators is the last one's ``D`` divided by ``j``."""
+    j!`` of ``exp(n*D) p = E + O`` (so ``exp(-n*D) p = E - O``).  ``D`` raises
+    ``b + 2c`` of ``T1^a P^b T2^c``, at most ``2 deg p``, by one."""
     _require_ring_vars(p)
     _require_xi_free(p)
-    n, (scale, level) = Fraction(n), _numerators(p.terms)
-    top, parts, j = 2 * p.total_degree(), ({}, {}), 0
-    while level:
-        weight, part, step = n.numerator**j * n.denominator ** (top - j), parts[j % 2], {}
-        for (x, a, b, c), v in level.items():
-            part[(x, a, b, c)] = part.get((x, a, b, c), 0) + weight * v
-            if a:
-                step[(x, a - 1, b + 1, c)] = step.get((x, a - 1, b + 1, c), 0) + a * v
-            if b:
-                step[(x, a, b - 1, c + 1)] = step.get((x, a, b - 1, c + 1), 0) + 2 * b * v
-        j += 1
-        level = {e: v // j for e, v in step.items() if v}
+    n, (scale, terms), top = Fraction(n), _numerators(p.terms), 2 * p.total_degree()
+    parts = _level_sums(terms, [n.numerator**j * n.denominator ** (top - j) for j in range(top + 1)], 2)
     den = scale * n.denominator**top
     return tuple(Polynomial._raw(RING_VARS, {e: Fraction(v, den) for e, v in part.items()}) for part in parts)
 
@@ -201,9 +210,7 @@ def degree_triples(k: int) -> list[tuple[int, int, int]]:
     return [(k - b - 2 * c, b, c) for c in range(k // 2 + 1) for b in range(k - 2 * c + 1)]
 
 
-def _basis_images(
-    basis: str, theta: Polynomial, boundary: Polynomial, gluing: Polynomial
-) -> tuple[Polynomial, Polynomial, Polynomial]:
+def _basis_images(basis: str, theta: Polynomial, boundary: Polynomial, gluing: Polynomial) -> tuple[Polynomial, Polynomial, Polynomial]:
     """The images of ``(a, b, c)`` exponents in the ``"alpha"`` basis,
     ``(theta - boundary/8, boundary, gluing - 2*theta*boundary)``, or in the
     ``"eta"`` basis, ``(theta, boundary, gluing)``."""
@@ -364,7 +371,7 @@ class RingContext:
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
         """The normal form of integer ``terms`` over ``scale``: no rewrite leaves
         its block, so each output term is one ``Fraction`` over ``scale * den``."""
-        g, top, kept, images, dens = self.genus, 2 * self.genus - 2, {}, {}, {}
+        g, top, kept, images, blocks = self.genus, 2 * self.genus - 2, {}, {}, {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
@@ -373,12 +380,13 @@ class RingContext:
             if k < g or b // 2 < self._rank(k, d):  # R_k is free below g
                 kept[(x, a, b, c)] = kept.get((x, a, b, c), 0) + v
             else:
-                dens[(k, d)], rewrites = self._block_rewrites(k, d)
-                for (_, u, w, y), f in rewrites[(0, a, b, c)]:
+                if (k, d) not in blocks:  # one lookup, and one lock, per block
+                    blocks[(k, d)] = self._block_rewrites(k, d)
+                for (_, u, w, y), f in blocks[(k, d)][1][(0, a, b, c)]:
                     images[(x, u, w, y)] = images.get((x, u, w, y), 0) + v * f
         out = {e: Fraction(v, scale) for e, v in kept.items()}
         for e, v in images.items():
-            den = dens[(e[1] + e[2] + e[3], e[1] - e[3])]
+            den = blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]
             out[e] = Fraction(kept.get(e, 0) * den + v, scale * den)
         return Polynomial._raw(RING_VARS, out)
 
@@ -491,10 +499,7 @@ class RingContext:
     # ------------------------------------------------------------- coordinates
 
     def express_in_invariants(
-        self,
-        p: Polynomial,
-        degree: int | None = None,
-        basis: str = "alpha",
+        self, p: Polynomial, degree: int | None = None, basis: str = "alpha"
     ) -> tuple[dict[tuple[int, int, int], Fraction], int]:
         """Write ``p`` as a combination of invariant basis elements of one
         degree.
@@ -521,9 +526,7 @@ class RingContext:
         rows = [[image.coefficient(m) for image in images] for m in slots]
         solution, kernel = solve(rows, [self.normal_form(p).coefficient(m) for m in slots], len(triples))
         if solution is None:
-            raise NotInSpanError(
-                f"class is not in the span of the degree-{degree} {basis!r} basis elements"
-            )
+            raise NotInSpanError(f"class is not in the span of the degree-{degree} {basis!r} basis elements")
         return {t: solution[i] for i, t in enumerate(triples)}, kernel
 
 

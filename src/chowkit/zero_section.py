@@ -3,9 +3,9 @@
 The distinguished degree-g class ``xi * T1^(g-1) / (g-1)!`` — the class of
 the zero section inside the boundary family — equals an explicit
 combination of invariant classes.  This module holds the two rational
-coefficient families of that combination (``alpha`` for the shifted basis,
-``eta`` for the plain basis), assembles the combinations, and machine-checks
-the identity together with the auxiliary identities used to derive it:
+coefficient families (``alpha`` for the shifted basis, ``eta`` for the plain
+basis), assembles the combinations, and machine-checks the identity, as the
+triangular identity plus one derivation, with the identities behind it:
 
 * the triangularity statement that makes the alpha system solvable,
 * the closed form of the boundary-free alpha coefficients,
@@ -28,17 +28,8 @@ from typing import Callable
 from .arith import bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, format_polynomial
 from .ring import (
-    RingContext,
-    _shift_parts,
-    degree_triples,
-    extra_shift_invariant,
-    invariant_generators,
-    involution,
-    make_context,
-    q_class,
-    restrict_infty,
-    restrict_zero,
-    shift,
+    RingContext, _level_sums, _shift_parts, _shifted, degree_triples, extra_shift_invariant, invariant_generators,
+    involution, make_context, q_class, restrict_infty, restrict_zero, shift,
 )
 
 __all__ = [
@@ -71,17 +62,9 @@ def _validate_triple(a: int, b: int, c: int) -> None:
 def alpha(a: int, b: int, c: int) -> Fraction:
     """Coefficient of the shifted-basis monomial with exponents ``(a, b, c)``."""
     _validate_triple(a, b, c)
-    sign = (-1) ** (b + c + 1)
     two_part = Fraction(1, 2 ** (b + c)) - Fraction(2, 8 ** (b + c))
-    numerator = sign * two_part * double_factorial(2 * a + 2 * b + 2 * c - 1) * bernoulli(2 * b + 2 * c)
-    denominator = (
-        double_factorial(2 * a + 2 * c - 1)
-        * double_factorial(2 * b + 2 * c - 1)
-        * factorial(a)
-        * factorial(b)
-        * factorial(c)
-    )
-    return numerator / denominator
+    numerator = (-1) ** (b + c + 1) * two_part * double_factorial(2 * a + 2 * b + 2 * c - 1) * bernoulli(2 * b + 2 * c)
+    return numerator / (double_factorial(2 * a + 2 * c - 1) * double_factorial(2 * b + 2 * c - 1) * factorial(a) * factorial(b) * factorial(c))
 
 
 def alpha_b0_closed_form(a: int, c: int) -> Fraction:
@@ -95,20 +78,11 @@ def alpha_b0_closed_form(a: int, c: int) -> Fraction:
 def eta(a: int, b: int, c: int) -> Fraction:
     """Coefficient of the plain-basis monomial with exponents ``(a, b, c)``."""
     _validate_triple(a, b, c)
-    outer = Fraction(
-        (-1) ** (b + c) * double_factorial(2 * c + 2 * b - 1),
-        8 ** (b + c) * factorial(a) * factorial(c),
-    )
+    outer = Fraction((-1) ** (b + c) * double_factorial(2 * c + 2 * b - 1), 8 ** (b + c) * factorial(a) * factorial(c))
     total = Fraction(0)
     for x in range(b + 1):
         numerator = (2 - 4 ** (c + x)) * bernoulli(2 * c + 2 * x)
-        denominator = (
-            double_factorial(2 * c + 2 * b - 2 * x - 1)
-            * double_factorial(2 * c + 2 * x - 1)
-            * factorial(b - x)
-            * factorial(x)
-        )
-        total += numerator / denominator
+        total += numerator / (double_factorial(2 * c + 2 * b - 2 * x - 1) * double_factorial(2 * c + 2 * x - 1) * factorial(b - x) * factorial(x))
     return outer * total
 
 
@@ -123,6 +97,14 @@ class CoefficientTable:
 
     def triples(self) -> list[tuple[int, int, int]]:
         return list(self.alpha)
+
+
+def _tangent_terms(genus: int) -> tuple[int, list[int]]:
+    """``(den, t)``, ``t[m] / den = T(m) = (2 - 4^m) B_(2m)`` for ``m <= genus``
+    on one denominator: ``x/sinh(x) = sum T(m) x^(2m)/(2m)!``."""
+    numbers = [bernoulli(2 * m) for m in range(genus + 1)]
+    den = lcm(*(b.denominator for b in numbers))
+    return den, [(2 - 4**m) * b.numerator * (den // b.denominator) for m, b in enumerate(numbers)]
 
 
 @lru_cache(maxsize=None)
@@ -142,8 +124,7 @@ def coefficient_table(genus: int) -> CoefficientTable:
     if genus < 1:
         raise ValueError(f"genus must be a positive integer, got {genus}")
     fact, dfact = [factorial(i) for i in range(2 * genus + 1)], [double_factorial(2 * p - 1) for p in range(genus + 1)]
-    den = lcm(*(bernoulli(2 * m).denominator for m in range(genus + 1)))
-    t = [int((2 - 4**m) * bernoulli(2 * m) * den) for m in range(genus + 1)]
+    den, t = _tangent_terms(genus)
     alphas, etas = {}, {}
     for a, b, c in degree_triples(genus):
         s, n, sign = b + c, b + 2 * c, (-1) ** (b + c)
@@ -167,10 +148,8 @@ def maple_inner_sum(g: int, h: int, l: int) -> Fraction:
         raise ValueError(f"need 0 <= l <= h <= g and g - h >= h, got g={g}, h={h}, l={l}")
     total = Fraction(0)
     for c in range(l, h + 1):
-        total += Fraction(
-            (-1) ** c * 4 ** c * factorial(2 * g - 2 * c),
-            factorial(g - c) * factorial(c - l) * factorial(g - h - c) * factorial(h - c),
-        )
+        numerator = (-1) ** c * 4 ** c * factorial(2 * g - 2 * c)
+        total += Fraction(numerator, factorial(g - c) * factorial(c - l) * factorial(g - h - c) * factorial(h - c))
     return total
 
 
@@ -182,10 +161,7 @@ def inner_sum_constant(g: int, h: int) -> Fraction:
     """
     ratios = []
     for l in range(h + 1):
-        reference = Fraction(
-            (-1) ** l * 4 ** l * factorial(l),
-            factorial(g - l - h) * factorial(h - l) * factorial(2 * l),
-        )
+        reference = Fraction((-1) ** l * 4 ** l * factorial(l), factorial(g - l - h) * factorial(h - l) * factorial(2 * l))
         ratios.append(maple_inner_sum(g, h, l) / reference)
     if any(r != ratios[0] for r in ratios):
         raise ArithmeticError(f"inner-sum ratio depends on l for g={g}, h={h}: {ratios}")
@@ -198,9 +174,7 @@ def inner_sum_constant(g: int, h: int) -> Fraction:
 def boundary_zero_section(ctx: RingContext) -> Polynomial:
     """The class ``xi * T1^(g-1) / (g-1)!`` of the zero section in the
     boundary family at the context's genus."""
-    g = ctx.genus
-    exps = (1, g - 1, 0, 0)
-    return Polynomial.monomial(RING_VARS, exps, Fraction(1, factorial(g - 1)))
+    return Polynomial.monomial(RING_VARS, (1, ctx.genus - 1, 0, 0), Fraction(1, factorial(ctx.genus - 1)))
 
 
 def _walked(variables: tuple[str, ...], scale: int, terms: dict[Exponents, int], *walks) -> Polynomial:
@@ -239,6 +213,16 @@ def _triangular_sum(genus: int, basis: str) -> Polynomial:
     return _walked(RING_VARS, scale, terms, *walks[basis])
 
 
+def _xi_over_p(terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
+    """The terms of ``xi * p / P`` for the terms of xi-free ``p``, which ``P`` must divide."""
+    out = {}
+    for (_, a, b, c), coeff in terms.items():
+        if not b:
+            raise ArithmeticError(f"P does not divide the term {coeff}*T1^{a}*T2^{c} of the xi -> P image")
+        out[(1, a, b - 1, c)] = coeff
+    return out
+
+
 def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     """The invariant-basis combination predicted to equal the zero-section
     class, as its xi-linear representative ``A0 + xi*A1``.  The ring maps
@@ -246,12 +230,27 @@ def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     and ``+1/2`` of the triangular sum, ``E - O`` and ``E + O`` for the even and
     odd parts of one ``exp(D/2)`` walk: ``A0 = E - O``, and ``P*A1 = 2*O``."""
     even, odd = _shift_parts(_triangular_sum(ctx.genus, basis), Fraction(1, 2))
-    terms = dict((even - odd).terms)
-    for (_, a, b, c), coeff in odd.terms.items():
-        if not b:
-            raise ArithmeticError(f"P does not divide the term {2 * coeff}*T1^{a}*T2^{c} of the xi -> P image")
-        terms[(1, a, b - 1, c)] = 2 * coeff
-    return Polynomial._raw(RING_VARS, terms)
+    return Polynomial._raw(RING_VARS, {**(even - odd).terms, **_xi_over_p((2 * odd).terms)})
+
+
+def _main_residual(ctx: RingContext, s: Polynomial, reduced: Polynomial) -> Polynomial:
+    """``NF(assemble_main_rhs(ctx) - boundary_zero_section(ctx))`` from the alpha
+    triangular sum ``s`` and its normal form ``reduced``.  ``exp(D/2)`` keeps ``I_g``
+    (``T1 + m*P + m^2*T2`` goes to ``m + 1/2``), so ``NF(A0) = NF(exp(-D/2) reduced)``.
+    ``A1`` has degree ``g-1``, where ``R`` is free, and ``2*O = phi(D) D s``, ``phi(x)
+    = sinh(x/2)/(x/2) = sum (x/2)^(2m)/(2m+1)!``.  With ``Z = P*T1^(g-1)/(2*(g-1)!)``
+    and ``psi = 1/phi = sum T(m) (x/2)^(2m)/(2m)!``, the xi part is ``phi(D) W / P``,
+    ``W = D s - 2 psi(D) Z``: only ``Z`` and the residuals ``reduced`` and ``W`` are walked."""
+    g, (scale, terms), (den, t) = ctx.genus, _numerators(s.terms), _tangent_terms(ctx.genus)
+    # W over scale * zden: 2 psi(D) Z is the sum of t[m] 2^(2g-2m) D^(2m) (P*T1^(g-1)) / (2m)! over zden.
+    zden, phiden = den * factorial(g - 1) << 2 * g, lcm(*range(1, 2 * g + 2, 2)) << 2 * g
+    (w,) = _level_sums(terms, (0, zden))
+    (psi_z,) = _level_sums({(0, g - 1, 1, 0): scale}, [0 if j % 2 else t[j // 2] << 2 * g - j for j in range(2 * g)])
+    for e, v in psi_z.items():
+        w[e] = w.get(e, 0) - v
+    (phi_w,) = _level_sums({e: v for e, v in w.items() if v}, [0 if j % 2 else phiden // (j + 1 << j) for j in range(2 * g + 1)])
+    xi_part = _xi_over_p({e: Fraction(v, scale * zden * phiden) for e, v in phi_w.items()})
+    return Polynomial._raw(RING_VARS, {**ctx.normal_form(_shifted(reduced, Fraction(-1, 2))).terms, **xi_part})
 
 
 # -------------------------------------------------------------- reports
@@ -274,12 +273,7 @@ class VerificationReport:
     seconds: float = 0.0
 
     def to_dict(self, include_timing: bool = False) -> dict:
-        payload: dict = {
-            "name": self.name,
-            "genus": self.genus,
-            "holds": self.holds,
-            "residual": format_polynomial(self.residual),
-        }
+        payload: dict = {"name": self.name, "genus": self.genus, "holds": self.holds, "residual": format_polynomial(self.residual)}
         if include_timing:
             payload["seconds"] = self.seconds
         return payload
@@ -302,9 +296,11 @@ def _checked(name: str, genus: int, residual: Callable[[], Polynomial]) -> Verif
 
 def verify_main(genus: int) -> VerificationReport:
     """Check the main identity: the assembled alpha combination reduces to
-    the zero-section class in the quotient ring."""
-    ctx = make_context(genus)
-    return _checked("main_identity", genus, lambda: ctx.normal_form(assemble_main_rhs(ctx, "alpha") - boundary_zero_section(ctx)))
+    the zero-section class in the quotient ring.  It holds iff the triangular
+    sum ``S`` reduces to 0 and ``D S = 2 psi(D) Z`` (``_main_residual``): one
+    normal form and one derivation of ``S``, with the same residual."""
+    ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
+    return _checked("main_identity", genus, lambda: _main_residual(ctx, s, ctx.normal_form(s)))
 
 
 def verify_eta_alpha(genus: int) -> VerificationReport:
@@ -339,9 +335,11 @@ def verify_invariance(genus: int) -> list[VerificationReport]:
     gluing: its involution-symmetrization lies in that subring, the class
     itself does not.
     """
-    ctx = make_context(genus)
-    gens = invariant_generators()
-    reports = []
+    return _invariance(make_context(genus))
+
+
+def _invariance(ctx: RingContext) -> list[VerificationReport]:
+    genus, gens, reports = ctx.genus, invariant_generators(), []
     for label, cls, check_involution in (
         ("theta", gens.theta, True),
         ("boundary", gens.boundary, True),
@@ -357,10 +355,9 @@ def verify_invariance(genus: int) -> list[VerificationReport]:
 
 
 def verify_all(genus: int) -> list[VerificationReport]:
-    """Every verification at one genus, in deterministic order."""
-    return [
-        verify_main(genus),
-        verify_eta_alpha(genus),
-        verify_triangular(genus),
-        *verify_invariance(genus),
-    ]
+    """Every verification at one genus, in deterministic order, on one ring context:
+    the triangular report is the triangular sum's normal form, and the main report reads it."""
+    ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
+    triangular = _checked("triangular_identity", genus, lambda: ctx.normal_form(s))
+    main = _checked("main_identity", genus, lambda: _main_residual(ctx, s, triangular.residual))
+    return [main, verify_eta_alpha(genus), triangular, *_invariance(ctx)]

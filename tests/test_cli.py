@@ -852,7 +852,10 @@ def test_benchmark_tracer_sees_every_ring_layer():
     # is the sum of the relations, so that power is zero from degree g on).
     # No CLI path substitutes: the restrictions and the involution are term
     # maps, shifts are exp(n*D), and the eta side is the table itself.
+    # verify checks the main identity as the triangular normal form plus one
+    # derivation, so it never assembles the right-hand side.
     unreachable = {
+        "zero_section.assemble",
         "linalg.solve",
         "linalg.determinant",
         "dr.mul",

@@ -212,6 +212,50 @@ def test_broken_entries_leave_one_monomial_eta_residuals(monkeypatch, g, delta):
     assert verify_main(g).holds and verify_triangular(g).holds
 
 
+@pytest.mark.parametrize("g", range(2, 13))
+def test_main_residual_is_the_assembled_residual(monkeypatch, g):
+    # verify_main reads the triangular normal form and one derivation of the
+    # triangular sum; on broken alpha tables its residual, alone and within
+    # verify_all, is still the normal form of the assembled right-hand side
+    # minus the section, and a division by P that fails on one route fails
+    # on every route.
+    def outcome(residual):
+        try:
+            return residual()
+        except ArithmeticError:
+            return ArithmeticError
+
+    rng = random.Random(g)
+    ctx = make_context(g)
+    for _ in range(5):
+        delta = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.randint(1, 9))
+        _table_off_by(monkeypatch, g, "alpha", rng.choice(degree_triples(g)), delta)
+        expected = outcome(lambda: ctx.normal_form(assemble_main_rhs(ctx) - boundary_zero_section(ctx)))
+        assert outcome(lambda: verify_main(g).residual) == expected
+        assert outcome(lambda: verify_all(g)[0].residual) == expected
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("g", [3, 30, 70])
+def test_triangular_sum_satisfies_the_derivation_identity(g):
+    # D*S = 2*psi(D)*Z as polynomials: with a zero triangular normal form the
+    # main residual is xi*phi(D)*W/P alone, and phi(D) is invertible.  S plus
+    # T1^g leaves xi times the odd part of T1^g's shifts by -1/2 and +1/2, over
+    # P/2, so the check is not vacuous.  The shifts of P*T1^(g-1) differ by
+    # 2*T2*(T1 + T2/4)^(g-1) at P = 0, which P does not divide.
+    from chowkit.ring import _shifted
+    from chowkit.zero_section import _main_residual, _triangular_sum
+
+    ctx, zero, power = make_context(g), Polynomial.zero(RING_VARS), Polynomial.monomial(RING_VARS, (0, g, 0, 0))
+    s = _triangular_sum(g, "alpha")
+    assert _main_residual(ctx, s, zero).is_zero()
+    odd = _shifted(power, F(1, 2)) - _shifted(power, F(-1, 2))
+    expected = Polynomial(RING_VARS, {(1, a, b - 1, c): coeff for (_, a, b, c), coeff in odd.terms.items()})
+    assert _main_residual(ctx, s + power, zero) == expected
+    with pytest.raises(ArithmeticError, match="P does not divide"):
+        _main_residual(ctx, s + Polynomial.monomial(RING_VARS, (0, g - 1, 1, 0)), zero)
+
+
 def test_verify_expands_no_alpha_combination_through_combine(monkeypatch, capsys):
     # Both tables are expanded by walks alone: neither zero_section nor ring
     # holds combine, verify --genus 12 --json succeeds, and with poly's
