@@ -184,12 +184,14 @@ def invariant_generators() -> InvariantGenerators:
     return InvariantGenerators(theta, boundary, gluing)
 
 
+@functools.cache
 def q_class() -> Polynomial:
     """The xi-free invariant ``gluing - 2*theta*boundary`` (equals ``4*T1*T2 - P^2``)."""
     gens = invariant_generators()
     return gens.gluing - 2 * gens.theta * gens.boundary
 
 
+@functools.cache
 def extra_shift_invariant() -> Polynomial:
     """A shift-invariant class outside the subring generated by theta,
     boundary and gluing: ``xi*(6*P*T2 + 12*T2^2) + P^3 - 4*P*T2^2``.
@@ -269,6 +271,7 @@ class RingContext:
         self.genus = genus
         self.relation_grades = range(genus, -genus - 1, -1)
         self._rewrites: dict[tuple[int, int], tuple[int, dict[Exponents, Rewrite]]] = {}
+        self._bases: dict[int, tuple[Exponents, ...]] = {}  # read twice per pairing; a race builds one twice
         self._lock = threading.RLock()  # a mirror block takes its partner's under it
 
     # ------------------------------------------------------------- relations
@@ -369,8 +372,8 @@ class RingContext:
         return self._reduced(s * t, _add_product({}, x, y))
 
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
-        """The normal form of integer ``terms`` over ``scale``: no rewrite leaves
-        its block, so each output term is one ``Fraction`` over ``scale * den``."""
+        """The normal form of integer ``terms`` over ``scale``: no rewrite leaves its
+        block, so each nonzero output term is one ``Fraction`` over ``scale * den``."""
         g, top, kept, images, blocks = self.genus, 2 * self.genus - 2, {}, {}, {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
@@ -384,10 +387,11 @@ class RingContext:
                     blocks[(k, d)] = self._block_rewrites(k, d)
                 for (_, u, w, y), f in blocks[(k, d)][1][(0, a, b, c)]:
                     images[(x, u, w, y)] = images.get((x, u, w, y), 0) + v * f
-        out = {e: Fraction(v, scale) for e, v in kept.items()}
+        out = {e: Fraction(v, scale) for e, v in kept.items() if v and e not in images}
         for e, v in images.items():
             den = blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]
-            out[e] = Fraction(kept.get(e, 0) * den + v, scale * den)
+            if v := kept.get(e, 0) * den + v:
+                out[e] = Fraction(v, scale * den)
         return Polynomial._raw(RING_VARS, out)
 
     def is_zero(self, p: Polynomial) -> bool:
@@ -397,11 +401,14 @@ class RingContext:
     # ------------------------------------------------------------- structure
 
     def basis(self, k: int) -> tuple[Exponents, ...]:
-        """Canonical monomial basis of the xi-free graded piece of degree ``k``
-        (ascending graded-lex order): in each d-grade block, the
-        :meth:`_rank` monomials of smallest ``P``-exponent."""
+        """Canonical monomial basis of the xi-free graded piece of degree ``k`` (ascending graded-lex order): in
+        each d-grade block, the :meth:`_rank` monomials of smallest ``P``-exponent.  As ``b`` and ``m - |d|`` share
+        their parity, ``T1^a P^b T2^c`` is one iff ``b + |a - c| <= m``."""
         _require_degree(k)
-        return tuple(m for m in _monomials(k) if k < self.genus or m[2] // 2 < self._rank(k, m[1] - m[3]))
+        if k not in self._bases:
+            m = min(k, 2 * self.genus - 2 - k)
+            self._bases[k] = tuple(e for e in _monomials(k) if e[2] + abs(e[1] - e[3]) <= m)
+        return self._bases[k]
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
@@ -485,16 +492,30 @@ class RingContext:
     # ------------------------------------------------------------- invariance
 
     def is_shift_invariant(self, p: Polynomial) -> bool:
-        """Whether ``p`` glues to a class invariant under the shift action:
-        the infinity restriction, shifted once, must agree with the zero
-        restriction in the quotient ring."""
+        """Whether ``p`` glues to a class invariant under the shift action: the infinity restriction, shifted once,
+        must agree with the zero restriction in the quotient ring, on integer numerators (see :meth:`_reduced`)."""
         _require_ring_vars(p)
-        return self.is_zero(shift(restrict_infty(p), 1) - restrict_zero(p))
+        return self._shift_residual(*_numerators(p.terms)).is_zero()
 
     def is_j_invariant(self, p: Polynomial) -> bool:
-        """Whether ``p`` is fixed by the fiberwise inversion involution."""
+        """Whether ``p`` is fixed by the fiberwise inversion involution, on integer numerators."""
         _require_ring_vars(p)
-        return self.is_zero(involution(p) - p)
+        return self._involution_residual(*_numerators(p.terms)).is_zero()
+
+    def _shift_residual(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
+        """``normal_form(shift(restrict_infty(p), 1) - restrict_zero(p))`` for ``p = terms / scale``."""
+        (out,) = _level_sums({e: v for e, v in terms.items() if not e[0]}, [1] * (2 * max(map(sum, terms), default=0) + 1))
+        for (x, a, b, c), v in terms.items():
+            out[(0, a, b + x, c)] = out.get((0, a, b + x, c), 0) - v
+        return self._reduced(scale, out)
+
+    def _involution_residual(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
+        """``normal_form(involution(p) - p)`` for ``p = terms / scale``."""
+        out = {e: -v for e, v in terms.items()}
+        for (x, a, b, c), v in terms.items():
+            for i in range(x + 1):  # (xi - P)^x by the binomial theorem
+                out[(x - i, a, b + i, c)] = out.get((x - i, a, b + i, c), 0) + (-1) ** (b + i) * binomial(x, i) * v
+        return self._reduced(scale, out)
 
     # ------------------------------------------------------------- coordinates
 

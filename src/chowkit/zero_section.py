@@ -29,7 +29,7 @@ from .arith import bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, format_polynomial
 from .ring import (
     RingContext, _level_sums, _shift_parts, _shifted, degree_triples, extra_shift_invariant, invariant_generators,
-    involution, make_context, q_class, restrict_infty, restrict_zero, shift,
+    make_context, q_class,
 )
 
 __all__ = [
@@ -177,9 +177,9 @@ def boundary_zero_section(ctx: RingContext) -> Polynomial:
     return Polynomial.monomial(RING_VARS, (1, ctx.genus - 1, 0, 0), Fraction(1, factorial(ctx.genus - 1)))
 
 
-def _walked(variables: tuple[str, ...], scale: int, terms: dict[Exponents, int], *walks) -> Polynomial:
-    """``terms / scale`` after each walk ``(slot, x, y, den)`` in turn, on
-    integer numerators.  A walk puts ``(x + y) / den``, with ``x`` and ``y``
+def _walked(scale: int, terms: dict[Exponents, int], *walks) -> tuple[int, dict[Exponents, int]]:
+    """``terms / scale`` after each walk ``(slot, x, y, den)`` in turn, as integer
+    numerators over a new scale.  A walk puts ``(x + y) / den``, with ``x`` and ``y``
     integer multiples of monomials, for the variable at ``slot``: ``v^e ->
     sum_j C(e, j) x^(e-j) y^j``, one row per ``e`` scaled to ``den^top`` for
     the largest ``e``.  With ``x = den*v`` this is ``exp((y/den) d/dv)``."""
@@ -192,11 +192,11 @@ def _walked(variables: tuple[str, ...], scale: int, terms: dict[Exponents, int],
                 out[mono] = out.get(mono, 0) + v * w
                 mono = tuple(map(add, mono, step))
         scale, terms = scale * den**top, out
-    return Polynomial._raw(variables, {e: Fraction(v, scale) for e, v in terms.items() if v})
+    return scale, terms
 
 
-def _triangular_sum(genus: int, basis: str) -> Polynomial:
-    """The ``basis`` combination of ``(T1 - T2/4, -2*T2, T2^2 - P^2)``, whose
+def _triangular_sum(genus: int, basis: str) -> tuple[int, dict[Exponents, int]]:
+    """``(scale, numerators)`` of the ``basis`` combination of ``(T1 - T2/4, -2*T2, T2^2 - P^2)``, whose
     shifts by ``-1/2`` and ``+1/2`` are ``(theta, boundary, gluing)`` under
     ``xi -> 0`` and ``xi -> P``: ``sum coeff * T1^a (-2*T2)^b xi^c``, ``xi``
     holding ``c``, walked.  The ``"alpha"`` images are ``(T1, -2*T2, 4*T1*T2 -
@@ -210,7 +210,7 @@ def _triangular_sum(genus: int, basis: str) -> Polynomial:
         raise ValueError(f"unknown basis {basis!r}; expected 'alpha' or 'eta'")
     scale, terms = _numerators(getattr(coefficient_table(genus), basis))
     terms = {(c, a, 0, b): v * (-2) ** b for (a, b, c), v in terms.items()}
-    return _walked(RING_VARS, scale, terms, *walks[basis])
+    return _walked(scale, terms, *walks[basis])
 
 
 def _xi_over_p(terms: dict[Exponents, Fraction]) -> dict[Exponents, Fraction]:
@@ -229,19 +229,20 @@ def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     ``xi -> 0`` and ``xi -> P`` out of ``R~`` send it to the shifts by ``-1/2``
     and ``+1/2`` of the triangular sum, ``E - O`` and ``E + O`` for the even and
     odd parts of one ``exp(D/2)`` walk: ``A0 = E - O``, and ``P*A1 = 2*O``."""
-    even, odd = _shift_parts(_triangular_sum(ctx.genus, basis), Fraction(1, 2))
+    scale, terms = _triangular_sum(ctx.genus, basis)
+    even, odd = _shift_parts(Polynomial._raw(RING_VARS, {e: Fraction(v, scale) for e, v in terms.items()}), Fraction(1, 2))
     return Polynomial._raw(RING_VARS, {**(even - odd).terms, **_xi_over_p((2 * odd).terms)})
 
 
-def _main_residual(ctx: RingContext, s: Polynomial, reduced: Polynomial) -> Polynomial:
-    """``NF(assemble_main_rhs(ctx) - boundary_zero_section(ctx))`` from the alpha
-    triangular sum ``s`` and its normal form ``reduced``.  ``exp(D/2)`` keeps ``I_g``
+def _main_residual(ctx: RingContext, s: tuple[int, dict[Exponents, int]], reduced: Polynomial) -> Polynomial:
+    """``NF(assemble_main_rhs(ctx) - boundary_zero_section(ctx))`` from the alpha triangular sum ``s``
+    (its scale and integer numerators) and its normal form ``reduced``.  ``exp(D/2)`` keeps ``I_g``
     (``T1 + m*P + m^2*T2`` goes to ``m + 1/2``), so ``NF(A0) = NF(exp(-D/2) reduced)``.
     ``A1`` has degree ``g-1``, where ``R`` is free, and ``2*O = phi(D) D s``, ``phi(x)
     = sinh(x/2)/(x/2) = sum (x/2)^(2m)/(2m+1)!``.  With ``Z = P*T1^(g-1)/(2*(g-1)!)``
     and ``psi = 1/phi = sum T(m) (x/2)^(2m)/(2m)!``, the xi part is ``phi(D) W / P``,
     ``W = D s - 2 psi(D) Z``: only ``Z`` and the residuals ``reduced`` and ``W`` are walked."""
-    g, (scale, terms), (den, t) = ctx.genus, _numerators(s.terms), _tangent_terms(ctx.genus)
+    g, (scale, terms), (den, t) = ctx.genus, s, _tangent_terms(ctx.genus)
     # W over scale * zden: 2 psi(D) Z is the sum of t[m] 2^(2g-2m) D^(2m) (P*T1^(g-1)) / (2m)! over zden.
     zden, phiden = den * factorial(g - 1) << 2 * g, lcm(*range(1, 2 * g + 2, 2)) << 2 * g
     (w,) = _level_sums(terms, (0, zden))
@@ -249,7 +250,7 @@ def _main_residual(ctx: RingContext, s: Polynomial, reduced: Polynomial) -> Poly
     for e, v in psi_z.items():
         w[e] = w.get(e, 0) - v
     (phi_w,) = _level_sums({e: v for e, v in w.items() if v}, [0 if j % 2 else phiden // (j + 1 << j) for j in range(2 * g + 1)])
-    xi_part = _xi_over_p({e: Fraction(v, scale * zden * phiden) for e, v in phi_w.items()})
+    xi_part = _xi_over_p({e: Fraction(v, scale * zden * phiden) for e, v in phi_w.items() if v})
     return Polynomial._raw(RING_VARS, {**ctx.normal_form(_shifted(reduced, Fraction(-1, 2))).terms, **xi_part})
 
 
@@ -300,7 +301,7 @@ def verify_main(genus: int) -> VerificationReport:
     sum ``S`` reduces to 0 and ``D S = 2 psi(D) Z`` (``_main_residual``): one
     normal form and one derivation of ``S``, with the same residual."""
     ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
-    return _checked("main_identity", genus, lambda: _main_residual(ctx, s, ctx.normal_form(s)))
+    return _checked("main_identity", genus, lambda: _main_residual(ctx, s, ctx._reduced(*s)))
 
 
 def verify_eta_alpha(genus: int) -> VerificationReport:
@@ -308,12 +309,14 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
     free polynomial ring on the invariant variables,
     ``sum alpha * (Theta - D/8)^a D^b (Delta - 2 Theta D)^c`` equals
     ``sum eta * Theta^a D^b Delta^c`` identically.  The left side is two walks,
-    ``Theta -> Theta - D/8`` and then ``Delta -> Delta - 2*Theta*D``, each O(g^3)."""
+    ``Theta -> Theta - D/8`` and then ``Delta -> Delta - 2*Theta*D``, each O(g^3), on integers."""
 
     def residual() -> Polynomial:
         table = coefficient_table(genus)
         walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
-        return _walked(INVARIANT_VARS, *_numerators(table.alpha), *walks) - Polynomial._raw(INVARIANT_VARS, table.eta)
+        (scale, terms), (den, etas) = _walked(*_numerators(table.alpha), *walks), _numerators(table.eta)
+        out = {e: terms.get(e, 0) * den - etas.get(e, 0) * scale for e in {**terms, **etas}}  # over scale * den
+        return Polynomial._raw(INVARIANT_VARS, {e: Fraction(v, scale * den) for e, v in out.items() if v})
 
     return _checked("eta_alpha_expansion", genus, residual)
 
@@ -322,7 +325,7 @@ def verify_triangular(genus: int) -> VerificationReport:
     """Check the triangularity identity: substituting ``T1`` for the shifted
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
-    return _checked("triangular_identity", genus, lambda: make_context(genus).normal_form(_triangular_sum(genus, "alpha")))
+    return _checked("triangular_identity", genus, lambda: make_context(genus)._reduced(*_triangular_sum(genus, "alpha")))
 
 
 def verify_invariance(genus: int) -> list[VerificationReport]:
@@ -348,16 +351,17 @@ def _invariance(ctx: RingContext) -> list[VerificationReport]:
         ("extra", extra_shift_invariant(), False),
         ("zero_section", boundary_zero_section(ctx), True),
     ):
-        reports.append(_checked(f"shift_invariance[{label}]", genus, lambda: ctx.normal_form(shift(restrict_infty(cls), 1) - restrict_zero(cls))))
+        scale, terms = _numerators(cls.terms)
+        reports.append(_checked(f"shift_invariance[{label}]", genus, lambda: ctx._shift_residual(scale, terms)))
         if check_involution:
-            reports.append(_checked(f"involution_invariance[{label}]", genus, lambda: ctx.normal_form(involution(cls) - cls)))
+            reports.append(_checked(f"involution_invariance[{label}]", genus, lambda: ctx._involution_residual(scale, terms)))
     return reports
 
 
 def verify_all(genus: int) -> list[VerificationReport]:
-    """Every verification at one genus, in deterministic order, on one ring context:
-    the triangular report is the triangular sum's normal form, and the main report reads it."""
+    """Every check at one genus, in deterministic order, on one ring context, on integer numerators (a ``Fraction``
+    only for a nonzero residual term): the triangular report is the triangular sum's normal form; the main one reads it."""
     ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
-    triangular = _checked("triangular_identity", genus, lambda: ctx.normal_form(s))
+    triangular = _checked("triangular_identity", genus, lambda: ctx._reduced(*s))
     main = _checked("main_identity", genus, lambda: _main_residual(ctx, s, triangular.residual))
     return [main, verify_eta_alpha(genus), triangular, *_invariance(ctx)]

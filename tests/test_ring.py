@@ -911,6 +911,27 @@ def test_random_shift_invariance_detects_failures():
     assert not ctx.is_j_invariant(parse("P"))
 
 
+@pytest.mark.parametrize("g", range(3, 7))
+def test_invariance_residuals_are_the_polynomial_routes(g):
+    # is_shift_invariant and is_j_invariant reduce residuals built on integer
+    # numerators; shift, involution and the two restrictions, composed on
+    # Polynomials, are their oracle, so a dropped term shows.  The four named
+    # classes have nonzero shift residuals, and P and xi*T1 nonzero
+    # involution residuals.
+    from chowkit.poly import _numerators
+
+    ctx, rng = make_context(g), random.Random(g)
+    named = [parse(text) for text in ("T1", "P", "xi*T1", "P^2")]
+    for p in named + [random_poly(rng, RING_VARS, max_exp=3, terms=6, max_den=9) for _ in range(12)]:
+        shifted = ctx.normal_form(shift(restrict_infty(p), 1) - restrict_zero(p))
+        inverted = ctx.normal_form(involution(p) - p)
+        assert ctx._shift_residual(*_numerators(p.terms)) == shifted
+        assert ctx._involution_residual(*_numerators(p.terms)) == inverted
+        assert (ctx.is_shift_invariant(p), ctx.is_j_invariant(p)) == (shifted.is_zero(), inverted.is_zero())
+    assert not any(map(ctx.is_shift_invariant, named))
+    assert [ctx.is_j_invariant(p) for p in named] == [True, False, False, True]
+
+
 # ------------------------------------------------------------------ solver
 
 

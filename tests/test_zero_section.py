@@ -18,13 +18,17 @@ from chowkit import (
     coefficient_table,
     degree_triples,
     eta,
+    extra_shift_invariant,
     inner_sum_constant,
     invariant_generators,
+    involution,
     make_context,
     maple_inner_sum,
     parse,
+    q_class,
     restrict_infty,
     restrict_zero,
+    shift,
     verify_all,
     verify_eta_alpha,
     verify_invariance,
@@ -35,6 +39,11 @@ from chowkit import (
 from test_poly import random_poly
 
 F = Fraction
+
+
+def over(variables, scale, terms):
+    # The polynomial terms / scale, from integer numerators.
+    return Polynomial(variables, {e: F(v, scale) for e, v in terms.items()})
 
 
 # ------------------------------------------------------------------ alpha
@@ -130,7 +139,7 @@ def test_walks_are_substitutions():
             walks.append((slot, x, y, den))
             image = (Polynomial.monomial(variables, x[1], x[0]) + Polynomial.monomial(variables, y[1], y[0])) / den
             expected = expected.substitute({variables[slot]: image})
-        assert _walked(variables, *_numerators(p.terms), *walks) == expected
+        assert over(variables, *_walked(*_numerators(p.terms), *walks)) == expected
 
 
 @pytest.mark.parametrize("g", range(1, 41))
@@ -144,7 +153,7 @@ def test_alpha_walks_match_combine(g):
 
     table = coefficient_table(g)
     images = _basis_images("alpha", T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
-    assert _triangular_sum(g, "alpha") == combine(table.alpha, images)
+    assert over(RING_VARS, *_triangular_sum(g, "alpha")) == combine(table.alpha, images)
     free = [Polynomial.variable(INVARIANT_VARS, name) for name in INVARIANT_VARS]
     lhs = verify_eta_alpha(g).residual + Polynomial(INVARIANT_VARS, table.eta)
     assert lhs == combine(table.alpha, _basis_images("alpha", *free))
@@ -159,7 +168,7 @@ def test_eta_walks_match_combine(g):
     from chowkit.zero_section import _triangular_sum
 
     images = _basis_images("eta", T1 - T2 / 4, -2 * T2, T2 * T2 - P * P)
-    assert _triangular_sum(g, "eta") == combine(coefficient_table(g).eta, images)
+    assert over(RING_VARS, *_triangular_sum(g, "eta")) == combine(coefficient_table(g).eta, images)
     with pytest.raises(ValueError, match="unknown basis"):
         _triangular_sum(g, "gamma")
 
@@ -212,6 +221,53 @@ def test_broken_entries_leave_one_monomial_eta_residuals(monkeypatch, g, delta):
     assert verify_main(g).holds and verify_triangular(g).holds
 
 
+@pytest.mark.parametrize("g", [1, 4, 9, 16])
+def test_eta_alpha_residual_of_a_broken_table_is_the_polynomial_route(monkeypatch, g):
+    # verify_eta_alpha subtracts the eta numerators from the walked alpha
+    # numerators over one common denominator; the walked alpha polynomial
+    # minus the eta polynomial is its oracle, with one entry of either
+    # family moved, so a term dropped on the integer path shows.
+    import chowkit.zero_section as zs
+    from chowkit.poly import _numerators
+    from chowkit.zero_section import _walked
+
+    rng = random.Random(g)
+    walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
+    for family in ("alpha", "eta") * 3:
+        delta = F(rng.choice([-1, 1]) * rng.randint(1, 9), rng.choice([1, 3, 8, 10**6 + 3]))
+        _table_off_by(monkeypatch, g, family, rng.choice(degree_triples(g)), delta)
+        table = zs.coefficient_table(g)
+        report = verify_eta_alpha(g)
+        walked = over(INVARIANT_VARS, *_walked(*_numerators(table.alpha), *walks))
+        assert report.residual == walked - Polynomial(INVARIANT_VARS, table.eta)
+        assert not report.holds
+        monkeypatch.undo()
+
+
+@pytest.mark.parametrize("g", range(1, 9))
+@pytest.mark.parametrize("broken", [False, True])
+def test_invariance_residuals_are_the_polynomial_routes(monkeypatch, g, broken):
+    # The eleven invariance reports run on integer numerators; shift,
+    # involution and the two restrictions, composed on Polynomials, are their
+    # oracle.  With q and the extra class moved off invariance, some
+    # residuals are nonzero, and a term dropped on the integer path shows.
+    import chowkit.zero_section as zs
+
+    if broken:
+        q, extra = q_class() + parse("T1*P - 1/3*xi*T2"), extra_shift_invariant() + parse("5/7*xi*T1^2")
+        monkeypatch.setattr(zs, "q_class", lambda: q)
+        monkeypatch.setattr(zs, "extra_shift_invariant", lambda: extra)
+    ctx, gens, expected = make_context(g), invariant_generators(), []
+    for cls in (gens.theta, gens.boundary, gens.gluing, zs.q_class(), zs.extra_shift_invariant(), boundary_zero_section(ctx)):
+        expected.append(ctx.normal_form(shift(restrict_infty(cls), 1) - restrict_zero(cls)))
+        if cls is not zs.extra_shift_invariant():
+            expected.append(ctx.normal_form(involution(cls) - cls))
+    reports = verify_invariance(g)
+    assert [r.residual for r in reports] == expected
+    assert all(r.holds == r.residual.is_zero() for r in reports)
+    assert any(not r.holds for r in reports) == (broken and g > 2)
+
+
 @pytest.mark.parametrize("g", range(2, 13))
 def test_main_residual_is_the_assembled_residual(monkeypatch, g):
     # verify_main reads the triangular normal form and one derivation of the
@@ -243,17 +299,18 @@ def test_triangular_sum_satisfies_the_derivation_identity(g):
     # T1^g leaves xi times the odd part of T1^g's shifts by -1/2 and +1/2, over
     # P/2, so the check is not vacuous.  The shifts of P*T1^(g-1) differ by
     # 2*T2*(T1 + T2/4)^(g-1) at P = 0, which P does not divide.
+    from chowkit.poly import _numerators
     from chowkit.ring import _shifted
     from chowkit.zero_section import _main_residual, _triangular_sum
 
     ctx, zero, power = make_context(g), Polynomial.zero(RING_VARS), Polynomial.monomial(RING_VARS, (0, g, 0, 0))
-    s = _triangular_sum(g, "alpha")
-    assert _main_residual(ctx, s, zero).is_zero()
+    s = over(RING_VARS, *_triangular_sum(g, "alpha"))
+    assert _main_residual(ctx, _numerators(s.terms), zero).is_zero()
     odd = _shifted(power, F(1, 2)) - _shifted(power, F(-1, 2))
     expected = Polynomial(RING_VARS, {(1, a, b - 1, c): coeff for (_, a, b, c), coeff in odd.terms.items()})
-    assert _main_residual(ctx, s + power, zero) == expected
+    assert _main_residual(ctx, _numerators((s + power).terms), zero) == expected
     with pytest.raises(ArithmeticError, match="P does not divide"):
-        _main_residual(ctx, s + Polynomial.monomial(RING_VARS, (0, g - 1, 1, 0)), zero)
+        _main_residual(ctx, _numerators((s + Polynomial.monomial(RING_VARS, (0, g - 1, 1, 0))).terms), zero)
 
 
 def test_verify_expands_no_alpha_combination_through_combine(monkeypatch, capsys):
