@@ -216,9 +216,9 @@ def parse(text: str, variables: Vars = RING_VARS, multiply: Multiply | None = No
     With ``multiply``, every product, each step of a power included, is
     ``multiply(a, b)``, and the result is the caller's to reduce:
     ``ctx.normal_form(parse(text, multiply=ctx.multiply))`` reduces each
-    product as it forms it, over integer numerators and the ring's block
-    rewrites (integers over one denominator per block, each block of
-    negative d-grade the ``T1 <-> T2`` mirror of its partner).  A power with
+    product as it forms it, over integer numerators and the ring's tables
+    of rewrites (one per block shape, as integers over one denominator;
+    see :class:`~chowkit.ring.RingContext`).  A power with
     a constant term is a binomial sum, ended once its non-constant part's
     powers multiply to 0.
 

@@ -292,6 +292,11 @@ def _numerators(terms: Mapping[Exponents, Fraction]) -> tuple[int, dict[Exponent
     return scale, {e: c.numerator * (scale // c.denominator) for e, c in terms.items()}
 
 
+def _from_numerators(variables: Vars, scale: int, terms: Mapping[Exponents, int]) -> Polynomial:
+    """The polynomial with coefficients ``terms / scale``, the inverse of :func:`_numerators`."""
+    return Polynomial._raw(variables, {e: Fraction(v, scale) for e, v in terms.items() if v})
+
+
 def combine(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> Polynomial:
     """``sum coeff * prod images[i]**e_i`` over a ``{exponents: coeff}`` mapping,
     expanded over integer numerators: each image's denominators are cleared
@@ -320,7 +325,7 @@ def combine(terms: Mapping[Exponents, Scalar], images: Sequence[Polynomial]) -> 
         for factor in head[1:]:
             product = _add_product({}, product, factor)
         _add_product(total, product, last, coeff.numerator * common // (coeff.denominator * prod(map(pow, scales, exps))))
-    return Polynomial._raw(variables, {e: Fraction(c, common) for e, c in total.items() if c})
+    return _from_numerators(variables, common, total)
 
 
 # -------------------------------------------------------------------- d-grading

@@ -10,13 +10,13 @@ total degree ``g`` and of secondary (d-)grade ``l``, for ``l = g .. -g``.
 ideal of ``(st - u^2)^(g-1)``, whose socle functional ``phi`` is a closed
 form.  In a :class:`RingContext` the basis of each block of one degree and
 d-grade is its first ``r`` monomials by ascending ``P``-exponent, with ``r``
-fixed by the block sizes alone; every other monomial's image in that basis
-is read off the ``phi`` pairing when first needed, as integers over one
-denominator per block.  ``I_g`` and ``phi`` are fixed by ``T1 <-> T2``, which
-maps the block of d-grade ``d`` onto that of ``-d`` and keeps ``P``-exponents,
-hence the basis: a block of ``d < 0`` is its partner's mirror, not solved.
-Below degree ``g`` every monomial is a basis monomial, and each pairing
-determinant is a product of Hankel minors in closed form, not eliminated.
+fixed by the block sizes alone.  Below degree ``g`` every monomial is a basis
+monomial, and each pairing determinant is a product of Hankel minors in
+closed form.  From degree ``g`` on, ``phi`` pairs a block perfectly with a
+free one through the Hankel matrix ``h(e+i+j)`` of its ``P``-parity ``e``, so
+the image of its ``j``-th monomial depends on ``(e, r, j)`` alone.  One table
+per shape ``(e, r)`` holds those images, filled in degree ``g`` by a relation
+and wider by one ``rref``, and grown when a wider block asks.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _numerators
+from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
 __all__ = [
     "InvariantGenerators",
@@ -115,8 +115,7 @@ def _shift_parts(p: Polynomial, n: Fraction | int) -> tuple[Polynomial, Polynomi
     _require_xi_free(p)
     n, (scale, terms), top = Fraction(n), _numerators(p.terms), 2 * p.total_degree()
     parts = _level_sums(terms, [n.numerator**j * n.denominator ** (top - j) for j in range(top + 1)], 2)
-    den = scale * n.denominator**top
-    return tuple(Polynomial._raw(RING_VARS, {e: Fraction(v, den) for e, v in part.items()}) for part in parts)
+    return tuple(_from_numerators(RING_VARS, scale * n.denominator**top, part) for part in parts)
 
 
 def _shifted(p: Polynomial, n: Fraction | int) -> Polynomial:
@@ -255,14 +254,12 @@ def _sort_sign(keys: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
-Rewrite = tuple[tuple[Exponents, int], ...]
-
-
 class RingContext:
     """Exact model of the boundary Chow ring at one genus.
 
-    Construct via :func:`make_context`.  All methods are thread-safe; each
-    block's rewrites are computed once under a lock and shared.
+    Construct via :func:`make_context`.  A block's rewrites depend on its shape,
+    ``P``-parity and rank, alone (:meth:`_table`); all methods are thread-safe,
+    and each shape's table is solved, by a relation or an ``rref``, under a lock.
     """
 
     def __init__(self, genus: int):
@@ -270,9 +267,9 @@ class RingContext:
             raise ValueError(f"genus must be a positive integer, got {genus!r}")
         self.genus = genus
         self.relation_grades = range(genus, -genus - 1, -1)
-        self._rewrites: dict[tuple[int, int], tuple[int, dict[Exponents, Rewrite]]] = {}
+        self._tables: dict[tuple[int, int], tuple[int, list[tuple[tuple[int, int], ...]]]] = {}
         self._bases: dict[int, tuple[Exponents, ...]] = {}  # read twice per pairing; a race builds one twice
-        self._lock = threading.RLock()  # a mirror block takes its partner's under it
+        self._lock = threading.Lock()
 
     # ------------------------------------------------------------- relations
 
@@ -319,37 +316,33 @@ class RingContext:
         m = min(k, 2 * self.genus - 2 - k)
         return (m - abs(d)) // 2 + 1 if m >= abs(d) else 0
 
-    def _block_rewrites(self, k: int, d: int) -> tuple[int, dict[Exponents, Rewrite]]:
-        """``(den, images)``: ``den`` times the image in the basis of each
-        non-basis monomial of degree ``k`` and d-grade ``d``, as integers,
-        built on first use.  For ``d < 0`` it is the ``T1 <-> T2`` image of
-        the block of ``-d``.  Else in degree ``g`` the block's relation
-        rewrites its largest-``P`` monomial; in degrees ``g+1 .. 2g-2`` the
-        ``rref`` of the Gram matrix against the partner block, columns by
-        ascending ``P``, must pivot on the first ``_rank(k, d)`` columns and
-        rewrites the others.  Other degrees have no rewrites."""
+    def _h(self, a: int) -> int:
+        """The Hankel entry ``h(a)`` of :meth:`_rank`, ``phi(T1^(g-1-a) P^(2a) T2^(g-1-a))``."""
+        return (-1) ** a * factorial(self.genus - 1) * factorial(self.genus - 1 - a) * factorial(2 * a) // factorial(a)
+
+    def _table(self, e: int, r: int, width: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
+        """``(den, columns)`` of the blocks of ``P``-parity ``e`` and rank ``r``
+        (their Gram matrix is ``h(e+i+j)``), at least ``width`` wide: the ``j``-th
+        monomial is the sum over column ``j - r`` of ``n/den`` times the monomial
+        ``t`` steps down, ``T1^t P^(-2t) T2^t`` times it.  Width ``r+1`` (degree
+        ``g``) is the relation of d-grade ``g-2r-e``, ``g!/((g-r-e-i)! (e+2i)!
+        (r-i)!)``, solved for its last entry (a Gram ``rref`` here made verify_all
+        over g = 6..14 1.5 times slower); wider, an ``rref`` of the Hankel rows."""
         with self._lock:
-            if (k, d) in self._rewrites:
-                return self._rewrites[(k, d)]
-            g, den, rewrites = self.genus, 1, {}
-            if d < 0:
-                den, images = self._block_rewrites(k, -d)
-                for (_, a, b, c), image in images.items():
-                    rewrites[(0, c, b, a)] = tuple(((0, w, v, u), f) for (_, u, v, w), f in image)
-            elif k == g:  # one division per block; a Gram rref here made verify_all over g = 6..14 about 1.5 times slower
-                (lead, c0), *rest = sorted(self.relation(d).terms.items())
-                den, rewrites[lead] = c0.numerator, tuple((m, -c.numerator) for m, c in rest)
-            elif g < k <= 2 * g - 2:
-                block, r = _block(k, d), self._rank(k, d)
-                rows, pivots = rref(self._gram(_block(2 * g - 2 - k, -d), block))
-                if pivots != list(range(r)):
-                    raise ArithmeticError(f"block (k={k}, d={d}) has pivots {pivots}, not its first {r} columns")
-                den = lcm(*(row[j].denominator for row in rows for j in range(r, len(block))))
-                # By descending P, the basis monomials come in ascending graded-lex order.
-                for j in range(r, len(block)):
-                    rewrites[block[j]] = tuple((block[i], int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j])
-            self._rewrites[(k, d)] = den, rewrites
-            return den, rewrites
+            table = self._tables.get((e, r))
+            if table is None or len(table[1]) < width - r:
+                if width == r + 1:
+                    row = [binomial(self.genus, e + 2 * i) * binomial(self.genus - e - 2 * i, r - i) for i in range(width)]
+                    rows = [[0] * r + [Fraction(-row[i], row[r])] for i in range(r)]
+                else:
+                    h = [self._h(a) for a in range(e, e + r + width - 1)]
+                    rows, pivots = rref([h[i : i + width] for i in range(r)])
+                    if pivots != list(range(r)):
+                        raise ArithmeticError(f"blocks of P-parity {e} and rank {r} pivot on {pivots}, not their first {r} columns")
+                den = lcm(*(row[j].denominator for row in rows for j in range(r, width)))
+                columns = [tuple((j - i, int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j]) for j in range(r, width)]
+                table = self._tables[(e, r)] = den, columns
+            return table
 
     # ------------------------------------------------------------- reduction
 
@@ -372,21 +365,20 @@ class RingContext:
         return self._reduced(s * t, _add_product({}, x, y))
 
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
-        """The normal form of integer ``terms`` over ``scale``: no rewrite leaves its
-        block, so each nonzero output term is one ``Fraction`` over ``scale * den``."""
-        g, top, kept, images, blocks = self.genus, 2 * self.genus - 2, {}, {}, {}
+        """The normal form of integer ``terms`` over ``scale``: each block reads one
+        table for the call and no rewrite leaves its block, so each nonzero output
+        term is one ``Fraction`` over ``scale`` times that table's ``den``."""
+        g, kept, images, blocks = self.genus, {}, {}, {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
-            if k > top:
-                continue
-            if k < g or b // 2 < self._rank(k, d):  # R_k is free below g
+            if k < g or b // 2 < (r := self._rank(k, d)):  # R_k is free below g
                 kept[(x, a, b, c)] = kept.get((x, a, b, c), 0) + v
-            else:
-                if (k, d) not in blocks:  # one lookup, and one lock, per block
-                    blocks[(k, d)] = self._block_rewrites(k, d)
-                for (_, u, w, y), f in blocks[(k, d)][1][(0, a, b, c)]:
-                    images[(x, u, w, y)] = images.get((x, u, w, y), 0) + v * f
+            elif r:  # a block of rank 0, as every block past the socle degree 2g-2 is, vanishes
+                if (k, d) not in blocks:
+                    blocks[(k, d)] = self._table(b % 2, r, r + k - g + 1)
+                for t, n in blocks[(k, d)][1][b // 2 - r]:
+                    images[(x, a + t, b - 2 * t, c + t)] = images.get((x, a + t, b - 2 * t, c + t), 0) + v * n
         out = {e: Fraction(v, scale) for e, v in kept.items() if v and e not in images}
         for e, v in images.items():
             den = blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]
@@ -443,9 +435,7 @@ class RingContext:
     def _phi(self, e: Exponents) -> int:
         """The socle functional on one monomial of degree ``2g-2``."""
         _, x, y, z = e
-        if x != z or y % 2:
-            return 0
-        return (-1) ** (y // 2) * factorial(x) ** 2 * factorial(y) * binomial(self.genus - 1, y // 2)
+        return self._h(y // 2) if x == z and not y % 2 else 0
 
     def _gram(self, rows: Sequence[Exponents], cols: Sequence[Exponents]) -> list[list[int]]:
         """The matrix ``phi(r*c)`` over two monomial lists of complementary
@@ -481,8 +471,7 @@ class RingContext:
         g, sizes = self.genus, Counter(m[1] - m[3] for m in rows)
         det = _sort_sign([m[1] - m[3] for m in rows]) * _sort_sign([m[3] - m[1] for m in cols])
         for (s, r), n in Counter(((g - 1 - k - abs(d)) % 2, r) for d, r in sizes.items()).items():
-            h = (-1) ** s * factorial(g - 1) * factorial(g - 1 - s) * factorial(2 * s) // factorial(s)
-            num, den = h**r * 2 ** (r * (r - 1)), 1
+            num, den = self._h(s) ** r * 2 ** (r * (r - 1)), 1
             for i in range(1, r):  # (4 c_(2i-1) c_(2i))^(r-i), with A = s + 1/2 and B = s + 1 - g
                 num *= ((2 * s + 2 * i - 1) * (s - 1 - g + i) * i * (2 * i - 2 * g - 1)) ** (r - i)
                 den *= ((s - 2 - g + 2 * i) * (s - 1 - g + 2 * i) ** 2 * (s - g + 2 * i)) ** (r - i)

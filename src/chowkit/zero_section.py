@@ -26,7 +26,7 @@ from operator import add, sub
 from typing import Callable
 
 from .arith import bernoulli, double_factorial, factorial
-from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _numerators, format_polynomial
+from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _from_numerators, _numerators, format_polynomial
 from .ring import (
     RingContext, _level_sums, _shift_parts, _shifted, degree_triples, extra_shift_invariant, invariant_generators,
     make_context, q_class,
@@ -230,7 +230,7 @@ def assemble_main_rhs(ctx: RingContext, basis: str = "alpha") -> Polynomial:
     and ``+1/2`` of the triangular sum, ``E - O`` and ``E + O`` for the even and
     odd parts of one ``exp(D/2)`` walk: ``A0 = E - O``, and ``P*A1 = 2*O``."""
     scale, terms = _triangular_sum(ctx.genus, basis)
-    even, odd = _shift_parts(Polynomial._raw(RING_VARS, {e: Fraction(v, scale) for e, v in terms.items()}), Fraction(1, 2))
+    even, odd = _shift_parts(_from_numerators(RING_VARS, scale, terms), Fraction(1, 2))
     return Polynomial._raw(RING_VARS, {**(even - odd).terms, **_xi_over_p((2 * odd).terms)})
 
 
@@ -250,7 +250,7 @@ def _main_residual(ctx: RingContext, s: tuple[int, dict[Exponents, int]], reduce
     for e, v in psi_z.items():
         w[e] = w.get(e, 0) - v
     (phi_w,) = _level_sums({e: v for e, v in w.items() if v}, [0 if j % 2 else phiden // (j + 1 << j) for j in range(2 * g + 1)])
-    xi_part = _xi_over_p({e: Fraction(v, scale * zden * phiden) for e, v in phi_w.items() if v})
+    xi_part = _xi_over_p(_from_numerators(RING_VARS, scale * zden * phiden, phi_w).terms)
     return Polynomial._raw(RING_VARS, {**ctx.normal_form(_shifted(reduced, Fraction(-1, 2))).terms, **xi_part})
 
 
@@ -316,7 +316,7 @@ def verify_eta_alpha(genus: int) -> VerificationReport:
         walks = (0, (8, (1, 0, 0)), (-1, (0, 1, 0)), 8), (2, (1, (0, 0, 1)), (-2, (1, 1, 0)), 1)
         (scale, terms), (den, etas) = _walked(*_numerators(table.alpha), *walks), _numerators(table.eta)
         out = {e: terms.get(e, 0) * den - etas.get(e, 0) * scale for e in {**terms, **etas}}  # over scale * den
-        return Polynomial._raw(INVARIANT_VARS, {e: Fraction(v, scale * den) for e, v in out.items() if v})
+        return _from_numerators(INVARIANT_VARS, scale * den, out)
 
     return _checked("eta_alpha_expansion", genus, residual)
 

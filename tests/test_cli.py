@@ -216,6 +216,19 @@ def test_ring_pairing_at_genus_30_is_fast(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "3fef4bb969ee9f55d01328e0b2b6cb3583c3e4180d422967446bbd64ffb92e8e"
 
 
+def test_ring_reduce_past_degree_g_at_genus_30(capsys):
+    # Every degree from g to 2g-2 is reduced, through tables that grow as the
+    # parser's products climb; the pin is the output of the per-block solves.
+    import hashlib
+    import time
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ring", "--genus", "30", "reduce", "(T1-P+3*T2+xi)^45"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "dfbccd69ba4c249e7540ec2cdf45253c1befa94c80e20bd9db4180ba3f1fbc3b"
+
+
 def test_verify_at_genus_35_finishes(capsys):
     # Took more than 20 s when the right-hand side was expanded over Fractions.
     import time

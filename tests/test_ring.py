@@ -164,8 +164,9 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
 
 
 def built_degrees(ctx):
-    """The degrees of the blocks whose rewrites the context has built."""
-    return {k for k, _ in ctx._rewrites}
+    """The top degree that each of the context's tables serves: a block of
+    rank ``r`` and degree ``k`` is ``r + k - g + 1`` monomials wide."""
+    return {ctx.genus - 1 + len(columns) for _, columns in ctx._tables.values()}
 
 
 def test_degrees_past_the_top_vanish_without_elimination():
@@ -173,7 +174,8 @@ def test_degrees_past_the_top_vanish_without_elimination():
     assert ctx.normal_form(parse("(T1+P)^60")).is_zero()
     assert ctx.normal_form(parse("xi*(T1+P)^60 + P")) == parse("P")
     assert ctx.normal_form(parse("xi*(T1+P)^60 + T1^3")) == ctx.normal_form(parse("T1^3"))
-    assert built_degrees(ctx) == {3}
+    # T1^3 is its own relation, a block of rank 0, which vanishes with no table.
+    assert built_degrees(ctx) == set()
 
 
 @pytest.mark.parametrize("g", range(5, 8))
@@ -190,19 +192,21 @@ def test_reduction_builds_no_degree_past_the_top(g):
 
 
 def test_concurrent_reductions_solve_each_block_once(monkeypatch):
-    # Threads share one context; the rewrite cache is filled under its lock,
-    # so a block solved twice (a lost update) would show as an extra rref.
-    # A block of negative d-grade is its partner's mirror, solved with it.
+    # Threads share one context; its tables are filled under its lock, so a
+    # table solved twice at one width (a lost update) would show as an extra
+    # rref of the same Hankel rows.  Each thread asks for the same widths in
+    # the same order, so the threads together solve what one thread solves.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     import chowkit.ring as ring
 
     solved = []
-    monkeypatch.setattr(ring, "rref", lambda rows: solved.append(1) or rref(rows))
+    monkeypatch.setattr(ring, "rref", lambda rows: solved.append(tuple(map(tuple, rows))) or rref(rows))
     g = 6
-    p = parse(f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1} + (T1 - P + 2*T2)^{2 * g - 2}")
+    p = parse(f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1} + (T1 - P + 2*T2)^{2 * g - 2} + (T1 + P - 3*T2)^{g + 2}")
     expected = make_context(g).normal_form(p)
+    alone = sorted(solved)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
@@ -212,9 +216,7 @@ def test_concurrent_reductions_solve_each_block_once(monkeypatch):
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: ctx.normal_form(p), range(16), timeout=120))
             assert results == [expected] * 16
-            pairs = {(k, abs(d)) for k, d in ctx._rewrites if k > g}
-            assert len(solved) == len(pairs) > 0
-            assert any((k, -d) in ctx._rewrites for k, d in pairs if d)
+            assert sorted(solved) == alone and len(set(solved)) == len(solved) > 1
     finally:
         sys.setswitchinterval(interval)
 
@@ -359,22 +361,11 @@ def eliminated_degree(g, k):
 
 
 def degree_rewrites(ctx, k):
-    """The rewrite of every non-basis monomial of degree ``k``: the union of
-    its blocks' rewrites up to the socle degree ``2g-2``, and zero past it,
-    where the normal form drops every monomial and builds no block."""
-    if k > 2 * ctx.genus - 2:
-        assert all(ctx.normal_form(Polynomial.monomial(RING_VARS, m)).is_zero() for m in _monomials(k))
-        return {m: () for m in _monomials(k)}
-    rewrites = {}
-    for d in range(-k, k + 1):
-        rewrites.update(as_fractions(ctx._block_rewrites(k, d)))
-    return rewrites
-
-
-def as_fractions(table):
-    """A block's ``(den, images)`` table of integers as images with ``Fraction`` coefficients."""
-    den, images = table
-    return {m: tuple((e, F(v, den)) for e, v in image) for m, image in images.items()}
+    """The normal form of every non-basis monomial of degree ``k``, as its
+    ``(monomial, coefficient)`` pairs in graded-lex order: the public path,
+    with every monomial zero past the socle degree ``2g-2``."""
+    basis = set(ctx.basis(k))
+    return {m: tuple(sorted(ctx.normal_form(Polynomial.monomial(RING_VARS, m)).terms.items())) for m in _monomials(k) if m not in basis}
 
 
 def swap(e):
@@ -406,19 +397,54 @@ def solved_block(ctx, k, d):
 def test_negative_d_grades_are_mirror_images(g):
     # I_g and phi are fixed by T1 <-> T2, which keeps P-exponents and so the
     # basis: block (k, -d) is the swap of block (k, d), and equals that block
-    # solved on its own.  So reduction commutes with the swap.
+    # solved on its own, though both read one table.  So reduction commutes
+    # with the swap.
     ctx = make_context(g)
     for k in range(g, 2 * g - 1):
+        rewrites = degree_rewrites(ctx, k)
         for d in range(1, k + 1):
-            den, images = ctx._block_rewrites(k, d)
-            mirror = {swap(m): tuple((swap(e), v) for e, v in image) for m, image in images.items()}
-            assert ctx._block_rewrites(k, -d) == (den, mirror)
-            assert as_fractions((den, mirror)) == solved_block(ctx, k, -d)
-            assert as_fractions((den, images)) == solved_block(ctx, k, d)
+            images, partner = ({m: v for m, v in rewrites.items() if d_grade(m) == s} for s in (d, -d))
+            assert partner == {swap(m): tuple(sorted((swap(e), v) for e, v in image)) for m, image in images.items()}
+            assert partner == solved_block(ctx, k, -d)
+            assert images == solved_block(ctx, k, d)
     rng = random.Random(60 + g)
     for _ in range(20):
         p = random_poly(rng, max_exp=g, terms=8)
         assert ctx.normal_form(swapped(p)) == swapped(ctx.normal_form(p))
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_blocks_are_prefixes_of_their_shape_tables(g):
+    # The image of the j-th monomial of a block depends only on its P-parity
+    # e, its rank r and j: each block of degree g .. 2g-2 solved on its own,
+    # read as steps down, is the first columns of the (e, r) table, whether
+    # the table was built at that width (ascending degrees, the relation
+    # fill in degree g) or wider first (descending).  A block of rank 0 is 0.
+    for degrees in (range(g, 2 * g - 1), range(2 * g - 2, g - 1, -1)):
+        ctx = make_context(g)
+        for k in degrees:
+            for d in range(-k, k + 1):
+                block, r = _block(k, d), ctx._rank(k, d)
+                solved = solved_block(ctx, k, d)
+                if not r:
+                    assert all(image == () for image in solved.values())
+                    continue
+                den, columns = ctx._table(block[0][2] % 2, r, len(block))
+                assert len(columns) >= len(block) - r
+                for j in range(r, len(block)):
+                    steps = tuple((j - block.index(m), c) for m, c in solved[block[j]])
+                    assert steps == tuple((t, F(n, den)) for t, n in columns[j - r])
+
+
+@pytest.mark.parametrize("g", [7, 9, 11])
+def test_tables_grown_within_one_reduction_keep_each_blocks_denominator(g):
+    # A shape spans degrees (k, |d|) with k + |d| fixed, so one reduction of
+    # every monomial from degree g up widens tables after some of their blocks
+    # were read: each block's images stay over the denominator it was read with.
+    mons = [m for k in range(g, 2 * g - 1) for m in _monomials(k)]
+    together = make_context(g).normal_form(Polynomial(RING_VARS, {m: 1 for m in mons}))
+    ctx = make_context(g)
+    assert together == sum((ctx.normal_form(Polynomial.monomial(RING_VARS, m)) for m in mons), Polynomial.zero(RING_VARS))
 
 
 @pytest.mark.parametrize("g", range(1, 13))
@@ -479,7 +505,7 @@ def test_dims_bases_and_pairings_solve_no_block():
     for k in range(g):
         ctx.pairing_matrix(k)
         ctx.pairing_determinant(k)
-    assert ctx._rewrites == {}
+    assert ctx._tables == {}
 
 
 @pytest.mark.parametrize("g", range(1, 17))
@@ -632,10 +658,11 @@ def test_reductions_have_no_phi_moments(g):
     # and R~ is free over R on 1 and xi.  So both xi-parts of p - normal_form(p),
     # xi^x folded to xi*P^(x-1), have every phi-moment zero: a check of single
     # reductions with no rref, relation or rewrite, past the elimination
-    # oracle's genera.  Only the blocks of non-basis monomials are built.
+    # oracle's genera.  Only the shapes of the blocks of non-basis monomials,
+    # of nonzero rank, have tables, each as wide as the widest such block.
     ctx = make_context(g)
     rng = random.Random(70 + g)
-    needed, nonzero = set(), 0
+    needed, nonzero = {}, 0
     for k in range(g, 2 * g - 1):
         p = Polynomial.zero(RING_VARS)
         for _ in range(2):  # up to three monomials of one block, so basis ones share it
@@ -647,8 +674,9 @@ def test_reductions_have_no_phi_moments(g):
         folded = Polynomial.zero(RING_VARS)
         for (x, a, b, c), coeff in p.terms.items():
             folded += Polynomial.monomial(RING_VARS, (min(x, 1), a, b + max(x - 1, 0), c), coeff)
-            if (b + max(x - 1, 0)) // 2 >= ctx._rank(k - min(x, 1), a - c):
-                needed.add((k - min(x, 1), abs(a - c)))
+            y, r = b + max(x - 1, 0), ctx._rank(k - min(x, 1), a - c)
+            if y // 2 >= r > 0:
+                needed[(y % 2, r)] = max(needed.get((y % 2, r), 0), (k - min(x, 1) - abs(a - c)) // 2 + 1)
         residual = folded - ctx.normal_form(p)
         nonzero += not residual.is_zero()
         pieces = {}
@@ -657,7 +685,7 @@ def test_reductions_have_no_phi_moments(g):
         for (x, d), piece in pieces.items():
             for m in _block(2 * g - 2 - (k - x), -d):
                 assert ctx.socle_pushforward(Polynomial(RING_VARS, piece) * Polynomial.monomial(RING_VARS, m)) == 0
-    assert {(k, abs(d)) for k, d in ctx._rewrites} == needed
+    assert {shape: shape[1] + len(columns) for shape, (_, columns) in ctx._tables.items()} == needed
     assert nonzero > g // 2
 
 
