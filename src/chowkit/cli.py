@@ -19,7 +19,7 @@ import re
 import signal
 import sys
 
-from .dr import dr_class, serialize, specialize_compact_type
+from .dr import dr_text
 from .parsing import ParseError, parse
 from .poly import exact_text, format_polynomial
 from .ring import make_context
@@ -178,12 +178,8 @@ _WRITE_SLICE = 1 << 20  # characters per stdout write: a real stdout encodes one
 
 
 def cmd_dr(args: argparse.Namespace) -> int:
-    cls = dr_class(args.genus, args.weights)
-    if args.compact_type:
-        cls = specialize_compact_type(cls)
+    text = dr_text(args.genus, args.weights, args.format, args.compact_type)
     if not args.quiet:
-        text = serialize(cls, args.format)
-        del cls  # only the text is written: free the class before stdout copies it
         for start in range(0, len(text), _WRITE_SLICE):
             sys.stdout.write(text[start : start + _WRITE_SLICE])
         sys.stdout.write("\n")

@@ -28,20 +28,27 @@ The double-ramification class is then the eta-weighted sum over all
 ``(a, b, c)`` with ``a + b + 2c = g``; restricting to curves of compact type
 (no ``delta_irr``, no ``xi_i``) collapses it to the g-th power of the
 polarization pullback divided by ``g!``.
+
+The three pullbacks have disjoint supports, so one depth-first walk of the
+ambient symbol table in id order writes each term once, in key order, with
+no merge and no sort.  ``dr_class`` collects the walk into a class;
+``dr_text`` renders JSON or LaTeX from it with no class at all, and for
+compact type walks only ``Theta^g/g!``.
 """
 
 from __future__ import annotations
 
+import gc
 import json
-from collections.abc import Iterable, Mapping, Sequence
+from collections.abc import Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from itertools import combinations
-from math import comb, lcm
-from operator import mul
+from itertools import chain, combinations, repeat
+from math import factorial, lcm
+from operator import lt, mul
 
-from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_sum
+from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads, signed_sum
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -50,6 +57,7 @@ __all__ = [
     "boundary_pullback",
     "deserialize",
     "dr_class",
+    "dr_text",
     "gluing_pullback",
     "serialize",
     "specialize_compact_type",
@@ -317,11 +325,12 @@ class FormalClass:
         if exponent == 0:
             return FormalClass.one(self.genus, self.weights)
         if all(len(key) == 2 and key[1] == 1 for key in self.ids):
-            # A sum of distinct single symbols: each multiset of them is one term.
+            # A sum of distinct single symbols: the walk writes each multiset of them once.
             common, form = _integral_form(self)
-            denominator = common**exponent
-            terms = {key: Fraction(num, denominator) for key, num in _power_terms(form, exponent)}
-            return FormalClass._raw(self.genus, self.weights, self.symbols, terms)
+            table = ([v for _, v in form], common, -1, len(form))
+            pair = lambda at, power: (form[at][0], power)  # noqa: E731
+            walk = _walk(exponent, {(exponent, 0, 0): 1}, table, (), pair, pair)
+            return FormalClass._raw(self.genus, self.weights, self.symbols, {prefix + last: c for c, prefix, last in walk})
         result = self
         for _ in range(exponent - 1):
             result = result * self
@@ -333,30 +342,6 @@ def _integral_form(cls: FormalClass) -> tuple[int, list[tuple[int, int]]]:
     numerator), ...])`` with increasing ids."""
     common = lcm(*(coeff.denominator for coeff in cls.ids.values()))
     return common, sorted((key[0], (coeff * common).numerator) for key, coeff in cls.ids.items())
-
-
-def _power_terms(form: Sequence[tuple[int, int]], exponent: int) -> list[tuple[Key, int]]:
-    """``(key, numerator)`` of each term of ``(sum v x_i)^exponent`` over ``form
-    = [(i, v), ...]`` (ids increasing), in key order: the multinomial ``exponent!
-    / prod k_i!`` times ``prod v^k_i``, with terms sharing their prefixes' work."""
-    out: list[tuple[Key, int]] = [] if exponent else [((), 1)]  # the empty product
-
-    def extend(start: int, left: int, prefix: Key, numerator: int) -> None:
-        if left == 1:  # most terms end here: one more distinct symbol
-            out.extend((prefix + (i, 1), numerator * value) for i, value in form[start:])
-            return
-        for pos in range(start, len(form)):
-            i, value = form[pos]
-            num = numerator
-            for k in range(1, left + 1):
-                num = num * value * (left - k + 1) // k  # times C(left, k) v^k over k steps
-                if k == left:
-                    out.append((prefix + (i, k), num))
-                elif pos + 1 < len(form):
-                    extend(pos + 1, left - k, prefix + (i, k), num)
-
-    extend(0, exponent, (), 1)
-    return out
 
 
 # -------------------------------------------------------------- pullbacks
@@ -409,36 +394,121 @@ def gluing_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
     return FormalClass(genus, weights, {((DivisorSymbol.rational_bridge(i), 1),): abs(d) for i, d in enumerate(weights, 1) if d})
 
 
+def _ambient(genus: int, weights: Sequence[int], compact_type: bool = False) -> tuple[tuple[DivisorSymbol, ...], tuple]:
+    """The symbol table ``K < delta_irr < delta < xi`` of a DR class, and the
+    walk's view of it: each symbol's integer coefficient in its pullback
+    (``delta_irr``'s is 1), Theta's common denominator, the id of
+    ``delta_irr`` and of the first ``xi``.  Compact type keeps Theta's."""
+    theta = theta_pullback(genus, weights)
+    common, form = _integral_form(theta)
+    symbols, values, irr = list(theta.symbols), [v for _, v in form], -1
+    if not compact_type:
+        irr = sum(1 for symbol in symbols if symbol.kind == "K")
+        symbols[irr:irr], values[irr:irr] = [DivisorSymbol.irreducible()], [1]
+        glue = gluing_pullback(genus, weights)
+        symbols += glue.symbols
+        values += [v for _, v in _integral_form(glue)[1]]
+    return tuple(symbols), (values, common, irr, len(theta.symbols) + (irr >= 0))
+
+
+def _walk(budget: int, eta: Mapping, table: tuple, root, element, final, render=None) -> Iterator[tuple]:
+    """Yield ``(coefficient, prefix, last)`` for each term of ``sum eta(a,b,c)
+    Theta^a delta_irr^b Delta^c`` over ``table`` (see :func:`_ambient`), in
+    key order: one depth-first walk of the table in id order, where a node
+    adds a power ``k`` of a later symbol and spends ``k`` (``2k`` for ``xi``)
+    of ``budget``, and a node with none left is a term.  Children come in
+    ascending ``(id, power)`` order, so no sort is needed.  A prefix is
+    ``root`` plus ``element(id, power)`` per symbol, ``last`` is ``final(id,
+    power)``, and the coefficient ``render(eta(a,b,c) a! c! / common^a * prod
+    v^k / prod k!)`` (``delta_irr^b`` is one symbol: no ``b!``), made once
+    per value by one cache for each ``(a, b, c, prod k!)``."""
+    values, common, irr, xi = table
+    element, final = cache(element), cache(final)
+    closing = [final(i, 1) for i in range(xi)]
+
+    class Steps(dict):  # per (a, b, c, prod k!), a cache from prod v^k to the coefficient; falsy if eta is 0
+        def __missing__(self, key: tuple[int, int, int, int]):
+            a, b, c, factorials = key
+            scale = Fraction(eta.get((a, b, c), 0) * factorial(a) * factorial(c), common**a * factorials)
+            self[key] = scale and cache(scale.__mul__ if render is None else lambda product: render(scale * product))
+            return self[key]
+
+    steps = Steps()
+
+    def visit(start: int, budget: int, prefix, product: int, a: int, b: int, c: int, factorials: int):
+        # Yields batches of terms that share a prefix.
+        for i in range(start, len(values)):
+            power, weight, f = product, 2 if i >= xi else 1, factorials
+            for k in range(1, budget // weight + 1):
+                power *= values[i]
+                left = budget - k * weight
+                if i == irr:
+                    parts = (a, b + k, c, f)
+                else:
+                    f *= k
+                    parts = (a + k, b, c, f) if i < xi else (a, b, c + k, f)
+                if not left:
+                    if steps[parts]:
+                        yield ((steps[parts](power), prefix, final(i, k)),)
+                elif left == 1:  # the budget-1 level as one batch: each Theta or delta_irr symbol after i ends a term
+                    child, (a1, b1, c1, f1) = prefix + element(i, k), parts
+                    theta, boundary = steps[a1 + 1, b1, c1, f1], steps[a1, b1 + 1, c1, f1]
+                    for low, high, coefficient in ((i + 1, irr, theta), (max(i + 1, irr), irr + 1, boundary), (max(i + 1, irr + 1), xi, theta)):
+                        if coefficient and low < high:
+                            yield zip(map(coefficient, map(power.__mul__, values[low:high])), repeat(child), closing[low:high])
+                elif i + 1 < (xi if left % 2 else len(values)):  # a later symbol can spend what is left
+                    yield from visit(i + 1, left, prefix + element(i, k), power, *parts)
+
+    return chain.from_iterable(visit(0, budget, root, 1, 0, 0, 0, 1))
+
+
 def dr_class(genus: int, weights: Sequence[int]) -> FormalClass:
     """The double-ramification class: the eta-weighted sum of products of the
     three pullbacks over all ``(a, b, c)`` with ``a + b + 2c = genus``.
 
     Their supports are disjoint, ordered ``K < delta_irr < delta < xi`` in the
-    ambient space's symbol table.  With ``Theta^a = sum_j C(a, j) Theta_K^j
-    Theta_delta^(a-j)`` each term joins one key of each of ``Theta_K^j``,
-    ``delta_irr^b``, ``Theta_delta^(a-j)`` and ``Delta^c``: it is written once."""
+    ambient space's symbol table, so the key-order walk of :func:`_walk`
+    writes each term once, with ``(id, power)`` prefix elements: ``ids``
+    comes in key order, with no merge and no sort."""
     weights = _validate_weights(genus, weights)
-    theta = theta_pullback(genus, weights)
-    irr = boundary_pullback(genus, weights)  # delta_irr with coefficient 1
-    glue = gluing_pullback(genus, weights)
-    cut = sum(1 for symbol in theta.symbols if symbol.kind == "K")
-    symbols = theta.symbols[:cut] + irr.symbols + theta.symbols[cut:] + glue.symbols
-    common, form = _integral_form(theta)
-    glue_form = [(i + len(theta.symbols) + 1, v) for i, v in _integral_form(glue)[1]]
-    forms = ([(i, v) for i, v in form if i < cut], [(i + 1, v) for i, v in form if i >= cut], glue_form)
-    theta_k, theta_delta, gluing = ([_power_terms(f, e) for e in range(genus + 1)] for f in forms)
-    ids: dict[Key, Fraction] = {}
-    for (a, b, c), coeff in coefficient_table(genus).eta.items():
-        middle = (cut, b) if b else ()
-        for j in range(a + 1 if coeff else 0):
-            # Few numerators recur, so each coefficient is built (and stored) once.
-            scaled = cache((coeff * comb(a, j) / common**a).__mul__)
-            tail = [(k1 + k2, n1 * n2) for k1, n1 in theta_delta[a - j] for k2, n2 in gluing[c]]
-            for head, n1 in theta_k[j]:
-                head += middle
-                for key, n2 in tail:
-                    ids[head + key] = scaled(n1 * n2)
-    return FormalClass._raw(genus, weights, symbols, ids)
+    symbols, table = _ambient(genus, weights)
+    pair = lambda i, power: (i, power)  # noqa: E731
+    walk = _walk(genus, coefficient_table(genus).eta, table, (), pair, pair)
+    return FormalClass._raw(genus, weights, symbols, {prefix + last: coeff for coeff, prefix, last in walk})
+
+
+def dr_text(genus: int, weights: Sequence[int], mode: str = "json", compact_type: bool = False) -> str:
+    """``serialize(dr_class(genus, weights), mode)``, or of its compact-type
+    specialization, rendered from the key-order walk with no class, term
+    dict or sort.  Compact type walks only ``Theta^g/g!``, the one summand
+    with neither ``delta_irr`` nor ``xi``.  The pieces joined are three
+    shared strings per term: its coefficient's, its prefix's and its last
+    symbol's."""
+    if mode not in ("json", "latex"):
+        raise ValueError(f"unknown serialization mode {mode!r}")
+    weights = _validate_weights(genus, weights)
+    symbols, table = _ambient(genus, weights, compact_type)
+    if mode == "json":
+        root, render, separator, close, fragment = _OPEN_SYMBOLS, exact_text, ",\n", _CLOSE_SYMBOLS, _json_fragment
+    else:
+        firsts: dict[str, str] = {}  # each coefficient's lead as the first term, by its lead as a later one
+
+        def render(coeff: Fraction) -> str:
+            first, later = signed_leads(coeff, coeff_latex, " ")
+            firsts[later] = first
+            return later
+
+        root, separator, close, fragment = "", " ", "", _latex_fragment
+    element = lambda i, power: fragment(symbols[i], power) + separator  # noqa: E731
+    final = lambda i, power: fragment(symbols[i], power) + close  # noqa: E731
+    pieces = [""]  # the JSON head goes here
+    pieces += chain.from_iterable(_walk(genus, coefficient_table(genus).eta, table, root, element, final, render))
+    if mode == "json":
+        return _json_text(genus, weights, genus if len(pieces) > 1 else 0, pieces)
+    if len(pieces) == 1:
+        return "0"
+    pieces[1] = firsts[pieces[1]]
+    return "".join(pieces)
 
 
 def specialize_compact_type(cls: FormalClass) -> FormalClass:
@@ -471,34 +541,31 @@ _OPEN_SYMBOLS = '",\n      "symbols": [\n'
 _CLOSE_SYMBOLS = "\n      ]\n    }" + _NEXT_TERM
 
 
-def _json_pieces(cls: FormalClass) -> list[str]:
-    """The JSON text of ``cls`` as pieces that ``"".join`` puts together.
-
-    Terms share their pieces: the fixed text, one string per coefficient
-    object, one per ``(symbol id, power)`` entry followed by ``",\\n"`` and
-    one closing its term, and one tuple of entries per key prefix ``key[:-2]``.
-    """
-    payload = {"g": cls.genus, "n": cls.n, "weights": list(cls.weights), "codim": cls.codimension(), "terms": []}
+def _json_text(genus: int, weights: Sequence[int], codim: int, pieces: list[str]) -> str:
+    """The text ``json.dumps(payload, indent=2)`` prints for a class whose
+    terms' text is ``pieces[1:]``, each term ending in ``_NEXT_TERM``: the
+    head goes in ``pieces[0]`` and the closing after the last term."""
+    payload = {"g": genus, "n": len(weights), "weights": list(weights), "codim": codim, "terms": []}
     head = json.dumps(payload, indent=2)
-    if not cls.ids:
-        return [head]
-    fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
-    entry = cache(lambda i, power: fragment(i, power) + ",\n")
-    last = cache(lambda i, power: fragment(i, power) + _CLOSE_SYMBOLS)
-    prefix = cache(lambda key: (_OPEN_SYMBOLS, *map(entry, key[::2], key[1::2])))
-    coeffs: dict[int, str] = {}  # by id(): dr_class shares a few coefficient objects among all its terms
-    pieces = [head[:-4] + "[" + _NEXT_TERM[1:]]
-    for key, coeff in sorted(cls.ids.items()):
-        text = coeffs.get(id(coeff))
-        if text is None:
-            text = coeffs[id(coeff)] = exact_text(coeff)
-        pieces.append(text)
-        if key:
-            pieces += prefix(key[:-2])
-            pieces.append(last(key[-2], key[-1]))
-        else:
-            pieces.append(_EMPTY_SYMBOLS)
+    if len(pieces) == 1:
+        return head
+    pieces[0] = head[:-4] + "[" + _NEXT_TERM[1:]
     pieces[-1] = pieces[-1].removesuffix(_NEXT_TERM) + "\n  ]\n}"
+    return "".join(pieces)
+
+
+def _json_pieces(cls: FormalClass) -> list[str]:
+    """The terms of ``cls`` as pieces for :func:`_json_text`, after a
+    placeholder: per term, its coefficient's text, its key prefix's entries
+    and its last entry, each made once and shared among the terms."""
+    fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
+    prefix = cache(lambda key: _OPEN_SYMBOLS + "".join(fragment(i, power) + ",\n" for i, power in _pairs(key)))
+    last = cache(lambda i, power: fragment(i, power) + _CLOSE_SYMBOLS)
+    texts: dict[int, str] = {}  # by id(): dr_class shares a few coefficient objects among all its terms
+    pieces = [""]
+    for key, coeff in sorted(cls.ids.items()):
+        text = texts.get(id(coeff)) or texts.setdefault(id(coeff), exact_text(coeff))
+        pieces += (text, prefix(key[:-2]), last(*key[-2:])) if key else (text, _EMPTY_SYMBOLS)
     return pieces
 
 
@@ -520,11 +587,12 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
     ``"".join`` over the shared pieces of :func:`_json_pieces`: no string is
     made per term, so the text is the only large allocation (the peak is
     about 1.1 times its length).  It is returned as one ``str``, which
-    callers may measure, encode or write in slices; the CLI writes it to
-    stdout 1 MiB at a time.
+    callers may measure, encode or write in slices.  The CLI prints DR
+    classes through :func:`dr_text`, the same bytes rendered from the
+    key-order walk with no class, no term dict and no sort.
     """
     if mode == "json":
-        return "".join(_json_pieces(cls))
+        return _json_text(cls.genus, cls.weights, cls.codimension(), _json_pieces(cls))
     if mode == "latex":
         fragment = cache(lambda i, power: _latex_fragment(cls.symbols[i], power))
         terms = ((coeff, list(map(fragment, key[::2], key[1::2]))) for key, coeff in sorted(cls.ids.items()))
@@ -540,56 +608,91 @@ def _fields(obj: object, what: str, **kinds: type) -> list:
     return [obj[name] for name in kinds]
 
 
+def _refuse_float(token: str):
+    raise ValueError(f"numbers in the payload must be integers, got {token}")
+
+
 def deserialize(text: str) -> FormalClass:
     """Rebuild a formal class from its JSON form.  Every integer field must be
     a JSON integer (``int()`` would truncate 2.9 and read ``true`` as 1), the
     weights must sum to zero, each coefficient must be the ``n`` or ``n/d``
     that :func:`serialize` writes, and a symbol has only its kind's fields
     and no repeated point; malformed structure is a ``ValueError`` too."""
-    payload = json.loads(text)
-    genus, weights, entries = _fields(payload, "a payload", g=object, weights=list, terms=list)
-    if {type(payload.get(name, 0)) for name in ("n", "codim")} != {int}:
-        raise ValueError("n and codim must be integers")
-    weights = _validate_weights(genus, weights)
-    n = len(weights)
-    if payload.get("n", n) != n:
-        raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
-    allowed = {kind: {"kind", "power", *fields} for kind, fields in _FIELDS.items()}
+    collecting = gc.isenabled()
+    # The parse makes a container per JSON object and array, none in a cycle, and the
+    # collector would pass over all of them each time their number grows by a quarter.
+    gc.disable()
+    try:
+        payload = json.loads(text, parse_float=_refuse_float)
+        genus, weights, entries = _fields(payload, "a payload", g=object, weights=list, terms=list)
+        if {type(payload.get(name, 0)) for name in ("n", "codim")} != {int}:
+            raise ValueError("n and codim must be integers")
+        weights = _validate_weights(genus, weights)
+        n = len(weights)
+        if payload.get("n", n) != n:
+            raise ValueError(f"inconsistent payload: n={payload['n']} but {n} weights")
+        allowed = {kind: {"kind", "power", *fields} for kind, fields in _FIELDS.items()}
 
-    @cache  # each distinct entry is decoded once; read() checks the types first, as 1 == True
-    def decode(kind: str, i: int, h: int, points: tuple[int, ...], power: int) -> tuple[DivisorSymbol, int]:
-        if power < 1:
-            raise ValueError(f"symbol powers must be positive, got {power}")
-        if kind in ("K", "xi"):
-            if not 1 <= i <= n:
-                raise ValueError(f"marked points must lie in 1..{n}, got {kind} {i}")
-            symbol = DivisorSymbol.cotangent(i) if kind == "K" else DivisorSymbol.rational_bridge(i)
-        elif kind == "delta_irr":
-            symbol = DivisorSymbol.irreducible()
-        elif kind == "delta":
-            if len(set(points)) != len(points):
-                raise ValueError(f"a separating divisor's points must be distinct, got {list(points)}")
-            symbol = DivisorSymbol.separating(genus, h, points, n)
-        else:
-            raise ValueError(f"unknown symbol kind {kind!r}")
-        return symbol, power
+        def read(s: object) -> tuple[DivisorSymbol, int]:
+            kind, = _fields(s, "a symbol", kind=str)
+            if not s.keys() <= allowed.get(kind, s.keys()):  # an unknown kind is refused below
+                raise ValueError(f"fields {sorted(s.keys() - allowed[kind])} do not belong to a {kind!r} symbol")
+            i, h, points, power = s.get("i", 0), s.get("h", 0), s.get("P", []), s.get("power", 1)
+            if not isinstance(points, list) or {type(i), type(h), type(power), *map(type, points)} != {int}:
+                raise ValueError(f"symbol fields must be integers, got {s}")
+            if power < 1:
+                raise ValueError(f"symbol powers must be positive, got {power}")
+            if kind in ("K", "xi"):
+                if not 1 <= i <= n:
+                    raise ValueError(f"marked points must lie in 1..{n}, got {kind} {i}")
+                symbol = DivisorSymbol.cotangent(i) if kind == "K" else DivisorSymbol.rational_bridge(i)
+            elif kind == "delta_irr":
+                symbol = DivisorSymbol.irreducible()
+            elif kind == "delta":
+                if len(set(points)) != len(points):
+                    raise ValueError(f"a separating divisor's points must be distinct, got {points}")
+                symbol = DivisorSymbol.separating(genus, h, points, n)
+            else:
+                raise ValueError(f"unknown symbol kind {kind!r}")
+            return symbol, power
 
-    def read(s: object) -> tuple[DivisorSymbol, int]:
-        kind, = _fields(s, "a symbol", kind=str)
-        if not s.keys() <= allowed.get(kind, s.keys()):  # an unknown kind is refused in decode
-            raise ValueError(f"fields {sorted(s.keys() - allowed[kind])} do not belong to a {kind!r} symbol")
-        i, h, points, power = s.get("i", 0), s.get("h", 0), s.get("P", []), s.get("power", 1)
-        if not isinstance(points, list) or {type(i), type(h), type(power), *map(type, points)} != {int}:
-            raise ValueError(f"symbol fields must be integers, got {s}")
-        return decode(kind, i, h, tuple(points), power)
-
-    terms = []
-    for entry in entries:
-        coeff, symbols = _fields(entry, "a term", coeff=object, symbols=list)
-        if not isinstance(coeff, str) or not EXACT_FORM.fullmatch(coeff):
-            raise ValueError(f"coefficients are written n or n/d, got {coeff!r}")
-        terms.append(([read(s) for s in symbols], exact_fraction(coeff)))
-    cls = FormalClass(genus, weights, terms)
-    if payload.get("codim", cls.codimension()) != cls.codimension():
-        raise ValueError(f"inconsistent payload: codim={payload['codim']} but the terms have codimension {cls.codimension()}")
-    return cls
+        # Each distinct symbol entry is read once, named by its repr (which tells 1 from true and
+        # 1.0), and each coefficient text once.  With no true or false in the text (parse_float
+        # refuses floats), == tells types apart too, so a term whose symbols but the last equal
+        # the previous term's takes their names.
+        plain = "true" not in text and "false" not in text
+        by_name, coeffs, rows, previous, names = {}, {}, [], [], []
+        for entry in entries:
+            symbols = entry.get("symbols") if type(entry) is dict else None
+            if type(symbols) is not list or "coeff" not in entry:
+                _fields(entry, "a term", coeff=object, symbols=list)  # refuses it
+            coeff = entry["coeff"]
+            if type(coeff) is not str or coeff not in coeffs:
+                if not isinstance(coeff, str) or not EXACT_FORM.fullmatch(coeff):
+                    raise ValueError(f"coefficients are written n or n/d, got {coeff!r}")
+                coeffs[coeff] = exact_fraction(coeff)
+            shared = plain and symbols[:-1] == previous[:-1]
+            names = names[:-1] + list(map(repr, symbols[-1:])) if shared else list(map(repr, symbols))
+            by_name.update(zip(names, symbols))
+            rows.append((names, coeffs[coeff]))
+            previous = symbols
+        decoded = {name: read(s) for name, s in by_name.items()}
+        table = sorted({symbol for symbol, _ in decoded.values()}, key=DivisorSymbol.sort_key)
+        index = {symbol: i for i, symbol in enumerate(table)}
+        pairs = {name: (index[symbol], power) for name, (symbol, power) in decoded.items()}
+        ids: dict[Key, Fraction] = {}
+        for names, coeff in rows:
+            key = tuple(chain.from_iterable(map(pairs.__getitem__, names)))
+            if not all(map(lt, key[:-2:2], key[2::2])):  # out of order or repeated: merge
+                powers: dict[int, int] = {}
+                for i, power in _pairs(key):
+                    powers[i] = powers.get(i, 0) + power
+                key = _key(powers)
+            ids[key] = ids[key] + coeff if key in ids else coeff
+        cls = FormalClass._raw(genus, weights, tuple(table), {key: coeff for key, coeff in ids.items() if coeff})
+        if payload.get("codim", cls.codimension()) != cls.codimension():
+            raise ValueError(f"inconsistent payload: codim={payload['codim']} but the terms have codimension {cls.codimension()}")
+        return cls
+    finally:
+        if collecting:
+            gc.enable()

@@ -402,33 +402,32 @@ def coeff_latex(magnitude: Fraction) -> str:
     return rf"\frac{{{exact_text(magnitude.numerator)}}}{{{exact_text(magnitude.denominator)}}}"
 
 
+def signed_leads(coeff: Fraction, render_coeff, separator: str) -> tuple[str, str]:
+    """What a term with coefficient ``coeff`` writes before its pieces, as the
+    first term of a sum and as a later one: its sign, then
+    ``render_coeff(|coeff|)`` and ``separator`` unless ``|coeff|`` is 1."""
+    magnitude = abs(coeff)
+    text = "" if magnitude == 1 else render_coeff(magnitude) + separator
+    return ("-" if coeff < 0 else "") + text, (" - " if coeff < 0 else " + ") + text
+
+
 def signed_sum(terms: Iterable[tuple[Fraction, list[str]]], render_coeff, separator: str) -> str:
     """Join ``(coeff, pieces)`` terms as ``a + b - c`` (``"0"`` when empty).
 
-    A term's body is ``render_coeff(|coeff|)`` followed by its pieces, all
-    joined by ``separator``; a unit coefficient is left out when there are
-    pieces.  Each coefficient object's sign, text and unit test are made
-    once: many terms may share one object.
+    A term is its :func:`signed_leads` and its pieces joined by ``separator``;
+    a term with no pieces is ``render_coeff(|coeff|)``.  Each coefficient
+    object's leads are made once: many terms may share one object.
     """
     # By id(): each entry holds its coefficient, so no id is reused during the call.
-    leads: dict[int, tuple[Fraction, bool, str, bool]] = {}
+    leads: dict[int, tuple[Fraction, str, str]] = {}
     chunks: list[str] = []
     for coeff, pieces in terms:
+        if not pieces:  # a constant: its magnitude is its one piece
+            coeff, pieces = -1 if coeff < 0 else 1, [render_coeff(abs(coeff))]
         lead = leads.get(id(coeff))
         if lead is None:
-            magnitude = abs(coeff)
-            lead = leads[id(coeff)] = (coeff, coeff < 0, render_coeff(magnitude), magnitude == 1)
-        _, negative, text, unit = lead
-        if not pieces:
-            body = text
-        elif unit:
-            body = separator.join(pieces)
-        else:
-            body = separator.join([text, *pieces])
-        if chunks:
-            chunks.append(f" - {body}" if negative else f" + {body}")
-        else:
-            chunks.append(f"-{body}" if negative else body)
+            lead = leads[id(coeff)] = (coeff, *signed_leads(coeff, render_coeff, separator))
+        chunks.append(lead[2 if chunks else 1] + separator.join(pieces))
     return "".join(chunks) or "0"
 
 

@@ -12,6 +12,7 @@ PUBLIC = {
         "boundary_pullback",
         "deserialize",
         "dr_class",
+        "dr_text",
         "gluing_pullback",
         "serialize",
         "specialize_compact_type",
@@ -65,7 +66,7 @@ PUBLIC = {
 
 def test_public_names():
     names = sorted(name for names in PUBLIC.values() for name in names)
-    assert len(names) == 51
+    assert len(names) == 52
     assert sorted(chowkit.__all__) == names
 
 

@@ -19,6 +19,7 @@ from chowkit import (
     boundary_pullback,
     deserialize,
     dr_class,
+    dr_text,
     eta,
     factorial,
     format_polynomial,
@@ -572,13 +573,14 @@ def test_json_peak_memory_stays_near_the_output_size():
     import tracemalloc
 
     cls = dr_class(3, (2, 1, -1, -2))
-    tracemalloc.start()
-    try:
-        text = serialize(cls)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 1.5 * len(text)
+    for render in (lambda: serialize(cls), lambda: dr_text(3, (2, 1, -1, -2))):
+        tracemalloc.start()
+        try:
+            text = render()
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * len(text)
 
 
 @pytest.mark.parametrize("g, weights", [(1, (1, -1)), (2, (1, -1)), (3, (1, 1, -2))])
@@ -671,10 +673,28 @@ def test_deserialize_refuses_numbers_that_are_not_integers(fields, symbol):
 
 
 def test_deserialize_refuses_a_bool_after_the_equal_integer():
-    # Decoded symbols are cached, and True == 1 would hit the entry for 1.
-    terms = [{"coeff": "1", "symbols": [{"kind": "K", "i": i}]} for i in (1, True)]
-    with pytest.raises(ValueError, match="must be integers"):
-        deserialize(json.dumps({"g": 2, "weights": [1, -1], "terms": terms}))
+    # Decoded symbols are cached, and True == 1 would hit the entry for 1; a term
+    # whose symbols but the last equal the previous term's shares their entries.
+    for last in ([], [{"kind": "delta_irr"}]):
+        terms = [{"coeff": "1", "symbols": [{"kind": "K", "i": i}, *last]} for i in (1, True, 1)]
+        with pytest.raises(ValueError, match="must be integers"):
+            deserialize(json.dumps({"g": 2, "weights": [1, -1], "terms": terms}))
+
+
+@pytest.mark.parametrize("text", [serialize(dr_class(2, (1, -1))), one_term({"kind": "K", "i": 1.5})])
+def test_deserialize_leaves_the_cycle_collector_as_it_found_it(text):
+    import gc
+
+    for enabled in (True, False):
+        (gc.enable if enabled else gc.disable)()
+        try:
+            deserialize(text)
+        except ValueError:
+            pass
+        finally:
+            left = gc.isenabled()
+            gc.enable()
+        assert left == enabled
 
 
 @pytest.mark.parametrize("weights", [[1, 1], [2, -1], [0, 3]])
@@ -929,6 +949,11 @@ def test_dr_expansion_properties(g, weights):
     rebuilt = deserialize(text)
     assert rebuilt == cls and serialize(rebuilt) == text
     assert serialize(rebuilt, "latex") == serialize(cls, "latex")
+    assert list(cls.ids) == sorted(cls.ids)
+    compact = specialize_compact_type(cls)
+    for mode in ("json", "latex"):
+        assert dr_text(g, weights, mode) == serialize(cls, mode)
+        assert dr_text(g, weights, mode, compact_type=True) == serialize(compact, mode)
 
 
 def test_delta_irr_sorts_between_k_and_delta():
