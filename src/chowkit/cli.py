@@ -143,7 +143,7 @@ def cmd_ring(args: argparse.Namespace) -> int:
         if args.expr is None:
             return _usage_error("ring reduce needs an expression argument")
         try:
-            reduced = format_polynomial(ctx.normal_form(parse(args.expr, multiply=ctx.multiply)))
+            reduced = format_polynomial(ctx.normal_form(parse(args.expr, multiply=ctx.multiply_numerators)))
         except ParseError as exc:
             return _usage_error(f"cannot parse expression: {exc}")
         payload.update(input=args.expr, normal_form=reduced)

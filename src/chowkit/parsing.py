@@ -19,20 +19,21 @@ deeper input is rejected with a :class:`ParseError` instead of exhausting
 the interpreter stack.  Rationals past ``MAX_POWER_BITS`` bits, sums,
 products and powers whose coefficients would pass them, and products past
 ``MAX_TERM_PAIRS`` term pairs with no ``multiply`` are rejected the same way,
-at the literal or the operator.
+at the literal or the operator.  Values are parsed as integer numerators over
+one scale in lowest terms, as are a ``multiply``'s arguments and result, and
+the :class:`Polynomial` is built once, from the last value.
 """
 
 from __future__ import annotations
 
-from fractions import Fraction
-from math import comb
+from math import comb, gcd, lcm
 from typing import Callable
 
-from .poly import Polynomial, RING_VARS, Vars
+from .poly import Numerators, Polynomial, RING_VARS, Vars, _add_product, _from_numerators
 
 __all__ = ["ParseError", "parse"]
 
-Multiply = Callable[[Polynomial, Polynomial], Polynomial]
+Multiply = Callable[[Numerators, Numerators], Numerators]
 
 _SYMBOLS = set("+-*^/()")
 # Literals are ASCII only: str.isdigit also accepts superscripts and other
@@ -42,8 +43,9 @@ _DIGITS = set("0123456789")
 #: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
 MAX_DEPTH = 100
 
-#: Largest ``_bits`` of a coefficient, and of ``exponent * _bits(constant)``
-#: for a power.  Reduction bounds degrees, not coefficients; this bounds the
+#: Largest bit length less one of the larger of numerator and denominator of a
+#: coefficient in lowest terms, and of that times the exponent for the constant
+#: term of a power.  Reduction bounds degrees, not coefficients; this bounds the
 #: time and memory their arithmetic takes.  Printing needs no bound.
 MAX_POWER_BITS = 10_000
 
@@ -88,9 +90,13 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
-def _bits(c: Fraction) -> int:
-    """Bit length less one of the larger of numerator and denominator."""
-    return max(abs(c.numerator), c.denominator).bit_length() - 1
+def _sum(a: Numerators, b: Numerators, sign: int = 1) -> Numerators:
+    """``a + sign * b`` over the least common multiple of their scales, zero terms kept."""
+    (s, x), (t, y), m = a, b, lcm(a[0], b[0])
+    out, factor = dict(x) if m == s else {e: v * (m // s) for e, v in x.items()}, sign * (m // t)
+    for e, v in y.items():
+        out[e] = out.get(e, 0) + factor * v
+    return m, out
 
 
 class _Parser:
@@ -99,31 +105,38 @@ class _Parser:
         self.pos = 0
         self.depth = 0
         self.vars = variables
+        self.one = (0,) * len(variables)  # the exponents of a constant
         self.multiply = multiply
 
-    def checked(self, p: Polynomial, position: int) -> Polynomial:
-        """``p``, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits."""
-        if any(_bits(c) > MAX_POWER_BITS for c in p.terms.values()):
-            raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position)
-        return p
+    def checked(self, p: Numerators, position: int) -> Numerators:
+        """``p`` in lowest terms, ``gcd(scale, *numerators)`` divided out and zero terms
+        dropped, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits:
+        none does while the scale and numerators fit, else each term is reduced to see."""
+        common = gcd(p[0], *p[1].values())
+        scale, terms = p[0] // common, {e: v // common for e, v in p[1].items() if v}
+        if max([scale, *map(abs, terms.values())]).bit_length() - 1 > MAX_POWER_BITS:
+            if any((max(abs(v), scale) // gcd(v, scale)).bit_length() - 1 > MAX_POWER_BITS for v in terms.values()):
+                raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position)
+        return scale, terms
 
-    def product(self, a: Polynomial, b: Polynomial, position: int) -> Polynomial:
-        """``multiply(a, b)``, or with no ``multiply`` ``a * b``, refused past ``MAX_TERM_PAIRS`` term pairs."""
-        if not self.multiply and len(a) * len(b) > MAX_TERM_PAIRS:
-            raise ParseError(f"product of {len(a)} by {len(b)} terms passes {MAX_TERM_PAIRS} term pairs", position)
-        return self.checked(self.multiply(a, b) if self.multiply else a * b, position)
+    def product(self, a: Numerators, b: Numerators, position: int) -> Numerators:
+        """``multiply(a, b)``, or with no ``multiply`` the expanded product, refused past ``MAX_TERM_PAIRS`` term pairs."""
+        if not self.multiply and len(a[1]) * len(b[1]) > MAX_TERM_PAIRS:
+            raise ParseError(f"product of {len(a[1])} by {len(b[1])} terms passes {MAX_TERM_PAIRS} term pairs", position)
+        return self.checked(self.multiply(a, b) if self.multiply else (a[0] * b[0], _add_product({}, a[1], b[1])), position)
 
-    def power(self, base: Polynomial, exponent: int, position: int) -> Polynomial:
+    def power(self, base: Numerators, exponent: int, position: int) -> Numerators:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the
         constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
         squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k)
         * c^(n-k) * u^k`` for ``u = base - c``, each summand checked, up to the
         first ``u^k`` that is zero."""
-        constant = base.coefficient((0,) * len(self.vars))
-        if exponent * _bits(constant) > MAX_POWER_BITS:
+        (scale, terms), result = base, (1, {self.one: 1})
+        constant = terms.get(self.one, 0)
+        c, d = constant // (common := gcd(constant, scale)), scale // common
+        if exponent * (max(abs(c), d).bit_length() - 1) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
         if not constant:
-            result = Polynomial.constant(self.vars, 1)
             while exponent:
                 if exponent & 1:
                     result = self.product(result, base, position)
@@ -131,12 +144,12 @@ class _Parser:
                 if exponent:
                     base = self.product(base, base, position)
             return result
-        u, u_k = base - constant, Polynomial.constant(self.vars, 1)
-        result = Polynomial.zero(self.vars)
+        u, u_k, result = (scale, {e: v for e, v in terms.items() if e != self.one}), result, (1, {})
         for k in range(exponent + 1):
-            if u_k.is_zero():
+            if not u_k[1]:
                 break
-            result += self.checked(comb(exponent, k) * constant ** (exponent - k) * u_k, position)
+            factor = comb(exponent, k) * c ** (exponent - k)
+            result = _sum(result, self.checked((u_k[0] * d ** (exponent - k), {e: factor * v for e, v in u_k[1].items()}), position))
             if k < exponent:
                 u_k = self.product(u_k, u, position)
         return self.checked(result, position)
@@ -155,22 +168,21 @@ class _Parser:
             raise ParseError(f"expected {kind!r}, found {token[1] or 'end of input'!r}", token[2])
         return token
 
-    def parse_expr(self) -> Polynomial:
+    def parse_expr(self) -> Numerators:
         result = self.parse_term()
         while self.peek()[0] in ("+", "-"):
             op, _, position = self.next()
-            rhs = self.parse_term()
-            result = self.checked(result + rhs if op == "+" else result - rhs, position)
+            result = self.checked(_sum(result, self.parse_term(), -1 if op == "-" else 1), position)
         return result
 
-    def parse_term(self) -> Polynomial:
+    def parse_term(self) -> Numerators:
         result = self.parse_factor()
         while self.peek()[0] == "*":
             star = self.next()[2]
             result = self.product(result, self.parse_factor(), star)
         return result
 
-    def parse_factor(self) -> Polynomial:
+    def parse_factor(self) -> Numerators:
         base = self.parse_base()
         if self.peek()[0] == "^":
             caret = self.next()[2]
@@ -178,7 +190,7 @@ class _Parser:
             return self.power(base, int(value), caret)
         return base
 
-    def nested(self, parse, position: int) -> Polynomial:
+    def nested(self, parse, position: int) -> Numerators:
         """Run ``parse`` one nesting level deeper."""
         if self.depth >= MAX_DEPTH:
             raise ParseError(f"nesting deeper than {MAX_DEPTH} levels", position)
@@ -187,22 +199,22 @@ class _Parser:
         self.depth -= 1
         return result
 
-    def parse_base(self) -> Polynomial:
+    def parse_base(self) -> Numerators:
         kind, value, position = self.next()
         if kind == "-":
-            return -self.nested(self.parse_base, position)
+            return _sum((1, {}), self.nested(self.parse_base, position), -1)
         if kind == "number":
+            denom = 1
             if self.peek()[0] == "/":
                 self.next()
-                _, denom, dpos = self.expect("number")
-                if int(denom) == 0:
+                _, text, dpos = self.expect("number")
+                if not (denom := int(text)):
                     raise ParseError("zero denominator", dpos)
-                return self.checked(Polynomial.constant(self.vars, Fraction(int(value), int(denom))), position)
-            return self.checked(Polynomial.constant(self.vars, int(value)), position)
+            return self.checked((denom, {self.one: int(value)}), position)
         if kind == "name":
             if value not in self.vars:
                 raise ParseError(f"unknown variable {value!r}", position)
-            return Polynomial.variable(self.vars, value)
+            return 1, {tuple(int(name == value) for name in self.vars): 1}
         if kind == "(":
             inner = self.nested(self.parse_expr, position)
             self.expect(")")
@@ -214,12 +226,13 @@ def parse(text: str, variables: Vars = RING_VARS, multiply: Multiply | None = No
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
     With ``multiply``, every product, each step of a power included, is
-    ``multiply(a, b)``, and the result is the caller's to reduce:
-    ``ctx.normal_form(parse(text, multiply=ctx.multiply))`` reduces each
-    product as it forms it, over integer numerators and the ring's tables
-    of rewrites (one per block shape, as integers over one denominator;
-    see :class:`~chowkit.ring.RingContext`).  A power with
-    a constant term is a binomial sum, ended once its non-constant part's
+    ``multiply(a, b)`` of two ``(scale, {exponents: numerator})`` pairs of
+    integers, the polynomials ``numerators / scale``, and returns such a pair,
+    which the parser puts in lowest terms; the result is the caller's to
+    reduce: ``ctx.normal_form(parse(text, multiply=ctx.multiply_numerators))``
+    reduces each product as it forms it, against the ring's tables of
+    rewrites (see :class:`~chowkit.ring.RingContext`).  A power with a
+    constant term is a binomial sum, ended once its non-constant part's
     powers multiply to 0.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
@@ -231,4 +244,4 @@ def parse(text: str, variables: Vars = RING_VARS, multiply: Multiply | None = No
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {value!r}", position)
-    return result
+    return _from_numerators(parser.vars, *result)

@@ -44,14 +44,10 @@ __all__ = [
 Exponents = tuple[int, ...]
 Vars = tuple[str, ...]
 Scalar = Union[Fraction, int]
+Numerators = tuple[int, dict[Exponents, int]]  # (scale, {exponents: numerator}): the polynomial numerators / scale
 
 RING_VARS: Vars = ("xi", "T1", "P", "T2")
 INVARIANT_VARS: Vars = ("Theta", "D", "Delta")
-
-
-def graded_lex_key(exps: Exponents) -> tuple[int, Exponents]:
-    """Sort key realizing the canonical graded lexicographic order."""
-    return (sum(exps), exps)
 
 
 class Polynomial:
@@ -114,8 +110,8 @@ class Polynomial:
         return self._terms
 
     def sorted_terms(self) -> list[tuple[Exponents, Fraction]]:
-        """Terms in descending canonical order (leading term first)."""
-        return sorted(self._terms.items(), key=lambda item: graded_lex_key(item[0]), reverse=True)
+        """Terms in descending canonical (graded lexicographic) order, leading term first."""
+        return sorted(self._terms.items(), key=lambda item: (sum(item[0]), item[0]), reverse=True)
 
     def coefficient(self, exps: Exponents) -> Fraction:
         return self._terms.get(tuple(exps), Fraction(0))
@@ -459,18 +455,6 @@ def _format_text(p: Polynomial) -> str:
     return signed_sum(terms, exact_text, "*")
 
 
-def _format_latex(p: Polynomial) -> str:
-    terms = ((coeff, _term_pieces(exps, p.vars, latex=True)) for exps, coeff in p.sorted_terms())
-    return signed_sum(terms, coeff_latex, " ")
-
-
-def _json_dict(p: Polynomial) -> dict:
-    return {
-        "vars": list(p.vars),
-        "terms": [{"coeff": exact_text(c), "exps": list(e)} for e, c in p.sorted_terms()],
-    }
-
-
 def format_polynomial(p: Polynomial, mode: str = "text") -> str:
     """Render ``p`` as ``"text"`` (grammar-compatible), ``"latex"`` or ``"json"``.
 
@@ -483,9 +467,9 @@ def format_polynomial(p: Polynomial, mode: str = "text") -> str:
     if mode == "text":
         return _format_text(p)
     if mode == "latex":
-        return _format_latex(p)
+        return signed_sum(((coeff, _term_pieces(exps, p.vars, latex=True)) for exps, coeff in p.sorted_terms()), coeff_latex, " ")
     if mode == "json":
-        return json.dumps(_json_dict(p))
+        return json.dumps({"vars": list(p.vars), "terms": [{"coeff": exact_text(c), "exps": list(e)} for e, c in p.sorted_terms()]})
     raise ValueError(f"unknown format mode {mode!r}")
 
 

@@ -36,7 +36,7 @@ from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
 from .linalg import rref, solve
-from .poly import INVARIANT_VARS, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
+from .poly import INVARIANT_VARS, Numerators, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
 __all__ = [
     "InvariantGenerators",
@@ -352,22 +352,25 @@ class RingContext:
         the socle degree ``2g-2`` (``R`` is generated in degree 1), stays if it
         is a basis monomial, and is rewritten in its block otherwise."""
         _require_ring_vars(p)
-        return self._reduced(*_numerators(p.terms))
+        return _from_numerators(RING_VARS, *self._reduced(*_numerators(p.terms)))
 
     def multiply(self, a: Polynomial, b: Polynomial) -> Polynomial:
-        """``normal_form(a * b)``, reduced in the pass that multiplies the integer
-        numerators of ``a`` and ``b``; 0 at once past degree ``2g-1``."""
+        """``normal_form(a * b)``, by :meth:`multiply_numerators` on the integer numerators of ``a`` and ``b``."""
         _require_ring_vars(a)
         _require_ring_vars(b)
-        if not a.terms or not b.terms or min(map(sum, a.terms)) + min(map(sum, b.terms)) > 2 * self.genus - 1:
-            return Polynomial.zero(RING_VARS)
-        (s, x), (t, y) = _numerators(a.terms), _numerators(b.terms)
+        return _from_numerators(RING_VARS, *self.multiply_numerators(_numerators(a.terms), _numerators(b.terms)))
+
+    def multiply_numerators(self, a: Numerators, b: Numerators) -> Numerators:
+        """The normal form of the product of two ``(scale, {exponents: numerator})`` pairs over ``RING_VARS``, as
+        such a pair, reduced in the pass that multiplies the numerators; 0 at once past degree ``2g-1``."""
+        (s, x), (t, y) = a, b
+        if not x or not y or min(map(sum, x)) + min(map(sum, y)) > 2 * self.genus - 1:
+            return 1, {}
         return self._reduced(s * t, _add_product({}, x, y))
 
-    def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
-        """The normal form of integer ``terms`` over ``scale``: each block reads one
-        table for the call and no rewrite leaves its block, so each nonzero output
-        term is one ``Fraction`` over ``scale`` times that table's ``den``."""
+    def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Numerators:
+        """The normal form of integer ``terms`` over ``scale``, as nonzero integers over ``scale`` times the ``lcm``
+        of the ``den``s of the tables it read: each block reads one table for the call and no rewrite leaves it."""
         g, kept, images, blocks = self.genus, {}, {}, {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
@@ -379,12 +382,12 @@ class RingContext:
                     blocks[(k, d)] = self._table(b % 2, r, r + k - g + 1)
                 for t, n in blocks[(k, d)][1][b // 2 - r]:
                     images[(x, a + t, b - 2 * t, c + t)] = images.get((x, a + t, b - 2 * t, c + t), 0) + v * n
-        out = {e: Fraction(v, scale) for e, v in kept.items() if v and e not in images}
+        den = lcm(*(table[0] for table in blocks.values()))
+        out = {e: v * den for e, v in kept.items() if v}
         for e, v in images.items():
-            den = blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]
-            if v := kept.get(e, 0) * den + v:
-                out[e] = Fraction(v, scale * den)
-        return Polynomial._raw(RING_VARS, out)
+            if v := out.pop(e, 0) + v * (den // blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]):
+                out[e] = v
+        return scale * den, out
 
     def is_zero(self, p: Polynomial) -> bool:
         """Exact ideal-membership test in the quotient ring."""
@@ -496,7 +499,7 @@ class RingContext:
         (out,) = _level_sums({e: v for e, v in terms.items() if not e[0]}, [1] * (2 * max(map(sum, terms), default=0) + 1))
         for (x, a, b, c), v in terms.items():
             out[(0, a, b + x, c)] = out.get((0, a, b + x, c), 0) - v
-        return self._reduced(scale, out)
+        return _from_numerators(RING_VARS, *self._reduced(scale, out))
 
     def _involution_residual(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
         """``normal_form(involution(p) - p)`` for ``p = terms / scale``."""
@@ -504,7 +507,7 @@ class RingContext:
         for (x, a, b, c), v in terms.items():
             for i in range(x + 1):  # (xi - P)^x by the binomial theorem
                 out[(x - i, a, b + i, c)] = out.get((x - i, a, b + i, c), 0) + (-1) ** (b + i) * binomial(x, i) * v
-        return self._reduced(scale, out)
+        return _from_numerators(RING_VARS, *self._reduced(scale, out))
 
     # ------------------------------------------------------------- coordinates
 

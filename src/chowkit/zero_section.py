@@ -301,7 +301,7 @@ def verify_main(genus: int) -> VerificationReport:
     sum ``S`` reduces to 0 and ``D S = 2 psi(D) Z`` (``_main_residual``): one
     normal form and one derivation of ``S``, with the same residual."""
     ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
-    return _checked("main_identity", genus, lambda: _main_residual(ctx, s, ctx._reduced(*s)))
+    return _checked("main_identity", genus, lambda: _main_residual(ctx, s, _from_numerators(RING_VARS, *ctx._reduced(*s))))
 
 
 def verify_eta_alpha(genus: int) -> VerificationReport:
@@ -325,7 +325,7 @@ def verify_triangular(genus: int) -> VerificationReport:
     """Check the triangularity identity: substituting ``T1`` for the shifted
     polarization, ``-2*T2`` for the boundary and ``4*T1*T2 - P^2`` for the
     xi-free invariant into the alpha combination lands in the ideal."""
-    return _checked("triangular_identity", genus, lambda: make_context(genus)._reduced(*_triangular_sum(genus, "alpha")))
+    return _checked("triangular_identity", genus, lambda: _from_numerators(RING_VARS, *make_context(genus)._reduced(*_triangular_sum(genus, "alpha"))))
 
 
 def verify_invariance(genus: int) -> list[VerificationReport]:
@@ -362,6 +362,6 @@ def verify_all(genus: int) -> list[VerificationReport]:
     """Every check at one genus, in deterministic order, on one ring context, on integer numerators (a ``Fraction``
     only for a nonzero residual term): the triangular report is the triangular sum's normal form; the main one reads it."""
     ctx, s = make_context(genus), _triangular_sum(genus, "alpha")
-    triangular = _checked("triangular_identity", genus, lambda: ctx._reduced(*s))
+    triangular = _checked("triangular_identity", genus, lambda: _from_numerators(RING_VARS, *ctx._reduced(*s)))
     main = _checked("main_identity", genus, lambda: _main_residual(ctx, s, triangular.residual))
     return [main, verify_eta_alpha(genus), triangular, *_invariance(ctx)]

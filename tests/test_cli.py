@@ -337,6 +337,18 @@ def test_ring_reduce_huge_literals_and_products_are_parse_errors(capsys):
         assert f"(at position {position})" in err
 
 
+def test_ring_reduce_bounds_the_bits_of_coefficients_in_lowest_terms(capsys):
+    # Over one common scale this product holds the numerator 3*2^10000, past
+    # 10,000 bits, but its coefficients in lowest terms, 3 and 9/2^10000, fit.
+    code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", "(2^10000*T1 + 3*P)*(1/2)^10000*3"])
+    assert (code, out, err) == (0, f"3*T1 + 9/{2**10000}*P\n", "")
+    for expr, position in (("2^10000*2^10000", 7), ("2^10001", 1)):
+        code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", expr])
+        assert (code, out) == (2, "") and f"(at position {position})" in err
+    code, out, _ = run(capsys, ["ring", "--genus", "3", "reduce", "2^10000"])
+    assert (code, out) == (0, f"{2**10000}\n")
+
+
 def test_ring_reduce_keeps_xi_terms_of_degree_2g_minus_1(capsys):
     # xi*P^4 has degree 2g-1 = 5 at g=3 and reduces into xi*R_4, which is
     # not zero: the parser's bound must be 2g-1, not 2g-2.

@@ -120,9 +120,27 @@ def test_literals_are_ascii_digits_only():
         assert info.value.position == position
 
 
-def up_to_degree(bound):
-    """A ``multiply`` for :func:`parse` that keeps the terms of degree ``bound`` and below."""
-    return lambda a, b: Polynomial(a.vars, {e: c for e, c in (a * b).terms.items() if sum(e) <= bound})
+def up_to_degree(bound=None):
+    """A ``multiply`` for :func:`parse`, on ``(scale, {exponents: numerator})``
+    pairs, that keeps the terms of degree ``bound`` and below (all of them
+    with no bound)."""
+
+    def multiply(a, b):
+        out = {}
+        for e1, v1 in a[1].items():
+            for e2, v2 in b[1].items():
+                e = tuple(map(operator.add, e1, e2))
+                if bound is None or sum(e) <= bound:
+                    out[e] = out.get(e, 0) + v1 * v2
+        return a[0] * b[0], out
+
+    return multiply
+
+
+def pair_polynomial(pair):
+    """The :class:`Polynomial` over ``RING_VARS`` of a ``(scale, {exponents: numerator})`` pair."""
+    scale, terms = pair
+    return Polynomial(RING_VARS, {e: Fraction(v, scale) for e, v in terms.items()})
 
 
 def test_max_degree_truncates_products_and_powers():
@@ -146,18 +164,18 @@ def test_the_parser_multiplies_only_normal_forms(monkeypatch):
     ctx = make_context(3)
     text = "(1 + xi - 2*T1)^7*(P + T2)^3 + xi*P^4*(T1 - 1/2)^99 - (xi + T2)^5*T1*(2 - P)"
     factors = []
-    multiply = ctx.multiply
+    multiply = ctx.multiply_numerators
 
     def recording(a, b):
         factors.extend((a, b))
         return multiply(a, b)
 
-    monkeypatch.setattr(ctx, "multiply", recording)
-    reduced = ctx.normal_form(parse(text, multiply=ctx.multiply))
+    monkeypatch.setattr(ctx, "multiply_numerators", recording)
+    reduced = ctx.normal_form(parse(text, multiply=ctx.multiply_numerators))
     monkeypatch.undo()
     assert reduced == ctx.normal_form(parse(text))
     assert len(factors) > 20
-    assert [p for p in factors if ctx.normal_form(p) != p] == []
+    assert [p for p in map(pair_polynomial, factors) if ctx.normal_form(p) != p] == []
 
 
 def test_power_bounds_the_growth_of_its_constant_term():
@@ -181,6 +199,20 @@ def test_power_bounds_the_growth_of_its_constant_term():
     assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40
 
 
+def test_the_bit_bound_is_on_coefficients_in_lowest_terms():
+    # Over one common scale this product holds the numerator 3*2^10000, past
+    # 10,000 bits, but its coefficients in lowest terms, 3 and 9/2^10000, fit.
+    text = "(2^10000*T1 + 3*P)*(1/2)^10000*3"
+    expected = Polynomial(RING_VARS, {(0, 1, 0, 0): 3, (0, 0, 1, 0): Fraction(9, 2**10000)})
+    for multiply in (None, up_to_degree(), make_context(3).multiply_numerators):
+        assert parse(text, multiply=multiply) == expected
+    for text, position in (("2^10000*2^10000", 7), ("2^10001", 1)):
+        with pytest.raises(ParseError, match=f"past {MAX_POWER_BITS} bits") as info:
+            parse(text)
+        assert info.value.position == position
+    assert parse("2^10000") == Polynomial.constant(RING_VARS, 2**10000)
+
+
 def test_powers_are_bounded_when_reduce_kills_no_power():
     # With a multiply under which no power of the non-constant part vanishes,
     # the binomial ladder stops at the first summand past the bound, and a
@@ -191,10 +223,10 @@ def test_powers_are_bounded_when_reduce_kills_no_power():
         start = time.perf_counter()
         if expected is None:
             with pytest.raises(ParseError, match="coefficients") as info:
-                parse(text, multiply=operator.mul)
+                parse(text, multiply=up_to_degree())
             assert info.value.position == 6
         else:
-            assert parse(text, multiply=operator.mul) == expected
+            assert parse(text, multiply=up_to_degree()) == expected
         assert time.perf_counter() - start < 2
 
 

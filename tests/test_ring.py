@@ -158,9 +158,33 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
         f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}",
         f"(xi + T1)^{g}*(P + T2)^{g} + T1",
     ):
-        assert ctx.normal_form(parse(text, multiply=ctx.multiply)) == ctx.normal_form(parse(text))
+        assert ctx.normal_form(parse(text, multiply=ctx.multiply_numerators)) == ctx.normal_form(parse(text))
     if g > 1:
         assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
+
+
+def random_expression(rng, depth):
+    """Text of the parser's grammar, ``depth`` levels of parentheses deep, with
+    fractions, constant terms, unary minus, nested powers and sums of products."""
+    if not depth:
+        return rng.choice(("xi", "T1", "P", "T2", str(rng.randint(0, 9)), f"{rng.randint(1, 9)}/{rng.randint(2, 7)}"))
+    terms = []
+    for _ in range(rng.randint(1, 3)):
+        factors = [f"({random_expression(rng, depth - 1)})" for _ in range(rng.randint(1, 2))]
+        term = "*".join(f"{f}^{rng.randint(0, 2 * depth)}" if rng.random() < 0.5 else f for f in factors)
+        terms.append(rng.choice(("", "-", "1/3*")) + term)
+    return rng.choice((" + ", " - ")).join(terms)
+
+
+@pytest.mark.parametrize("g", range(2, 10))
+def test_parse_reduced_as_it_forms_is_the_normal_form_of_the_expansion(g):
+    # The ring's pair product reduces every product as the parser forms it;
+    # one normal form of the plain expansion is the oracle.
+    ctx = make_context(g)
+    rng = random.Random(3000 + g)
+    for _ in range(40):
+        text = random_expression(rng, 2)
+        assert ctx.normal_form(parse(text, multiply=ctx.multiply_numerators)) == ctx.normal_form(parse(text)), text
 
 
 def built_degrees(ctx):
@@ -186,7 +210,7 @@ def test_reduction_builds_no_degree_past_the_top(g):
     ctx = make_context(g)
     product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
     for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
-        ctx.normal_form(parse(text, multiply=ctx.multiply))
+        ctx.normal_form(parse(text, multiply=ctx.multiply_numerators))
         assert max(built_degrees(ctx)) < 2 * g - 1
     assert 2 * g - 2 in built_degrees(ctx)
 
