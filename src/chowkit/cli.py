@@ -3,7 +3,7 @@
 Exit codes:
     0   success; every requested verification holds
     1   at least one verification failed
-    2   usage or input errors: bad flags, malformed expressions, bad weights
+    2   usage or input errors (bad flags, malformed expressions, bad weights) or out of memory
     141 (killed by SIGPIPE) when the reader closes stdout early, as in ``| head``
 
 Output is deterministic — no timing, timestamps or environment data is ever
@@ -18,8 +18,9 @@ import json
 import re
 import signal
 import sys
+from itertools import islice
 
-from .dr import dr_text
+from .dr import _dr_pieces
 from .parsing import ParseError, parse
 from .poly import exact_text, format_polynomial
 from .ring import make_context
@@ -174,14 +175,16 @@ def cmd_coeffs(args: argparse.Namespace) -> int:
 # ------------------------------------------------------------------ dr
 
 
-_WRITE_SLICE = 1 << 20  # characters per stdout write: a real stdout encodes one slice at a time
+_WRITE_SIZE = 1 << 18  # characters a stdout write aims at, a quarter of the 1 MiB one may take
 
 
 def cmd_dr(args: argparse.Namespace) -> int:
-    text = dr_text(args.genus, args.weights, args.format, args.compact_type)
+    pieces = _dr_pieces(args.genus, args.weights, args.format, args.compact_type)  # checks the arguments, walks nothing
     if not args.quiet:
-        for start in range(0, len(text), _WRITE_SLICE):
-            sys.stdout.write(text[start : start + _WRITE_SLICE])
+        count = 64  # pieces per write, rescaled after each write towards _WRITE_SIZE characters
+        while batch := list(islice(pieces, count)):
+            sys.stdout.write(text := "".join(batch))
+            count = max(1, count * _WRITE_SIZE // (len(text) + 1))
         sys.stdout.write("\n")
     return 0
 
@@ -255,6 +258,8 @@ def main(argv: "list[str] | None" = None) -> int:
         return command(args)
     except ValueError as exc:
         return _usage_error(str(exc))
+    except MemoryError:
+        return _usage_error("out of memory: the result does not fit in the memory at hand")
 
 
 def entry() -> None:

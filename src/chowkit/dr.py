@@ -45,7 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
-from math import factorial, lcm
+from math import factorial, gcd, lcm
 from operator import lt, mul
 
 from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads, signed_sum
@@ -326,7 +326,8 @@ class FormalClass:
             return FormalClass.one(self.genus, self.weights)
         if all(len(key) == 2 and key[1] == 1 for key in self.ids):
             # A sum of distinct single symbols: the walk writes each multiset of them once.
-            common, form = _integral_form(self)
+            common = lcm(*(coeff.denominator for coeff in self.ids.values()))
+            form = sorted((key[0], coeff.numerator * (common // coeff.denominator)) for key, coeff in self.ids.items())
             table = ([v for _, v in form], common, -1, len(form))
             pair = lambda at, power: (form[at][0], power)  # noqa: E731
             walk = _walk(exponent, {(exponent, 0, 0): 1}, table, (), pair, pair)
@@ -335,13 +336,6 @@ class FormalClass:
         for _ in range(exponent - 1):
             result = result * self
         return result
-
-
-def _integral_form(cls: FormalClass) -> tuple[int, list[tuple[int, int]]]:
-    """A sum of distinct single symbols as ``(common denominator, [(id,
-    numerator), ...])`` with increasing ids."""
-    common = lcm(*(coeff.denominator for coeff in cls.ids.values()))
-    return common, sorted((key[0], (coeff * common).numerator) for key, coeff in cls.ids.items())
 
 
 # -------------------------------------------------------------- pullbacks
@@ -365,22 +359,22 @@ def theta_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
     """Pullback of the polarization class along the weight-``d`` section.
 
     Each separating divisor is visited once, on its canonical side ``(h, P)``:
-    ``h <= g/2``, ``|P| >= 2`` when ``h = 0`` and ``1 in P`` when ``2h = g``.
+    ``h <= g/2``, ``|P| >= 2`` when ``h = 0`` and ``1 in P`` when ``2h = g``,
+    by ascending ``h`` and then ``P``, which is the symbols' sort order.
     Zero coefficients are skipped, which keeps the symbol table to the support.
     """
     weights = _validate_weights(genus, weights)
     n = len(weights)
     squares = [d * d for d in weights]
-    terms = [(((DivisorSymbol.cotangent(i), 1),), Fraction(s, 2)) for i, s in enumerate(squares, 1) if s]
+    terms = [(DivisorSymbol.cotangent(i), s) for i, s in enumerate(squares, 1) if s]  # each symbol, twice its coefficient
+    subsets = sorted(chain.from_iterable(combinations(range(1, n + 1), size) for size in range(n + 1)))
     for h in range(genus // 2 + 1):
-        for size in range(0 if h else 2, n + 1):
-            for subset in combinations(range(1, n + 1), size):
-                if 2 * h == genus and 1 not in subset:
-                    continue
+        for subset in subsets:
+            if (h or len(subset) >= 2) and (2 * h < genus or 1 in subset):
                 excess = sum(weights[i - 1] for i in subset) ** 2 - (0 if h else sum(squares[i - 1] for i in subset))
                 if excess:
-                    terms.append((((DivisorSymbol.separating(genus, h, subset, n), 1),), Fraction(-excess, 2)))
-    return FormalClass(genus, weights, terms)
+                    terms.append((DivisorSymbol("delta", genus_part=h, points=subset), -excess))
+    return FormalClass._raw(genus, weights, tuple(s for s, _ in terms), {(i, 1): Fraction(v, 2) for i, (_, v) in enumerate(terms)})
 
 
 def boundary_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
@@ -397,21 +391,20 @@ def gluing_pullback(genus: int, weights: Sequence[int]) -> FormalClass:
 def _ambient(genus: int, weights: Sequence[int], compact_type: bool = False) -> tuple[tuple[DivisorSymbol, ...], tuple]:
     """The symbol table ``K < delta_irr < delta < xi`` of a DR class, and the
     walk's view of it: each symbol's integer coefficient in its pullback
-    (``delta_irr``'s is 1), Theta's common denominator, the id of
+    (Theta's over 2, ``delta_irr``'s 1), Theta's denominator 2, the id of
     ``delta_irr`` and of the first ``xi``.  Compact type keeps Theta's."""
     theta = theta_pullback(genus, weights)
-    common, form = _integral_form(theta)
-    symbols, values, irr = list(theta.symbols), [v for _, v in form], -1
+    symbols, irr = list(theta.symbols), -1
+    values = [2 * coeff.numerator // coeff.denominator for coeff in theta.ids.values()]  # ids come in id order
     if not compact_type:
         irr = sum(1 for symbol in symbols if symbol.kind == "K")
         symbols[irr:irr], values[irr:irr] = [DivisorSymbol.irreducible()], [1]
-        glue = gluing_pullback(genus, weights)
-        symbols += glue.symbols
-        values += [v for _, v in _integral_form(glue)[1]]
-    return tuple(symbols), (values, common, irr, len(theta.symbols) + (irr >= 0))
+        symbols += (DivisorSymbol.rational_bridge(i) for i, d in enumerate(weights, 1) if d)
+        values += (abs(d) for d in weights if d)
+    return tuple(symbols), (values, 2, irr, len(theta.symbols) + (irr >= 0))
 
 
-def _walk(budget: int, eta: Mapping, table: tuple, root, element, final, render=None) -> Iterator[tuple]:
+def _walk(budget: int, eta: Mapping, table: tuple, root, element, final, render=Fraction) -> Iterator[tuple]:
     """Yield ``(coefficient, prefix, last)`` for each term of ``sum eta(a,b,c)
     Theta^a delta_irr^b Delta^c`` over ``table`` (see :func:`_ambient`), in
     key order: one depth-first walk of the table in id order, where a node
@@ -419,9 +412,10 @@ def _walk(budget: int, eta: Mapping, table: tuple, root, element, final, render=
     of ``budget``, and a node with none left is a term.  Children come in
     ascending ``(id, power)`` order, so no sort is needed.  A prefix is
     ``root`` plus ``element(id, power)`` per symbol, ``last`` is ``final(id,
-    power)``, and the coefficient ``render(eta(a,b,c) a! c! / common^a * prod
-    v^k / prod k!)`` (``delta_irr^b`` is one symbol: no ``b!``), made once
-    per value by one cache for each ``(a, b, c, prod k!)``."""
+    power)``, and the coefficient ``render(numerator, denominator)`` of
+    ``eta(a,b,c) a! c! / common^a * prod v^k / prod k!`` in lowest terms
+    (``delta_irr^b`` is one symbol: no ``b!``), made once per value by one
+    cache for each ``(a, b, c, prod k!)`` with one ``gcd`` per value."""
     values, common, irr, xi = table
     element, final = cache(element), cache(final)
     closing = [final(i, 1) for i in range(xi)]
@@ -429,8 +423,14 @@ def _walk(budget: int, eta: Mapping, table: tuple, root, element, final, render=
     class Steps(dict):  # per (a, b, c, prod k!), a cache from prod v^k to the coefficient; falsy if eta is 0
         def __missing__(self, key: tuple[int, int, int, int]):
             a, b, c, factorials = key
-            scale = Fraction(eta.get((a, b, c), 0) * factorial(a) * factorial(c), common**a * factorials)
-            self[key] = scale and cache(scale.__mul__ if render is None else lambda product: render(scale * product))
+            value = eta.get((a, b, c), 0)
+            numerator, denominator = value.numerator * factorial(a) * factorial(c), value.denominator * common**a * factorials
+
+            def coefficient(product: int):
+                shared = gcd(product := numerator * product, denominator)
+                return render(product // shared, denominator // shared)
+
+            self[key] = numerator and cache(coefficient)
             return self[key]
 
     steps = Steps()
@@ -479,36 +479,43 @@ def dr_class(genus: int, weights: Sequence[int]) -> FormalClass:
 
 def dr_text(genus: int, weights: Sequence[int], mode: str = "json", compact_type: bool = False) -> str:
     """``serialize(dr_class(genus, weights), mode)``, or of its compact-type
-    specialization, rendered from the key-order walk with no class, term
-    dict or sort.  Compact type walks only ``Theta^g/g!``, the one summand
-    with neither ``delta_irr`` nor ``xi``.  The pieces joined are three
-    shared strings per term: its coefficient's, its prefix's and its last
-    symbol's."""
+    specialization (the walk of ``Theta^g/g!`` alone), from the key-order
+    walk with no class, term dict or sort: the join of :func:`_dr_pieces`,
+    which the CLI writes in batches as they are made."""
+    return "".join(_dr_pieces(genus, weights, mode, compact_type))
+
+
+def _dr_pieces(genus: int, weights: Sequence[int], mode: str, compact_type: bool) -> Iterator[str]:
+    """The pieces :func:`dr_text` joins, each made as it is taken: the head
+    with the first term's lead, three shared strings per term (its lead, its
+    prefix and its last symbol) and the close.  The arguments are checked at
+    the call; nothing is walked before the first piece is taken."""
     if mode not in ("json", "latex"):
         raise ValueError(f"unknown serialization mode {mode!r}")
     weights = _validate_weights(genus, weights)
-    symbols, table = _ambient(genus, weights, compact_type)
-    if mode == "json":
-        root, render, separator, close, fragment = _OPEN_SYMBOLS, exact_text, ",\n", _CLOSE_SYMBOLS, _json_fragment
-    else:
-        firsts: dict[str, str] = {}  # each coefficient's lead as the first term, by its lead as a later one
 
-        def render(coeff: Fraction) -> str:
-            first, later = signed_leads(coeff, coeff_latex, " ")
-            firsts[later] = first
-            return later
+    def framed() -> Iterator[Iterator[str]]:  # yields one iterator, which chain runs with no frame per piece
+        symbols, table = _ambient(genus, weights, compact_type)
+        if mode == "json":
+            render = lambda numerator, denominator: _NEXT_TERM + exact_text(numerator, denominator)  # noqa: E731
+            root, separator, close, fragment, first = _OPEN_SYMBOLS, ",\n", _CLOSE_SYMBOLS, _json_fragment, _json_first
+            head, end, empty = _json_head(genus, weights, genus)[:-4], _JSON_END, _json_head(genus, weights, 0)
+        else:
+            firsts: dict[str, str] = {}  # each coefficient's lead as the first term, by its lead as a later one
 
-        root, separator, close, fragment = "", " ", "", _latex_fragment
-    element = lambda i, power: fragment(symbols[i], power) + separator  # noqa: E731
-    final = lambda i, power: fragment(symbols[i], power) + close  # noqa: E731
-    pieces = [""]  # the JSON head goes here
-    pieces += chain.from_iterable(_walk(genus, coefficient_table(genus).eta, table, root, element, final, render))
-    if mode == "json":
-        return _json_text(genus, weights, genus if len(pieces) > 1 else 0, pieces)
-    if len(pieces) == 1:
-        return "0"
-    pieces[1] = firsts[pieces[1]]
-    return "".join(pieces)
+            def render(numerator: int, denominator: int) -> str:
+                lead, later = signed_leads(numerator, lambda magnitude: coeff_latex(magnitude, denominator), " ", denominator)
+                firsts[later] = lead
+                return later
+
+            root, separator, close, fragment, first = "", " ", "", _latex_fragment, firsts.__getitem__
+            head, end, empty = "", "", "0"
+        element = lambda i, power: fragment(symbols[i], power) + separator  # noqa: E731
+        final = lambda i, power: fragment(symbols[i], power) + close  # noqa: E731
+        walk = _walk(genus, coefficient_table(genus).eta, table, root, element, final, render)
+        yield _framed(chain.from_iterable(walk), first, head, end, empty)
+
+    return chain.from_iterable(framed())
 
 
 def specialize_compact_type(cls: FormalClass) -> FormalClass:
@@ -536,37 +543,38 @@ def _json_fragment(symbol: DivisorSymbol, power: int) -> str:
 
 # The fixed text around a term's coefficient and its "symbols" entries.
 _NEXT_TERM = ',\n    {\n      "coeff": "'
-_EMPTY_SYMBOLS = '",\n      "symbols": []\n    }' + _NEXT_TERM
+_EMPTY_SYMBOLS = '",\n      "symbols": []\n    }'
 _OPEN_SYMBOLS = '",\n      "symbols": [\n'
-_CLOSE_SYMBOLS = "\n      ]\n    }" + _NEXT_TERM
+_CLOSE_SYMBOLS = "\n      ]\n    }"
+_JSON_END = "\n  ]\n}"
 
 
-def _json_text(genus: int, weights: Sequence[int], codim: int, pieces: list[str]) -> str:
-    """The text ``json.dumps(payload, indent=2)`` prints for a class whose
-    terms' text is ``pieces[1:]``, each term ending in ``_NEXT_TERM``: the
-    head goes in ``pieces[0]`` and the closing after the last term."""
-    payload = {"g": genus, "n": len(weights), "weights": list(weights), "codim": codim, "terms": []}
-    head = json.dumps(payload, indent=2)
-    if len(pieces) == 1:
-        return head
-    pieces[0] = head[:-4] + "[" + _NEXT_TERM[1:]
-    pieces[-1] = pieces[-1].removesuffix(_NEXT_TERM) + "\n  ]\n}"
-    return "".join(pieces)
+def _json_first(lead: str) -> str:  # the first term's lead opens the "terms" array
+    return "[" + lead[1:]
 
 
-def _json_pieces(cls: FormalClass) -> list[str]:
-    """The terms of ``cls`` as pieces for :func:`_json_text`, after a
-    placeholder: per term, its coefficient's text, its key prefix's entries
-    and its last entry, each made once and shared among the terms."""
+def _json_head(genus: int, weights: Sequence[int], codim: int) -> str:
+    # The text of a class with no terms; without its last four characters, "[]\n}", the head the first term follows.
+    return json.dumps({"g": genus, "n": len(weights), "weights": list(weights), "codim": codim, "terms": []}, indent=2)
+
+
+def _framed(pieces: Iterator[str], first, head: str, end: str, empty: str) -> Iterator[str]:
+    """``head + first(piece)`` for the first piece, the others and ``end``; ``empty`` if there is none."""
+    piece = next(pieces, None)
+    return iter((empty,)) if piece is None else chain((head + first(piece),), pieces, (end,))
+
+
+def _json_pieces(cls: FormalClass) -> Iterator[str]:
+    """The terms of ``cls`` as pieces for :func:`_framed`: per term, its
+    coefficient's lead, its key prefix's entries and its last entry, each
+    made once and shared among the terms."""
     fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
     prefix = cache(lambda key: _OPEN_SYMBOLS + "".join(fragment(i, power) + ",\n" for i, power in _pairs(key)))
     last = cache(lambda i, power: fragment(i, power) + _CLOSE_SYMBOLS)
     texts: dict[int, str] = {}  # by id(): dr_class shares a few coefficient objects among all its terms
-    pieces = [""]
     for key, coeff in sorted(cls.ids.items()):
-        text = texts.get(id(coeff)) or texts.setdefault(id(coeff), exact_text(coeff))
-        pieces += (text, prefix(key[:-2]), last(*key[-2:])) if key else (text, _EMPTY_SYMBOLS)
-    return pieces
+        text = texts.get(id(coeff)) or texts.setdefault(id(coeff), _NEXT_TERM + exact_text(coeff))
+        yield from (text, prefix(key[:-2]), last(*key[-2:])) if key else (text, _EMPTY_SYMBOLS)
 
 
 def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
@@ -586,13 +594,14 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
     JSON text is that of ``json.dumps(payload, indent=2)``, built by one
     ``"".join`` over the shared pieces of :func:`_json_pieces`: no string is
     made per term, so the text is the only large allocation (the peak is
-    about 1.1 times its length).  It is returned as one ``str``, which
-    callers may measure, encode or write in slices.  The CLI prints DR
-    classes through :func:`dr_text`, the same bytes rendered from the
-    key-order walk with no class, no term dict and no sort.
+    about 1.1 times its length).  The CLI never holds a DR class's text: it
+    writes the pieces of :func:`_dr_pieces`, the bytes of :func:`dr_text`,
+    in batches of about 256 KiB as the key-order walk makes them, with no
+    class, no term dict and no sort.
     """
     if mode == "json":
-        return _json_text(cls.genus, cls.weights, cls.codimension(), _json_pieces(cls))
+        head = _json_head(cls.genus, cls.weights, cls.codimension())
+        return "".join(_framed(_json_pieces(cls), _json_first, head[:-4], _JSON_END, head))
     if mode == "latex":
         fragment = cache(lambda i, power: _latex_fragment(cls.symbols[i], power))
         terms = ((coeff, list(map(fragment, key[::2], key[1::2]))) for key, coeff in sorted(cls.ids.items()))

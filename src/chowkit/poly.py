@@ -352,18 +352,20 @@ def d_graded_piece(p: Polynomial, l: int) -> Polynomial:
 _LATEX_NAMES = {"xi": r"\xi", "Theta": r"\Theta", "Delta": r"\Delta"}
 
 
-def exact_text(value: Fraction | int) -> str:
-    """``str(value)``, also past CPython's int-to-string digit limit, which
+def exact_text(value: Fraction | int, denominator: int = 1) -> str:
+    """``str(value)``, or ``n/d`` for an integer over a coprime ``denominator``,
+    also past CPython's int-to-string digit limit, which
     ``sys.set_int_max_str_digits`` would lift for ``int()`` of CLI input too."""
     try:
-        return str(value)
+        return str(value) if denominator == 1 else f"{value}/{denominator}"
     except ValueError:  # too many digits: print the two halves of them
-        if value.denominator != 1:
-            return f"{exact_text(value.numerator)}/{exact_text(value.denominator)}"
-        if value < 0:
-            return "-" + exact_text(-value)
-        width = value.numerator.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
-        high, low = divmod(value.numerator, 10**width)
+        numerator, denominator = value.numerator, value.denominator * denominator
+        if denominator != 1:
+            return f"{exact_text(numerator)}/{exact_text(denominator)}"
+        if numerator < 0:
+            return "-" + exact_text(-numerator)
+        width = numerator.bit_length() * 3 // 20  # about half the digits, as log10(2) > 3/10
+        high, low = divmod(numerator, 10**width)
         return exact_text(high) + exact_text(low).zfill(width)
 
 
@@ -391,19 +393,18 @@ def exact_fraction(text: str) -> Fraction:
         return Fraction(sign * _read_digits(numerator), _read_digits(denominator or "1"))
 
 
-def coeff_latex(magnitude: Fraction) -> str:
-    """LaTeX for a nonnegative rational: an integer or a ``\\frac``."""
-    if magnitude.denominator == 1:
-        return exact_text(magnitude.numerator)
-    return rf"\frac{{{exact_text(magnitude.numerator)}}}{{{exact_text(magnitude.denominator)}}}"
+def coeff_latex(magnitude: Fraction | int, denominator: int = 1) -> str:
+    """LaTeX for ``magnitude/denominator`` in lowest terms, a nonnegative rational: an integer or a ``\\frac``."""
+    numerator, slash, below = exact_text(magnitude, denominator).partition("/")
+    return rf"\frac{{{numerator}}}{{{below}}}" if slash else numerator
 
 
-def signed_leads(coeff: Fraction, render_coeff, separator: str) -> tuple[str, str]:
-    """What a term with coefficient ``coeff`` writes before its pieces, as the
-    first term of a sum and as a later one: its sign, then
-    ``render_coeff(|coeff|)`` and ``separator`` unless ``|coeff|`` is 1."""
+def signed_leads(coeff: Fraction | int, render_coeff, separator: str, denominator: int = 1) -> tuple[str, str]:
+    """What a term with coefficient ``coeff / denominator`` writes before its
+    pieces, as the first term of a sum and as a later one: its sign, then
+    ``render_coeff(|coeff|)``, which writes any denominator, and ``separator`` unless the coefficient is ±1."""
     magnitude = abs(coeff)
-    text = "" if magnitude == 1 else render_coeff(magnitude) + separator
+    text = "" if magnitude == denominator == 1 else render_coeff(magnitude) + separator
     return ("-" if coeff < 0 else "") + text, (" - " if coeff < 0 else " + ") + text
 
 

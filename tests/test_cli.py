@@ -2,6 +2,7 @@
 
 import json
 import signal
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -607,6 +608,97 @@ def test_dr_rejects_bad_weights(capsys):
     assert "sum to zero" in err
     code, _, err = run(capsys, ["dr", "--genus", "2", "--weights", "1,x"])
     assert code == 2
+
+
+def test_dr_quiet_checks_the_weights_without_walking(capsys, monkeypatch):
+    from chowkit import dr
+
+    def walk(*args, **kwargs):
+        raise AssertionError("dr --quiet walked the class")
+
+    monkeypatch.setattr(dr, "_walk", walk)
+    assert run(capsys, ["dr", "--genus", "10", "--weights", "1,-1", "--quiet"]) == (0, "", "")
+    code, out, err = run(capsys, ["dr", "--genus", "2", "--weights", "1,2", "--quiet"])
+    assert (code, out) == (2, "")
+    assert "sum to zero" in err
+
+
+def test_memory_error_is_exit_2_with_one_line(capsys, monkeypatch):
+    from chowkit import cli
+
+    def exhausted(args):
+        raise MemoryError
+
+    monkeypatch.setattr(cli, "cmd_dr", exhausted)
+    code, out, err = run(capsys, ["dr", "--genus", "2", "--weights", "1,-1"])
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "g, weights, compact, mode, starts",
+    [
+        # The zero class: with every weight 0, compact type has no symbol.
+        (2, (0, 0), True, "json", json.dumps({"g": 2, "n": 2, "weights": [0, 0], "codim": 0, "terms": []}, indent=2) + "\n"),
+        (2, (0, 0), True, "latex", "0\n"),
+        (2, (2, -1, -1), False, "latex", "K_{1} K_{2} "),  # a first coefficient of 1
+        (1, (0, 0), False, "latex", r"-\frac{1}{12} "),  # a first coefficient below 0
+        (3, (2, 1, -1, -2), False, "json", "{"),
+        (3, (2, 1, -1, -2), True, "latex", r"\frac{"),
+    ],
+)
+def test_dr_writes_what_serialize_returns_in_batches(capsys, monkeypatch, g, weights, compact, mode, starts):
+    # Small writes put batch boundaries inside terms, between a coefficient and its symbols.
+    import io
+
+    from chowkit import cli
+    from chowkit.dr import _NEXT_TERM, dr_class, serialize, specialize_compact_type
+
+    cls = dr_class(g, weights)
+    expected = serialize(specialize_compact_type(cls) if compact else cls, mode) + "\n"
+    assert expected.startswith(starts)
+    argv = ["dr", "--genus", str(g), "--weights=" + ",".join(map(str, weights)), "--format", mode]
+    argv += ["--compact-type"] if compact else []
+    assert run(capsys, argv) == (0, expected, "")
+
+    writes = []
+
+    class Recording(io.StringIO):
+        def write(self, text):
+            writes.append(len(text))
+            return super().write(text)
+
+    monkeypatch.setattr(cli, "_WRITE_SIZE", 2000)
+    monkeypatch.setattr(sys, "stdout", Recording())
+    assert main(argv) == 0
+    assert sys.stdout.getvalue() == expected
+    assert max(writes) <= 1 << 20
+    if len(expected) > 100_000:
+        ends = [sum(writes[: i + 1]) for i in range(len(writes) - 1)]
+        assert len(ends) > 20
+        if mode == "json":
+            assert any(not expected.startswith(_NEXT_TERM, end) for end in ends)
+
+
+def test_dr_runs_in_bounded_memory():
+    # The genus-10 compact-type class is 249 MB of JSON; the whole text once
+    # ended in a MemoryError traceback and exit 1 under this limit.
+    resource = pytest.importorskip("resource")
+    import subprocess
+
+    limit = 256 << 20
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+    proc = subprocess.run(
+        [sys.executable, "-m", "chowkit", "dr", "--genus", "10", "--weights", "1,-1", "--compact-type"],
+        stdout=subprocess.DEVNULL,
+        stderr=subprocess.PIPE,
+        preexec_fn=cap,
+        timeout=120,
+    )
+    assert (proc.returncode, proc.stderr) == (0, b"")
 
 
 @pytest.mark.parametrize(
