@@ -8,6 +8,12 @@ Exit codes:
 
 Output is deterministic — no timing, timestamps or environment data is ever
 printed — so identical invocations produce byte-identical output.
+
+Every command checks its arguments and computes what its exit code needs (the
+checks of ``verify``, the parse and normal form of ``ring reduce``), then
+returns its output as pieces, made as they are taken; :func:`main` writes them
+in batches.  Under ``--quiet`` nothing else is computed, and output that runs
+out of memory part-way ends in exit 2 after what was already written.
 """
 
 from __future__ import annotations
@@ -18,20 +24,14 @@ import json
 import re
 import signal
 import sys
-from itertools import islice
+from collections.abc import Iterable, Iterator
+from itertools import chain, islice
 
-from .dr import _dr_pieces
+from .dr import _JSON_END, _dr_pieces, _dump, _framed, _json_first
 from .parsing import ParseError, parse
 from .poly import exact_text, format_polynomial
 from .ring import make_context
-from .zero_section import (
-    coefficient_table,
-    verify_all,
-    verify_eta_alpha,
-    verify_invariance,
-    verify_main,
-    verify_triangular,
-)
+from .zero_section import VerificationReport, coefficient_table, verify_all, verify_eta_alpha, verify_invariance, verify_main, verify_triangular
 
 __all__ = ["entry", "main"]
 
@@ -57,20 +57,21 @@ def _weight_vector(text: str) -> tuple[int, ...]:
     try:
         return tuple(_integer(part) for part in text.split(","))
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected comma-separated integers, got {text!r}"
-        ) from None
+        raise argparse.ArgumentTypeError(f"expected comma-separated integers, got {text!r}") from None
 
 
-def _show(args: argparse.Namespace, payload: dict, lines: list[str]) -> None:
-    """Print a command's result: nothing under --quiet, ``payload`` as JSON under --json, else ``lines``."""
-    if not args.quiet:
-        print(json.dumps(payload, indent=2) if args.json else "\n".join(lines))
+def _lines(lines: Iterable[str]) -> Iterator[str]:
+    """The lines joined by newlines, one line at a time."""
+    lines = iter(lines)
+    return chain(islice(lines, 1), ("\n" + line for line in lines))
 
 
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
+def _json_array(payload: dict, entries: Iterable) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` with its last value, an empty list, filled
+    with ``entries``, each one's own indented dump made as it is taken."""
+    head = json.dumps(payload, indent=2)
+    leads = (",\n    " + _dump(entry, "\n    ") for entry in entries)
+    yield from _framed(leads, _json_first, head[: -len("[]\n}")], _JSON_END, head)
 
 
 # ------------------------------------------------------------------ verify
@@ -87,106 +88,78 @@ _VERIFIERS = {
 }
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     if args.max_genus is None and args.genus is None:
-        return _usage_error("verify needs --genus or --max-genus")
+        raise ValueError("verify needs --genus or --max-genus")
     genera = list(range(1, args.max_genus + 1)) if args.max_genus else [args.genus]
     reports = [report for g in genera for report in _VERIFIERS[args.which](g)]
     failed = sum(1 for report in reports if not report.holds)
-    payload = {
-        "command": "verify",
-        "which": args.which,
-        "genera": genera,
-        "results": [report.to_dict() for report in reports],
-        "all_hold": not failed,
-    }
-    lines = [report.summary() for report in reports]
-    lines.append(f"{failed} of {len(reports)} checks FAILED" if failed else "all checks hold")
-    _show(args, payload, lines)
-    return 1 if failed else 0
+    code = 1 if failed else 0
+    if args.json:
+        payload = {"command": "verify", "which": args.which, "genera": genera, "results": reports, "all_hold": not failed}
+        return code, json.JSONEncoder(indent=2, default=VerificationReport.to_dict).iterencode(payload)
+    last = f"{failed} of {len(reports)} checks FAILED" if failed else "all checks hold"
+    return code, _lines(chain(map(VerificationReport.summary, reports), [last]))
 
 
 # ------------------------------------------------------------------ ring
 
 
-def cmd_ring(args: argparse.Namespace) -> int:
-    ctx = make_context(args.genus)
-    g = args.genus
-    payload: dict = {"command": "ring", "action": args.action, "genus": g}
-    if args.action == "dims":
-        payload["dims"] = [ctx.dim_graded(k) for k in range(2 * g)]
-        lines = [f"k={k}: {value}" for k, value in enumerate(payload["dims"])]
-    elif args.action == "pairing":
-        payload["pairings"] = []
-        lines = []
-        for k in range(g):
-            entries = [[exact_text(entry) if entry else "0" for entry in row] for row in ctx.pairing_gram(k)]
-            det = exact_text(ctx.pairing_determinant(k))
-            payload["pairings"].append({"k": k, "matrix": entries, "determinant": det})
-            lines.append(f"k={k}: determinant {det}")
-            lines.extend("  [" + " ".join(row) + "]" for row in entries)
-    elif args.action == "relations":
-        # Each relation is written as it is made: at large genus one relation is megabytes of text.
-        if args.quiet:
-            return 0
-        if args.json:  # json.dumps(payload, indent=2), its relations array written entry by entry
-            print(json.dumps(payload, indent=2)[: -len("\n}")] + ',\n  "relations": [', end="")
-        for i, l in enumerate(ctx.relation_grades):
-            text = format_polynomial(ctx.relation(l))
-            if args.json:
-                print(f'{"," if i else ""}\n    {{\n      "d_grade": {l},\n      "polynomial": {json.dumps(text)}\n    }}', end="")
-            else:
-                print(f"l={l}:", text)
-        if args.json:
-            print("\n  ]\n}")
-        return 0
-    else:  # action == "reduce"
+def cmd_ring(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
+    ctx, g = make_context(args.genus), args.genus
+    payload = {"command": "ring", "action": args.action, "genus": g}
+    if args.action == "reduce":
         if args.expr is None:
-            return _usage_error("ring reduce needs an expression argument")
+            raise ValueError("ring reduce needs an expression argument")
         try:
             reduced = format_polynomial(ctx.normal_form(parse(args.expr, multiply=ctx.multiply_numerators)))
         except ParseError as exc:
-            return _usage_error(f"cannot parse expression: {exc}")
-        payload.update(input=args.expr, normal_form=reduced)
-        lines = [reduced]
-    _show(args, payload, lines)
-    return 0
+            raise ValueError(f"cannot parse expression: {exc}") from None
+        return 0, iter([json.dumps({**payload, "input": args.expr, "normal_form": reduced}, indent=2) if args.json else reduced])
+    # Every other action is one list, made an entry at a time; each text line is read off its entry.
+    if args.action == "dims":
+        key, entries = "dims", (ctx.dim_graded(k) for k in range(2 * g))
+        lines = (f"k={k}: {dim}" for k, dim in enumerate(entries))
+    elif args.action == "pairing":
+        matrix = lambda k: [[exact_text(x) if x else "0" for x in row] for row in ctx.pairing_gram(k)]  # noqa: E731
+        key, entries = "pairings", ({"k": k, "matrix": matrix(k), "determinant": exact_text(ctx.pairing_determinant(k))} for k in range(g))
+        lines = (f"k={e['k']}: determinant {e['determinant']}" + "".join(f"\n  [{' '.join(row)}]" for row in e["matrix"]) for e in entries)
+    else:  # action == "relations"; at large genus one relation is megabytes of text
+        key, entries = "relations", ({"d_grade": l, "polynomial": format_polynomial(ctx.relation(l))} for l in ctx.relation_grades)
+        lines = (f"l={e['d_grade']}: {e['polynomial']}" for e in entries)
+    return 0, _json_array({**payload, key: []}, entries) if args.json else _lines(lines)
 
 
 # ------------------------------------------------------------------ coeffs
 
 
-def cmd_coeffs(args: argparse.Namespace) -> int:
-    table = coefficient_table(args.genus)
+def cmd_coeffs(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     names = [name for name in ("alpha", "eta") if args.table in (name, "both")]
-    rows = [
-        {"a": a, "b": b, "c": c, **{name: exact_text(getattr(table, name)[a, b, c]) for name in names}}
-        for a, b, c in table.triples()
-    ]
     headers = ["a", "b", "c", *names]
-    # The header line is one more row of the table, its cells the column names.
-    grid = [{h: h for h in headers}] + [{h: str(row[h]) for h in headers} for row in rows]
-    widths = {h: max(len(cells[h]) for cells in grid) for h in headers}
-    lines = ["  ".join(cells[h].ljust(widths[h]) for h in headers).rstrip() for cells in grid]
-    _show(args, {"command": "coeffs", "genus": args.genus, "table": args.table, "rows": rows}, lines)
-    return 0
+
+    def rows() -> Iterator[dict]:
+        table = coefficient_table(args.genus)
+        for a, b, c in table.triples():
+            yield {"a": a, "b": b, "c": c, **{name: exact_text(getattr(table, name)[a, b, c]) for name in names}}
+
+    def lines() -> Iterator[str]:
+        # The header line is one more row of the table, its cells the column names; each
+        # column is as wide as its widest cell, found by a first pass over the rows.
+        widths = {h: len(h) for h in headers}
+        for row in rows():
+            widths.update((h, max(widths[h], len(str(row[h])))) for h in headers)
+        for cells in chain([dict(zip(headers, headers))], rows()):
+            yield "  ".join(str(cells[h]).ljust(widths[h]) for h in headers).rstrip()
+
+    payload = {"command": "coeffs", "genus": args.genus, "table": args.table, "rows": []}
+    return 0, _json_array(payload, rows()) if args.json else _lines(lines())
 
 
 # ------------------------------------------------------------------ dr
 
 
-_WRITE_SIZE = 1 << 18  # characters a stdout write aims at, a quarter of the 1 MiB one may take
-
-
-def cmd_dr(args: argparse.Namespace) -> int:
-    pieces = _dr_pieces(args.genus, args.weights, args.format, args.compact_type)  # checks the arguments, walks nothing
-    if not args.quiet:
-        count = 64  # pieces per write, rescaled after each write towards _WRITE_SIZE characters
-        while batch := list(islice(pieces, count)):
-            sys.stdout.write(text := "".join(batch))
-            count = max(1, count * _WRITE_SIZE // (len(text) + 1))
-        sys.stdout.write("\n")
-    return 0
+def cmd_dr(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
+    return 0, _dr_pieces(args.genus, args.weights, args.format, args.compact_type)  # checks the arguments, walks nothing
 
 
 # ------------------------------------------------------------------ wiring
@@ -210,12 +183,7 @@ def _build_parser() -> argparse.ArgumentParser:
     scope = p_verify.add_mutually_exclusive_group()
     scope.add_argument("--genus", type=_positive_int, help="genus to verify")
     scope.add_argument("--max-genus", type=_positive_int, help="verify every genus from 1 to this bound")
-    p_verify.add_argument(
-        "--which",
-        choices=sorted(_VERIFIERS),
-        default="all",
-        help="which identity family to verify (default: all)",
-    )
+    p_verify.add_argument("--which", choices=sorted(_VERIFIERS), default="all", help="which identity family to verify (default: all)")
 
     p_ring = subparsers.add_parser("ring", parents=[output], help="inspect the quotient ring at one genus")
     p_ring.add_argument("--genus", type=_positive_int, required=True)
@@ -233,6 +201,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p_dr.add_argument("--compact-type", action="store_true", help="restrict to curves of compact type")
 
     return parser
+
+
+_WRITE_SIZE = 1 << 14  # characters a stdout write aims at
+
+
+def _write(pieces: Iterator[str]) -> None:
+    """Write ``pieces`` and a newline to stdout, joined in batches as they are made.  A batch
+    grows at most twofold, so that short first pieces cannot make it hold many long ones."""
+    count = 1  # pieces per write, rescaled after each write towards _WRITE_SIZE characters
+    while batch := list(islice(pieces, count)):
+        sys.stdout.write(text := "".join(batch))
+        count = max(1, min(2 * count, count * _WRITE_SIZE // (len(text) + 1)))
+        del batch, text  # neither outlives its write while the next batch is made
+    sys.stdout.write("\n")
 
 
 def main(argv: "list[str] | None" = None) -> int:
@@ -255,11 +237,14 @@ def main(argv: "list[str] | None" = None) -> int:
         return int(exc.code or 0)
     command = {"verify": cmd_verify, "ring": cmd_ring, "coeffs": cmd_coeffs, "dr": cmd_dr}[args.subcommand]
     try:
-        return command(args)
-    except ValueError as exc:
-        return _usage_error(str(exc))
-    except MemoryError:
-        return _usage_error("out of memory: the result does not fit in the memory at hand")
+        code, pieces = command(args)
+        if not args.quiet:
+            _write(pieces)
+        return code
+    except (ValueError, MemoryError) as exc:
+        message = str(exc) if isinstance(exc, ValueError) else "out of memory: the result does not fit in the memory at hand"
+        print(f"error: {message}", file=sys.stderr)
+        return 2
 
 
 def entry() -> None:

@@ -45,6 +45,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from itertools import chain, combinations, repeat
+from json.encoder import encode_basestring_ascii
 from math import factorial, gcd, lcm
 from operator import lt, mul
 
@@ -510,8 +511,9 @@ def _dr_pieces(genus: int, weights: Sequence[int], mode: str, compact_type: bool
 
             root, separator, close, fragment, first = "", " ", "", _latex_fragment, firsts.__getitem__
             head, end, empty = "", "", "0"
-        element = lambda i, power: fragment(symbols[i], power) + separator  # noqa: E731
-        final = lambda i, power: fragment(symbols[i], power) + close  # noqa: E731
+        entry = cache(lambda i, power: fragment(symbols[i], power))  # made once for element and final
+        element = lambda i, power: entry(i, power) + separator  # noqa: E731
+        final = lambda i, power: entry(i, power) + close  # noqa: E731
         walk = _walk(genus, coefficient_table(genus).eta, table, root, element, final, render)
         yield _framed(chain.from_iterable(walk), first, head, end, empty)
 
@@ -531,14 +533,22 @@ def specialize_compact_type(cls: FormalClass) -> FormalClass:
 
 def _json_fragment(symbol: DivisorSymbol, power: int) -> str:
     # One entry of a term's "symbols" list, as json.dumps(payload, indent=2) prints it at that depth.
-    fields = []
-    for name, value in symbol.to_json_dict(power).items():
-        if isinstance(value, str):
-            value = f'"{value}"'
-        elif isinstance(value, list):
-            value = "[\n            " + ",\n            ".join(map(str, value)) + "\n          ]" if value else "[]"
-        fields.append(f'"{name}": {value}')
-    return "        {\n          " + ",\n          ".join(fields) + "\n        }"
+    return "        " + _dump(symbol.to_json_dict(power), "\n        ")
+
+
+def _dump(value: object, indent: str) -> str:
+    """``json.dumps(value, indent=2)`` as printed at the depth of ``indent``, a newline and its
+    spaces, by the C encoder: ``indent=2`` selects the Python one, which leaves a garbage cycle."""
+    if type(value) in (int, str):  # their dumps, ten times faster than json.dumps
+        return str(value) if type(value) is int else encode_basestring_ascii(value)
+    if not value or not isinstance(value, (dict, list)):
+        return json.dumps(value)
+    inner = indent + "  "
+    if isinstance(value, dict):  # keys are strings
+        items, ends = [f"{encode_basestring_ascii(key)}: {_dump(item, inner)}" for key, item in value.items()], "{}"
+    else:
+        items, ends = [_dump(item, inner) for item in value], "[]"
+    return f"{ends[0]}{inner}{(',' + inner).join(items)}{indent}{ends[1]}"
 
 
 # The fixed text around a term's coefficient and its "symbols" entries.
@@ -596,8 +606,8 @@ def serialize(cls: FormalClass, mode: str = "json") -> str:
     made per term, so the text is the only large allocation (the peak is
     about 1.1 times its length).  The CLI never holds a DR class's text: it
     writes the pieces of :func:`_dr_pieces`, the bytes of :func:`dr_text`,
-    in batches of about 256 KiB as the key-order walk makes them, with no
-    class, no term dict and no sort.
+    in batches as the key-order walk makes them, with no class, no term
+    dict and no sort.
     """
     if mode == "json":
         head = _json_head(cls.genus, cls.weights, cls.codimension())

@@ -141,11 +141,15 @@ def half_shift(p: Polynomial) -> Polynomial:
 def involution(p: Polynomial) -> Polynomial:
     """Pullback along fiberwise inversion: ``xi -> xi - P``, ``P -> -P``."""
     _require_ring_vars(p)
-    out: dict[Exponents, Fraction] = {}
-    for (x, a, b, c), coeff in p.terms.items():
+    return Polynomial._raw(RING_VARS, _inverted(p.terms, {}))
+
+
+def _inverted(terms: dict, out: dict) -> dict:
+    """``out`` plus the involution's pullback of ``terms``, term by term."""
+    for (x, a, b, c), coeff in terms.items():
         for i in range(x + 1):  # (xi - P)^x by the binomial theorem
             out[(x - i, a, b + i, c)] = out.get((x - i, a, b + i, c), 0) + (-1) ** (b + i) * binomial(x, i) * coeff
-    return Polynomial._raw(RING_VARS, out)
+    return out
 
 
 def restrict_zero(p: Polynomial) -> Polynomial:
@@ -503,10 +507,7 @@ class RingContext:
 
     def _involution_residual(self, scale: int, terms: dict[Exponents, int]) -> Polynomial:
         """``normal_form(involution(p) - p)`` for ``p = terms / scale``."""
-        out = {e: -v for e, v in terms.items()}
-        for (x, a, b, c), v in terms.items():
-            for i in range(x + 1):  # (xi - P)^x by the binomial theorem
-                out[(x - i, a, b + i, c)] = out.get((x - i, a, b + i, c), 0) + (-1) ** (b + i) * binomial(x, i) * v
+        out = _inverted(terms, {e: -v for e, v in terms.items()})
         return _from_numerators(RING_VARS, *self._reduced(scale, out))
 
     # ------------------------------------------------------------- coordinates

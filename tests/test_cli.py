@@ -634,6 +634,47 @@ def test_memory_error_is_exit_2_with_one_line(capsys, monkeypatch):
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and "Traceback" not in err
 
+    # Memory that runs out while the output is written, after some of it: what
+    # was written stays, and the exit is the same.
+    from chowkit.ring import RingContext
+
+    gram = RingContext.pairing_gram
+
+    def exhausted_at_k2(self, k):
+        if k == 2:
+            raise MemoryError
+        return gram(self, k)
+
+    monkeypatch.setattr(RingContext, "pairing_gram", exhausted_at_k2)
+    code, out, err = run(capsys, ["ring", "--genus", "12", "pairing"])
+    assert code == 2 and out.startswith("k=0: determinant ") and "k=1: determinant " in out
+    assert err.startswith("error: out of memory") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_quiet_computes_only_what_the_exit_code_needs(capsys, monkeypatch):
+    from chowkit import cli
+    from chowkit.ring import RingContext
+
+    def computed(*args):
+        raise AssertionError("--quiet computed the output")
+
+    for name in ("dim_graded", "pairing_gram", "pairing_determinant", "relation"):
+        monkeypatch.setattr(RingContext, name, computed)
+    monkeypatch.setattr(cli, "coefficient_table", computed)
+    for action in ("dims", "pairing", "relations"):
+        for flags in ([], ["--json"]):
+            assert run(capsys, ["ring", "--genus", "40", action, "--quiet", *flags]) == (0, "", "")
+            assert run(capsys, ["coeffs", "--genus", "300", "--quiet", *flags]) == (0, "", "")
+    # ring reduce still parses, and verify still runs its checks.
+    code, out, err = run(capsys, ["ring", "--genus", "3", "reduce", "P+", "--quiet"])
+    assert (code, out) == (2, "") and "cannot parse" in err
+
+    def failing(genus):
+        return VerificationReport(name="main_identity", genus=genus, holds=False, residual=Polynomial.variable(RING_VARS, "P"))
+
+    monkeypatch.setattr(cli, "verify_main", failing)
+    assert run(capsys, ["verify", "--genus", "2", "--which", "main", "--quiet"]) == (1, "", "")
+
 
 @pytest.mark.parametrize(
     "g, weights, compact, mode, starts",
@@ -682,7 +723,9 @@ def test_dr_writes_what_serialize_returns_in_batches(capsys, monkeypatch, g, wei
 
 def test_dr_runs_in_bounded_memory():
     # The genus-10 compact-type class is 249 MB of JSON; the whole text once
-    # ended in a MemoryError traceback and exit 1 under this limit.
+    # ended in a MemoryError traceback and exit 1 under this limit.  The
+    # genus-40 pairing (99 MB of JSON) exited 2 out of memory when its text was
+    # held whole, and the genus-10^6 dims (46 MB) peaked at 349 MB.
     resource = pytest.importorskip("resource")
     import subprocess
 
@@ -691,14 +734,19 @@ def test_dr_runs_in_bounded_memory():
     def cap():
         resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
 
-    proc = subprocess.run(
-        [sys.executable, "-m", "chowkit", "dr", "--genus", "10", "--weights", "1,-1", "--compact-type"],
-        stdout=subprocess.DEVNULL,
-        stderr=subprocess.PIPE,
-        preexec_fn=cap,
-        timeout=120,
-    )
-    assert (proc.returncode, proc.stderr) == (0, b"")
+    for argv in (
+        ["dr", "--genus", "10", "--weights", "1,-1", "--compact-type"],
+        ["ring", "--genus", "40", "--json", "pairing"],
+        ["ring", "--genus", "1000000", "dims"],
+    ):
+        proc = subprocess.run(
+            [sys.executable, "-m", "chowkit", *argv],
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.PIPE,
+            preexec_fn=cap,
+            timeout=120,
+        )
+        assert (argv, proc.returncode, proc.stderr) == (argv, 0, b"")
 
 
 @pytest.mark.parametrize(

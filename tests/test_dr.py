@@ -311,6 +311,24 @@ def test_serialize_rejects_unknown_mode():
         serialize(dr_class(1, (1, -1)), "html")
 
 
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.text(max_size=5),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
+    max_leaves=12,
+)
+
+
+@settings(derandomize=True, deadline=None, database=None, max_examples=200)
+@given(value=_JSON_VALUES, depth=st.integers(0, 3))
+def test_dump_is_the_indented_json_dump_at_its_depth(value, depth):
+    # The CLI's JSON arrays and the DR symbol entries are laid out by _dump,
+    # each entry as json.dumps(entry, indent=2) prints it inside its parents.
+    from chowkit.dr import _dump
+
+    indent = "\n" + "  " * depth
+    assert _dump(value, indent) == json.dumps(value, indent=2).replace("\n", indent)
+
+
 def test_json_structure():
     payload = json.loads(serialize(theta_pullback(2, (1, -1))))
     assert payload["g"] == 2 and payload["n"] == 2
