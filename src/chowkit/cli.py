@@ -27,7 +27,7 @@ import sys
 from collections.abc import Iterable, Iterator
 from itertools import chain, islice
 
-from .dr import _JSON_END, _dr_pieces, _dump, _framed, _json_first
+from .dr import _dr_pieces, _dump, _json_array
 from .parsing import ParseError, parse
 from .poly import exact_text, format_polynomial
 from .ring import make_context
@@ -66,12 +66,10 @@ def _lines(lines: Iterable[str]) -> Iterator[str]:
     return chain(islice(lines, 1), ("\n" + line for line in lines))
 
 
-def _json_array(payload: dict, entries: Iterable) -> Iterator[str]:
+def _json_entries(payload: dict, entries: Iterable) -> Iterator[str]:
     """``json.dumps(payload, indent=2)`` with its last value, an empty list, filled
     with ``entries``, each one's own indented dump made as it is taken."""
-    head = json.dumps(payload, indent=2)
-    leads = (",\n    " + _dump(entry, "\n    ") for entry in entries)
-    yield from _framed(leads, _json_first, head[: -len("[]\n}")], _JSON_END, head)
+    yield from _json_array(payload, (",\n    " + _dump(entry, "\n    ") for entry in entries))
 
 
 # ------------------------------------------------------------------ verify
@@ -127,7 +125,7 @@ def cmd_ring(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     else:  # action == "relations"; at large genus one relation is megabytes of text
         key, entries = "relations", ({"d_grade": l, "polynomial": format_polynomial(ctx.relation(l))} for l in ctx.relation_grades)
         lines = (f"l={e['d_grade']}: {e['polynomial']}" for e in entries)
-    return 0, _json_array({**payload, key: []}, entries) if args.json else _lines(lines)
+    return 0, _json_entries({**payload, key: []}, entries) if args.json else _lines(lines)
 
 
 # ------------------------------------------------------------------ coeffs
@@ -152,7 +150,7 @@ def cmd_coeffs(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
             yield "  ".join(str(cells[h]).ljust(widths[h]) for h in headers).rstrip()
 
     payload = {"command": "coeffs", "genus": args.genus, "table": args.table, "rows": []}
-    return 0, _json_array(payload, rows()) if args.json else _lines(lines())
+    return 0, _json_entries(payload, rows()) if args.json else _lines(lines())
 
 
 # ------------------------------------------------------------------ dr

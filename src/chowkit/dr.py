@@ -33,14 +33,15 @@ The three pullbacks have disjoint supports, so one depth-first walk of the
 ambient symbol table in id order writes each term once, in key order, with
 no merge and no sort.  ``dr_class`` collects the walk into a class;
 ``dr_text`` renders JSON or LaTeX from it with no class at all, and for
-compact type walks only ``Theta^g/g!``.
+compact type walks only ``Theta^g/g!``.  ``serialize`` writes a class's
+sorted terms through the same renderer, so the two texts agree.
 """
 
 from __future__ import annotations
 
 import gc
 import json
-from collections.abc import Iterable, Iterator, Mapping, Sequence
+from collections.abc import Callable, Iterable, Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
@@ -49,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial, gcd, lcm
 from operator import lt, mul
 
-from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads, signed_sum
+from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads
 from .zero_section import coefficient_table
 
 __all__ = [
@@ -491,31 +492,13 @@ def _dr_pieces(genus: int, weights: Sequence[int], mode: str, compact_type: bool
     with the first term's lead, three shared strings per term (its lead, its
     prefix and its last symbol) and the close.  The arguments are checked at
     the call; nothing is walked before the first piece is taken."""
-    if mode not in ("json", "latex"):
-        raise ValueError(f"unknown serialization mode {mode!r}")
     weights = _validate_weights(genus, weights)
+    render, _, entries, frame = _layout(mode, genus, weights, lambda: genus)
 
     def framed() -> Iterator[Iterator[str]]:  # yields one iterator, which chain runs with no frame per piece
         symbols, table = _ambient(genus, weights, compact_type)
-        if mode == "json":
-            render = lambda numerator, denominator: _NEXT_TERM + exact_text(numerator, denominator)  # noqa: E731
-            root, separator, close, fragment, first = _OPEN_SYMBOLS, ",\n", _CLOSE_SYMBOLS, _json_fragment, _json_first
-            head, end, empty = _json_head(genus, weights, genus)[:-4], _JSON_END, _json_head(genus, weights, 0)
-        else:
-            firsts: dict[str, str] = {}  # each coefficient's lead as the first term, by its lead as a later one
-
-            def render(numerator: int, denominator: int) -> str:
-                lead, later = signed_leads(numerator, lambda magnitude: coeff_latex(magnitude, denominator), " ", denominator)
-                firsts[later] = lead
-                return later
-
-            root, separator, close, fragment, first = "", " ", "", _latex_fragment, firsts.__getitem__
-            head, end, empty = "", "", "0"
-        entry = cache(lambda i, power: fragment(symbols[i], power))  # made once for element and final
-        element = lambda i, power: entry(i, power) + separator  # noqa: E731
-        final = lambda i, power: entry(i, power) + close  # noqa: E731
-        walk = _walk(genus, coefficient_table(genus).eta, table, root, element, final, render)
-        yield _framed(chain.from_iterable(walk), first, head, end, empty)
+        walk = _walk(genus, coefficient_table(genus).eta, table, *entries(symbols), render)
+        yield frame(chain.from_iterable(walk))
 
     return chain.from_iterable(framed())
 
@@ -556,16 +539,6 @@ _NEXT_TERM = ',\n    {\n      "coeff": "'
 _EMPTY_SYMBOLS = '",\n      "symbols": []\n    }'
 _OPEN_SYMBOLS = '",\n      "symbols": [\n'
 _CLOSE_SYMBOLS = "\n      ]\n    }"
-_JSON_END = "\n  ]\n}"
-
-
-def _json_first(lead: str) -> str:  # the first term's lead opens the "terms" array
-    return "[" + lead[1:]
-
-
-def _json_head(genus: int, weights: Sequence[int], codim: int) -> str:
-    # The text of a class with no terms; without its last four characters, "[]\n}", the head the first term follows.
-    return json.dumps({"g": genus, "n": len(weights), "weights": list(weights), "codim": codim, "terms": []}, indent=2)
 
 
 def _framed(pieces: Iterator[str], first, head: str, end: str, empty: str) -> Iterator[str]:
@@ -574,17 +547,47 @@ def _framed(pieces: Iterator[str], first, head: str, end: str, empty: str) -> It
     return iter((empty,)) if piece is None else chain((head + first(piece),), pieces, (end,))
 
 
-def _json_pieces(cls: FormalClass) -> Iterator[str]:
-    """The terms of ``cls`` as pieces for :func:`_framed`: per term, its
-    coefficient's lead, its key prefix's entries and its last entry, each
-    made once and shared among the terms."""
-    fragment = cache(lambda i, power: _json_fragment(cls.symbols[i], power))
-    prefix = cache(lambda key: _OPEN_SYMBOLS + "".join(fragment(i, power) + ",\n" for i, power in _pairs(key)))
-    last = cache(lambda i, power: fragment(i, power) + _CLOSE_SYMBOLS)
-    texts: dict[int, str] = {}  # by id(): dr_class shares a few coefficient objects among all its terms
-    for key, coeff in sorted(cls.ids.items()):
-        text = texts.get(id(coeff)) or texts.setdefault(id(coeff), _NEXT_TERM + exact_text(coeff))
-        yield from (text, prefix(key[:-2]), last(*key[-2:])) if key else (text, _EMPTY_SYMBOLS)
+def _json_array(payload: dict, leads: Iterator[str], empty: dict | None = None) -> Iterator[str]:
+    """``json.dumps(payload, indent=2)`` with its last value, an empty list, filled by ``leads``,
+    the pieces of its entries, each entry's first one led by the comma before it (the first
+    entry's by ``[``); ``json.dumps(empty, indent=2)`` (``payload``'s) if there is none.  The
+    first piece is taken at the call."""
+    head = json.dumps(payload, indent=2)
+    empty = head if empty is None else json.dumps(empty, indent=2)
+    return _framed(leads, lambda lead: "[" + lead[1:], head[: -len("[]\n}")], "\n  ]\n}", empty)
+
+
+def _layout(mode: str, genus: int, weights: Sequence[int], codim: Callable[[], int]) -> tuple:
+    """How ``mode`` writes a class: ``render(numerator, denominator)``, a term's lead;
+    ``constant(numerator, denominator)``, the constant term's pieces; ``entries(symbols)``,
+    the ``root``, ``element`` and ``final`` of a term's ``(id, power)`` symbols; and
+    ``frame(pieces)``, the text.  ``codim()`` is called for JSON only: a class of mixed
+    codimension has LaTeX but no JSON."""
+    if mode == "json":
+        render = lambda numerator, denominator: _NEXT_TERM + exact_text(numerator, denominator)  # noqa: E731
+        constant = lambda numerator, denominator: (render(numerator, denominator), _EMPTY_SYMBOLS)  # noqa: E731
+        root, separator, close, fragment = _OPEN_SYMBOLS, ",\n", _CLOSE_SYMBOLS, _json_fragment
+        fields = {"g": genus, "n": len(weights), "weights": list(weights)}
+        frame = lambda pieces: _json_array({**fields, "codim": codim(), "terms": []}, pieces, {**fields, "codim": 0, "terms": []})  # noqa: E731
+    elif mode == "latex":
+        firsts: dict[str, str] = {}  # each coefficient's lead as the first term, by its lead as a later one
+
+        def render(numerator: int, denominator: int) -> str:
+            lead, later = signed_leads(numerator, lambda magnitude: coeff_latex(magnitude, denominator), " ", denominator)
+            firsts[later] = lead
+            return later
+
+        constant = lambda numerator, denominator: (render(1 if numerator > 0 else -1, 1), coeff_latex(abs(numerator), denominator))  # noqa: E731
+        root, separator, close, fragment = "", " ", "", _latex_fragment
+        frame = lambda pieces: _framed(pieces, firsts.__getitem__, "", "", "0")  # noqa: E731
+    else:
+        raise ValueError(f"unknown serialization mode {mode!r}")
+
+    def entries(symbols: Sequence[DivisorSymbol]) -> tuple:
+        entry = cache(lambda i, power: fragment(symbols[i], power))  # made once for element and final
+        return root, lambda i, power: entry(i, power) + separator, lambda i, power: entry(i, power) + close
+
+    return render, constant, entries, frame
 
 
 def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
@@ -600,23 +603,18 @@ def _latex_fragment(symbol: DivisorSymbol, power: int) -> str:
 def serialize(cls: FormalClass, mode: str = "json") -> str:
     """Render a formal class as deterministic JSON (round-trippable) or LaTeX.
 
-    Both join per-``(symbol, power)`` fragments over the sorted terms.  The
-    JSON text is that of ``json.dumps(payload, indent=2)``, built by one
-    ``"".join`` over the shared pieces of :func:`_json_pieces`: no string is
-    made per term, so the text is the only large allocation (the peak is
-    about 1.1 times its length).  The CLI never holds a DR class's text: it
-    writes the pieces of :func:`_dr_pieces`, the bytes of :func:`dr_text`,
-    in batches as the key-order walk makes them, with no class, no term
-    dict and no sort.
-    """
-    if mode == "json":
-        head = _json_head(cls.genus, cls.weights, cls.codimension())
-        return "".join(_framed(_json_pieces(cls), _json_first, head[:-4], _JSON_END, head))
-    if mode == "latex":
-        fragment = cache(lambda i, power: _latex_fragment(cls.symbols[i], power))
-        terms = ((coeff, list(map(fragment, key[::2], key[1::2]))) for key, coeff in sorted(cls.ids.items()))
-        return signed_sum(terms, coeff_latex, " ")
-    raise ValueError(f"unknown serialization mode {mode!r}")
+    The one renderer of :func:`dr_text`, :func:`_layout`, writes the sorted
+    terms: each coefficient value's lead, each key prefix and each last symbol
+    is made once and shared, so no string is made per term.  The JSON text is that of
+    ``json.dumps(payload, indent=2)``."""
+    render, constant, entries, frame = _layout(mode, cls.genus, cls.weights, cls.codimension)
+    root, element, final = entries(cls.symbols)
+    lead, prefix, final = cache(render), cache(lambda key: root + "".join(map(element, key[::2], key[1::2]))), cache(final)
+    terms = (
+        (lead(c.numerator, c.denominator), prefix(key[:-2]), final(*key[-2:])) if key else constant(c.numerator, c.denominator)
+        for key, c in sorted(cls.ids.items())
+    )
+    return "".join(frame(chain.from_iterable(terms)))
 
 
 def _fields(obj: object, what: str, **kinds: type) -> list:

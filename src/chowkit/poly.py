@@ -412,19 +412,13 @@ def signed_sum(terms: Iterable[tuple[Fraction, list[str]]], render_coeff, separa
     """Join ``(coeff, pieces)`` terms as ``a + b - c`` (``"0"`` when empty).
 
     A term is its :func:`signed_leads` and its pieces joined by ``separator``;
-    a term with no pieces is ``render_coeff(|coeff|)``.  Each coefficient
-    object's leads are made once: many terms may share one object.
+    a term with no pieces is ``render_coeff(|coeff|)``.
     """
-    # By id(): each entry holds its coefficient, so no id is reused during the call.
-    leads: dict[int, tuple[Fraction, str, str]] = {}
     chunks: list[str] = []
     for coeff, pieces in terms:
         if not pieces:  # a constant: its magnitude is its one piece
             coeff, pieces = -1 if coeff < 0 else 1, [render_coeff(abs(coeff))]
-        lead = leads.get(id(coeff))
-        if lead is None:
-            lead = leads[id(coeff)] = (coeff, *signed_leads(coeff, render_coeff, separator))
-        chunks.append(lead[2 if chunks else 1] + separator.join(pieces))
+        chunks.append(signed_leads(coeff, render_coeff, separator)[1 if chunks else 0] + separator.join(pieces))
     return "".join(chunks) or "0"
 
 

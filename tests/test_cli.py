@@ -443,6 +443,7 @@ def test_ring_relations_json(capsys):
 def _traced_relations(*flags):
     """``(exit code, longest stdout line, traced peak bytes)`` of ``ring --genus 200
     relations`` with ``flags``."""
+    import gc
     import io
     import tracemalloc
     from contextlib import redirect_stdout
@@ -462,6 +463,10 @@ def _traced_relations(*flags):
 
     sink = Sink()
     main(["ring", *flags, "--genus", "2", "relations"])  # imports and first-call set-up, outside the trace
+    # With the collector paused, the peak counts every garbage cycle the run makes, not
+    # only those that the collector's state at the start leaves unfreed.
+    gc.collect()
+    gc.disable()
     with redirect_stdout(sink):
         tracemalloc.start()
         try:
@@ -469,6 +474,7 @@ def _traced_relations(*flags):
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
+            gc.enable()
     return code, sink.longest, peak
 
 

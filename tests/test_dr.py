@@ -311,6 +311,28 @@ def test_serialize_rejects_unknown_mode():
         serialize(dr_class(1, (1, -1)), "html")
 
 
+def test_dr_text_rejects_unknown_mode_before_walking(monkeypatch):
+    from chowkit import dr
+
+    def walk(*args, **kwargs):
+        raise AssertionError("an unknown mode was walked")
+
+    monkeypatch.setattr(dr, "_walk", walk)
+    with pytest.raises(ValueError, match="unknown serialization mode"):
+        dr._dr_pieces(1, (1, -1), "html", False)  # at the call, before a piece is taken
+    with pytest.raises(ValueError, match="unknown serialization mode"):
+        dr_text(1, (1, -1), "html")
+
+
+def test_mixed_codimension_has_latex_but_no_json():
+    one = FormalClass.one(2, (1, -1))
+    cls = one + boundary_pullback(2, (1, -1))
+    with pytest.raises(ValueError, match="not homogeneous"):
+        serialize(cls)
+    assert serialize(cls, "latex") == r"1 + \delta_{irr}"
+    assert serialize(one * F(-3, 4) - boundary_pullback(2, (1, -1)), "latex") == r"-\frac{3}{4} - \delta_{irr}"
+
+
 _JSON_VALUES = st.recursive(
     st.none() | st.booleans() | st.integers() | st.text(max_size=5),
     lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=3),
@@ -586,19 +608,21 @@ def test_dr_fuzz_keeps_the_exit_code_contract(genus, weights, mode):
         assert deserialize(text) == cls
 
 
-def test_json_peak_memory_stays_near_the_output_size():
-    # Building a string per term and joining them held about twice the text.
+@pytest.mark.parametrize("mode, bound", [("json", 1.5), ("latex", 2.5)], ids=["json", "latex"])
+def test_json_peak_memory_stays_near_the_output_size(mode, bound):
+    # Building a string per term and joining them held about twice the text in
+    # JSON, and three and a half times it in LaTeX.
     import tracemalloc
 
     cls = dr_class(3, (2, 1, -1, -2))
-    for render in (lambda: serialize(cls), lambda: dr_text(3, (2, 1, -1, -2))):
+    for render in (lambda: serialize(cls, mode), lambda: dr_text(3, (2, 1, -1, -2), mode)):
         tracemalloc.start()
         try:
             text = render()
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 1.5 * len(text)
+        assert peak <= bound * len(text)
 
 
 @pytest.mark.parametrize("g, weights", [(1, (1, -1)), (2, (1, -1)), (3, (1, 1, -2))])
