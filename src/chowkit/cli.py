@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import json
 import re
 import signal
 import sys
@@ -93,9 +92,9 @@ def cmd_verify(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     reports = [report for g in genera for report in _VERIFIERS[args.which](g)]
     failed = sum(1 for report in reports if not report.holds)
     code = 1 if failed else 0
-    if args.json:
+    if args.json:  # the reports' text is made as the output is taken, as in the text form
         payload = {"command": "verify", "which": args.which, "genera": genera, "results": reports, "all_hold": not failed}
-        return code, json.JSONEncoder(indent=2, default=VerificationReport.to_dict).iterencode(payload)
+        return code, (_dump({**p, "results": [report.to_dict() for report in reports]}, "\n") for p in [payload])
     last = f"{failed} of {len(reports)} checks FAILED" if failed else "all checks hold"
     return code, _lines(chain(map(VerificationReport.summary, reports), [last]))
 
@@ -113,7 +112,7 @@ def cmd_ring(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
             reduced = format_polynomial(ctx.normal_form(parse(args.expr, multiply=ctx.multiply_numerators)))
         except ParseError as exc:
             raise ValueError(f"cannot parse expression: {exc}") from None
-        return 0, iter([json.dumps({**payload, "input": args.expr, "normal_form": reduced}, indent=2) if args.json else reduced])
+        return 0, iter([_dump({**payload, "input": args.expr, "normal_form": reduced}, "\n") if args.json else reduced])
     # Every other action is one list, made an entry at a time; each text line is read off its entry.
     if args.action == "dims":
         key, entries = "dims", (ctx.dim_graded(k) for k in range(2 * g))

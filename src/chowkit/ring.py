@@ -15,8 +15,8 @@ monomial, and each pairing determinant is a product of Hankel minors in
 closed form.  From degree ``g`` on, ``phi`` pairs a block perfectly with a
 free one through the Hankel matrix ``h(e+i+j)`` of its ``P``-parity ``e``, so
 the image of its ``j``-th monomial depends on ``(e, r, j)`` alone.  One table
-per shape ``(e, r)`` holds those images, filled in degree ``g`` by a relation
-and wider by one ``rref``, and grown when a wider block asks.
+per shape ``(e, r)`` holds those images, filled by the three-term recurrence
+of two degree-``g`` relations, and grown when a wider block asks.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -30,12 +30,12 @@ import functools
 import threading
 from collections import Counter
 from fractions import Fraction
-from math import lcm
-from operator import add
+from math import gcd, lcm
+from operator import add, mul
 from typing import NamedTuple, Sequence
 
 from .arith import binomial, factorial
-from .linalg import rref, solve
+from .linalg import solve
 from .poly import INVARIANT_VARS, Numerators, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
 __all__ = [
@@ -263,7 +263,7 @@ class RingContext:
 
     Construct via :func:`make_context`.  A block's rewrites depend on its shape,
     ``P``-parity and rank, alone (:meth:`_table`); all methods are thread-safe,
-    and each shape's table is solved, by a relation or an ``rref``, under a lock.
+    and each shape's table is filled, by a recurrence, under a lock.
     """
 
     def __init__(self, genus: int):
@@ -328,23 +328,29 @@ class RingContext:
         """``(den, columns)`` of the blocks of ``P``-parity ``e`` and rank ``r``
         (their Gram matrix is ``h(e+i+j)``), at least ``width`` wide: the ``j``-th
         monomial is the sum over column ``j - r`` of ``n/den`` times the monomial
-        ``t`` steps down, ``T1^t P^(-2t) T2^t`` times it.  Width ``r+1`` (degree
-        ``g``) is the relation of d-grade ``g-2r-e``, ``g!/((g-r-e-i)! (e+2i)!
-        (r-i)!)``, solved for its last entry (a Gram ``rref`` here made verify_all
-        over g = 6..14 1.5 times slower); wider, an ``rref`` of the Hankel rows."""
+        ``t`` steps down, ``T1^t P^(-2t) T2^t`` times it.  As ``x^j``, ``L(x^n) =
+        h(e+n)``, its image ``f_j`` has degree below ``r`` and ``L(x^i f_j) = L(x^(i+j))``
+        for ``i < r``.  ``phi`` kills the relations ``p`` and ``q`` of d-grades ``g-2r-e``
+        and ``g-2r-e+2``, of degrees ``r`` and ``r-1``, so their moments ``i < r`` and
+        ``i < r-1`` are 0.  From ``f_(r-1) = x^(r-1)``, ``f_(j+1)`` is ``x f_j`` with its
+        ``x^r`` term rewritten by ``p``, plus the ``q`` multiple that puts moment ``r-1``
+        right, over ``L(x^(r-1) q)``: a ratio of Hankel minors, nonzero by :meth:`_rank`."""
         with self._lock:
             table = self._tables.get((e, r))
             if table is None or len(table[1]) < width - r:
-                if width == r + 1:
-                    row = [binomial(self.genus, e + 2 * i) * binomial(self.genus - e - 2 * i, r - i) for i in range(width)]
-                    rows = [[0] * r + [Fraction(-row[i], row[r])] for i in range(r)]
-                else:
-                    h = [self._h(a) for a in range(e, e + r + width - 1)]
-                    rows, pivots = rref([h[i : i + width] for i in range(r)])
-                    if pivots != list(range(r)):
-                        raise ArithmeticError(f"blocks of P-parity {e} and rank {r} pivot on {pivots}, not their first {r} columns")
-                den = lcm(*(row[j].denominator for row in rows for j in range(r, width)))
-                columns = [tuple((j - i, int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j]) for j in range(r, width)]
+                p, q = ([binomial(self.genus, e + 2 * i) * binomial(self.genus - e - 2 * i, s - i) for i in range(s + 1)] for s in (r, r - 1))
+                h = [self._h(a) for a in range(e + r - 1, e + r + width - 1)]  # L(x^(r-1+n))
+                if not (norm := sum(map(mul, q, h))):
+                    raise ArithmeticError(f"blocks of P-parity {e} and rank {r} have a singular Hankel minor")
+                row, d, solved = [0] * (r - 1) + [1], 1, []
+                for j in range(r, width):  # row / d, in lowest terms, is f_(j-1); make it f_j
+                    row = [p[r] * a - row[-1] * b for a, b in zip([0, *row[:-1]], p)]  # x f, its x^r term by p
+                    moment = h[j] * d * p[r] - sum(map(mul, row, h))
+                    row, d = [norm * a + moment * b for a, b in zip(row, q)], d * p[r] * norm
+                    common = gcd(d, *row)
+                    solved.append((d := d // common, row := [a // common for a in row]))
+                den = lcm(*(d for d, _ in solved))
+                columns = [tuple((j - i, row[i] * (den // d)) for i in reversed(range(r)) if row[i]) for j, (d, row) in enumerate(solved, r)]
                 table = self._tables[(e, r)] = den, columns
             return table
 

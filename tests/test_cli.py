@@ -230,6 +230,32 @@ def test_ring_reduce_past_degree_g_at_genus_30(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "dfbccd69ba4c249e7540ec2cdf45253c1befa94c80e20bd9db4180ba3f1fbc3b"
 
 
+def test_ring_reduce_of_a_rank_199_block_at_genus_400(capsys):
+    # P^402 lies in the degree-402, d-grade-0 block, of rank 199 and 202
+    # monomials wide; its table took 43.6 s as an rref of the Hankel rows.
+    # The output has no phi-moments against P^402: R is Gorenstein, so the
+    # difference pairs to 0 with every monomial of the partner block, of
+    # degree 396 and d-grade 0, as test_reductions_have_no_phi_moments checks
+    # through socle_pushforward: phi(T1^z P^(402-2z) T2^z * T1^w P^(396-2w)
+    # T2^w) is the Hankel entry h(399-z-w).
+    import hashlib
+    import time
+    from math import lcm
+
+    from chowkit.parsing import parse
+
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ring", "--genus", "400", "reduce", "P^402"])
+    assert time.perf_counter() - start < 5
+    assert (code, err) == (0, "")
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == "c157b7ad3817efba0fbe1f7589523bd8efff80352b60b91f8091bcf1610cd797"
+    ctx, residual = make_context(400), parse("P^402") - parse(out)
+    assert len(residual.terms) == 200 and all(x == 0 and a == c for x, a, _, c in residual.terms)
+    den, h = lcm(*(v.denominator for v in residual.terms.values())), [ctx._h(a) for a in range(400)]
+    for w in range(199):
+        assert sum(int(v * den) * h[399 - z - w] for (_, z, _, _), v in residual.terms.items()) == 0
+
+
 def test_verify_at_genus_35_finishes(capsys):
     # Took more than 20 s when the right-hand side was expanded over Fractions.
     import time
@@ -1012,15 +1038,13 @@ def test_benchmark_tracer_sees_every_ring_layer():
     result = json.loads(proc.stdout)
     assert result["codes"] == [0] * 9
     calls = result["calls"]
-    # No CLI command reaches these eight: only express_in_invariants calls
-    # solve, dr_class expands over integer symbol ids, never through
+    # No CLI command reaches these: only express_in_invariants calls solve,
+    # and so rref, as the ring fills its tables by a recurrence with no
+    # elimination; dr_class expands over integer symbol ids, never through
     # FormalClass arithmetic, and ring pairing prints pairing_gram's
     # integers and the closed-form pairing_determinant, so it calls neither
     # pairing_matrix nor determinant (the tests' oracle for the closed
     # form); phi is read through _gram, not through socle_pushforward.
-    # Only reduction past degree g reaches
-    # rref, hence the degree-2g-2 reduce (not of (T1+P+T2)^6: (T1+P+T2)^g
-    # is the sum of the relations, so that power is zero from degree g on).
     # No CLI path substitutes: the restrictions and the involution are term
     # maps, shifts are exp(n*D), and the eta side is the table itself.
     # verify checks the main identity as the triangular normal form plus one
@@ -1028,6 +1052,7 @@ def test_benchmark_tracer_sees_every_ring_layer():
     # The CLI renders dr output through dr_text, with no class to build, specialize or serialize.
     unreachable = {
         "zero_section.assemble",
+        "linalg.rref",
         "linalg.solve",
         "linalg.determinant",
         "dr.mul",

@@ -11,6 +11,7 @@ graded dimensions.
 import functools
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -215,27 +216,36 @@ def test_reduction_builds_no_degree_past_the_top(g):
     assert 2 * g - 2 in built_degrees(ctx)
 
 
-def test_concurrent_reductions_solve_each_block_once(monkeypatch):
+def test_concurrent_reductions_solve_each_block_once():
     # Threads share one context; its tables are filled under its lock, so a
-    # table solved twice at one width (a lost update) would show as an extra
-    # rref of the same Hankel rows.  Each thread asks for the same widths in
-    # the same order, so the threads together solve what one thread solves.
+    # table solved twice at one width (a lost update) would show as a second
+    # write of the same shape and width to the context's tables.  Each thread
+    # asks for the same widths in the same order, so the threads together
+    # solve what one thread solves.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
-    import chowkit.ring as ring
-
     solved = []
-    monkeypatch.setattr(ring, "rref", lambda rows: solved.append(tuple(map(tuple, rows))) or rref(rows))
+
+    class Recording(dict):
+        def __setitem__(self, shape, table):
+            solved.append((shape, len(table[1])))
+            super().__setitem__(shape, table)
+
+    def recording_context(g):
+        ctx = make_context(g)
+        ctx._tables = Recording()
+        return ctx
+
     g = 6
     p = parse(f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1} + (T1 - P + 2*T2)^{2 * g - 2} + (T1 + P - 3*T2)^{g + 2}")
-    expected = make_context(g).normal_form(p)
+    expected = recording_context(g).normal_form(p)
     alone = sorted(solved)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
-            ctx = make_context(g)
+            ctx = recording_context(g)
             solved.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: ctx.normal_form(p), range(16), timeout=120))
@@ -458,6 +468,28 @@ def test_blocks_are_prefixes_of_their_shape_tables(g):
                 for j in range(r, len(block)):
                     steps = tuple((j - block.index(m), c) for m, c in solved[block[j]])
                     assert steps == tuple((t, F(n, den)) for t, n in columns[j - r])
+
+
+def hankel_table(ctx, e, r, width):
+    """The ``(den, columns)`` of :meth:`RingContext._table` by an ``rref`` of
+    the ``r`` Hankel rows ``h(e+i+j)``, ``width`` wide, which must pivot on
+    their first ``r`` columns."""
+    h = [ctx._h(a) for a in range(e, e + r + width - 1)]
+    rows, pivots = rref([h[i : i + width] for i in range(r)])
+    assert pivots == list(range(r))
+    den = lcm(*(row[j].denominator for row in rows for j in range(r, width)))
+    return den, [tuple((j - i, int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j]) for j in range(r, width)]
+
+
+@pytest.mark.parametrize("g", [20, 30])
+def test_recurrence_tables_match_the_hankel_rref(g):
+    # Past the elimination oracle's genera: each shape (e, r), r >= 1 and
+    # 2r + e <= g, is widest in degree 2g-2r-e, d-grade 0, at g-r-e+1
+    # monomials, and its table there is the rref of its Hankel rows.
+    ctx = make_context(g)
+    for e in (0, 1):
+        for r in range(1, (g - e) // 2 + 1):
+            assert ctx._table(e, r, g - r - e + 1) == hankel_table(ctx, e, r, g - r - e + 1), (e, r)
 
 
 @pytest.mark.parametrize("g", [7, 9, 11])
