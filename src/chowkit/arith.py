@@ -1,5 +1,5 @@
 """Exact rational arithmetic helpers: factorials, double factorials, binomials
-and Bernoulli numbers.
+and Bernoulli numbers, and the package's one check of a genus.
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
 floating point is ever involved.
@@ -17,6 +17,11 @@ def factorial(n: int) -> int:
     if n < 0:
         raise ValueError(f"factorial undefined for negative argument {n}")
     return math.factorial(n)
+
+
+def _require_genus(genus: int) -> None:
+    if type(genus) is not int or genus < 1:  # a bool or a float is refused, not read as an int
+        raise ValueError(f"genus must be a positive integer, got {genus!r}")
 
 
 def binomial(n: int, k: int) -> int:

@@ -50,6 +50,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial, gcd, lcm
 from operator import lt, mul
 
+from .arith import _require_genus
 from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads
 from .zero_section import coefficient_table
 
@@ -348,8 +349,7 @@ def _validate_weights(genus: int, weights: Sequence[int]) -> tuple[int, ...]:
     weights = tuple(weights)
     if {type(v) for v in (genus, *weights)} != {int}:
         raise ValueError(f"the genus and the weights must be integers, got {genus!r} and {weights!r}")
-    if genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus}")
+    _require_genus(genus)
     if len(weights) < 1:
         raise ValueError("at least one marked point is required")
     if sum(weights) != 0:
@@ -552,9 +552,8 @@ def _json_array(payload: dict, leads: Iterator[str], empty: dict | None = None) 
     the pieces of its entries, each entry's first one led by the comma before it (the first
     entry's by ``[``); ``json.dumps(empty, indent=2)`` (``payload``'s) if there is none.  The
     first piece is taken at the call."""
-    head = json.dumps(payload, indent=2)
-    empty = head if empty is None else json.dumps(empty, indent=2)
-    return _framed(leads, lambda lead: "[" + lead[1:], head[: -len("[]\n}")], "\n  ]\n}", empty)
+    head = _dump(payload, "\n")
+    return _framed(leads, lambda lead: "[" + lead[1:], head[: -len("[]\n}")], "\n  ]\n}", head if empty is None else _dump(empty, "\n"))
 
 
 def _layout(mode: str, genus: int, weights: Sequence[int], codim: Callable[[], int]) -> tuple:

@@ -113,8 +113,8 @@ class _Parser:
         dropped, refused at ``position`` if a coefficient passes ``MAX_POWER_BITS`` bits:
         none does while the scale and numerators fit, else each term is reduced to see."""
         common = gcd(p[0], *p[1].values())
-        scale, terms = p[0] // common, {e: v // common for e, v in p[1].items() if v}
-        if max([scale, *map(abs, terms.values())]).bit_length() - 1 > MAX_POWER_BITS:
+        scale, terms = p if common == 1 and all(p[1].values()) else (p[0] // common, {e: v // common for e, v in p[1].items() if v})
+        if max(scale, max(map(abs, terms.values()), default=0)).bit_length() - 1 > MAX_POWER_BITS:
             if any((max(abs(v), scale) // gcd(v, scale)).bit_length() - 1 > MAX_POWER_BITS for v in terms.values()):
                 raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position)
         return scale, terms

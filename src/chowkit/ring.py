@@ -15,8 +15,8 @@ monomial, and each pairing determinant is a product of Hankel minors in
 closed form.  From degree ``g`` on, ``phi`` pairs a block perfectly with a
 free one through the Hankel matrix ``h(e+i+j)`` of its ``P``-parity ``e``, so
 the image of its ``j``-th monomial depends on ``(e, r, j)`` alone.  One table
-per shape ``(e, r)`` holds those images, filled by the three-term recurrence
-of two degree-``g`` relations, and grown when a wider block asks.
+per shape ``(e, r)`` holds those images, each made once by the three-term
+recurrence of two degree-``g`` relations and appended when a wider block asks.
 
 Geometric operations that do not depend on the genus — the shift
 automorphisms, the inversion involution, the two boundary restrictions and
@@ -32,9 +32,9 @@ from collections import Counter
 from fractions import Fraction
 from math import gcd, lcm
 from operator import add, mul
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
-from .arith import binomial, factorial
+from .arith import _require_genus, binomial, factorial
 from .linalg import solve
 from .poly import INVARIANT_VARS, Numerators, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
@@ -267,11 +267,10 @@ class RingContext:
     """
 
     def __init__(self, genus: int):
-        if not isinstance(genus, int) or genus < 1:
-            raise ValueError(f"genus must be a positive integer, got {genus!r}")
+        _require_genus(genus)
         self.genus = genus
         self.relation_grades = range(genus, -genus - 1, -1)
-        self._tables: dict[tuple[int, int], tuple[int, list[tuple[tuple[int, int], ...]]]] = {}
+        self._tables: dict[tuple[int, int], tuple[list, Iterator]] = {}
         self._bases: dict[int, tuple[Exponents, ...]] = {}  # read twice per pairing; a race builds one twice
         self._lock = threading.Lock()
 
@@ -324,35 +323,34 @@ class RingContext:
         """The Hankel entry ``h(a)`` of :meth:`_rank`, ``phi(T1^(g-1-a) P^(2a) T2^(g-1-a))``."""
         return (-1) ** a * factorial(self.genus - 1) * factorial(self.genus - 1 - a) * factorial(2 * a) // factorial(a)
 
-    def _table(self, e: int, r: int, width: int) -> tuple[int, list[tuple[tuple[int, int], ...]]]:
-        """``(den, columns)`` of the blocks of ``P``-parity ``e`` and rank ``r``
-        (their Gram matrix is ``h(e+i+j)``), at least ``width`` wide: the ``j``-th
-        monomial is the sum over column ``j - r`` of ``n/den`` times the monomial
-        ``t`` steps down, ``T1^t P^(-2t) T2^t`` times it.  As ``x^j``, ``L(x^n) =
-        h(e+n)``, its image ``f_j`` has degree below ``r`` and ``L(x^i f_j) = L(x^(i+j))``
-        for ``i < r``.  ``phi`` kills the relations ``p`` and ``q`` of d-grades ``g-2r-e``
-        and ``g-2r-e+2``, of degrees ``r`` and ``r-1``, so their moments ``i < r`` and
-        ``i < r-1`` are 0.  From ``f_(r-1) = x^(r-1)``, ``f_(j+1)`` is ``x f_j`` with its
-        ``x^r`` term rewritten by ``p``, plus the ``q`` multiple that puts moment ``r-1``
-        right, over ``L(x^(r-1) q)``: a ratio of Hankel minors, nonzero by :meth:`_rank`."""
+    def _table(self, e: int, r: int, width: int) -> list[tuple[int, tuple[tuple[int, int], ...]]]:
+        """At least ``width - r`` columns of the blocks of ``P``-parity ``e`` and rank ``r`` (their Gram matrix is
+        ``h(e+i+j)``): the ``j``-th monomial is the sum over the steps of column ``j - r``, ``(den, steps)`` in lowest
+        terms, of ``n/den`` times the monomial ``t`` steps down, ``T1^t P^(-2t) T2^t`` times it.  As ``x^j``, ``L(x^n)
+        = h(e+n)``, its image ``f_j`` has degree below ``r`` and ``L(x^i f_j) = L(x^(i+j))`` for ``i < r``.  ``phi``
+        kills the relations ``p`` and ``q`` of d-grades ``g-2r-e`` and ``g-2r-e+2``, of degrees ``r`` and ``r-1``, so
+        their moments ``i < r`` and ``i < r-1`` are 0.  From ``f_(r-1) = x^(r-1)``, ``f_(j+1)`` is ``x f_j`` with its
+        ``x^r`` term rewritten by ``p``, plus the ``q`` multiple that puts moment ``r-1`` right, over ``L(x^(r-1) q)``:
+        a ratio of Hankel minors, nonzero by :meth:`_rank`.  The columns only grow, each made once from the last by
+        the shape's recurrence, which is kept beside them."""
         with self._lock:
-            table = self._tables.get((e, r))
-            if table is None or len(table[1]) < width - r:
+            if (e, r) not in self._tables:
                 p, q = ([binomial(self.genus, e + 2 * i) * binomial(self.genus - e - 2 * i, s - i) for i in range(s + 1)] for s in (r, r - 1))
-                h = [self._h(a) for a in range(e + r - 1, e + r + width - 1)]  # L(x^(r-1+n))
+                h = [self._h(a) for a in range(e + r - 1, e + 2 * r - 1)]  # L(x^(r-1+i)), i < r
                 if not (norm := sum(map(mul, q, h))):
                     raise ArithmeticError(f"blocks of P-parity {e} and rank {r} have a singular Hankel minor")
-                row, d, solved = [0] * (r - 1) + [1], 1, []
-                for j in range(r, width):  # row / d, in lowest terms, is f_(j-1); make it f_j
-                    row = [p[r] * a - row[-1] * b for a, b in zip([0, *row[:-1]], p)]  # x f, its x^r term by p
-                    moment = h[j] * d * p[r] - sum(map(mul, row, h))
-                    row, d = [norm * a + moment * b for a, b in zip(row, q)], d * p[r] * norm
-                    common = gcd(d, *row)
-                    solved.append((d := d // common, row := [a // common for a in row]))
-                den = lcm(*(d for d, _ in solved))
-                columns = [tuple((j - i, row[i] * (den // d)) for i in reversed(range(r)) if row[i]) for j, (d, row) in enumerate(solved, r)]
-                table = self._tables[(e, r)] = den, columns
-            return table
+                def recurrence(row, d):  # row / d, in lowest terms, is f_(j-1); make it f_j
+                    for j in range(r, self.genus - r - e + 1):  # up to the widest block, g-r-e+1 monomials
+                        row = [p[r] * a - row[-1] * b for a, b in zip([0, *row[:-1]], p)]  # x f, its x^r term by p
+                        moment = self._h(e + r - 1 + j) * d * p[r] - sum(map(mul, row, h))
+                        row, d = [norm * a + moment * b for a, b in zip(row, q)], d * p[r] * norm
+                        common = gcd(d, *row) if d > 0 else -gcd(d, *row)  # keeps den > 0
+                        d, row = d // common, [a // common for a in row]
+                        yield d, tuple((j - i, row[i]) for i in reversed(range(r)) if row[i])
+                self._tables[(e, r)] = [], recurrence([0] * (r - 1) + [1], 1)
+            columns, recurrence = self._tables[(e, r)]
+            columns.extend(next(recurrence) for _ in range(width - r - len(columns)))
+            return columns
 
     # ------------------------------------------------------------- reduction
 
@@ -379,9 +377,9 @@ class RingContext:
         return self._reduced(s * t, _add_product({}, x, y))
 
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Numerators:
-        """The normal form of integer ``terms`` over ``scale``, as nonzero integers over ``scale`` times the ``lcm``
-        of the ``den``s of the tables it read: each block reads one table for the call and no rewrite leaves it."""
-        g, kept, images, blocks = self.genus, {}, {}, {}
+        """The normal form of integer ``terms`` over ``scale``, as nonzero integers over ``scale`` times the ``lcm`` of
+        the ``den``s of the columns it read, each rewrite scaled once to it: one table read per block."""
+        g, kept, rewrites, blocks = self.genus, {}, [], {}
         for (x, a, b, c), v in terms.items():
             x, b = min(x, 1), b + max(x - 1, 0)
             k, d = a + b + c, a - c
@@ -390,14 +388,14 @@ class RingContext:
             elif r:  # a block of rank 0, as every block past the socle degree 2g-2 is, vanishes
                 if (k, d) not in blocks:
                     blocks[(k, d)] = self._table(b % 2, r, r + k - g + 1)
-                for t, n in blocks[(k, d)][1][b // 2 - r]:
-                    images[(x, a + t, b - 2 * t, c + t)] = images.get((x, a + t, b - 2 * t, c + t), 0) + v * n
-        den = lcm(*(table[0] for table in blocks.values()))
-        out = {e: v * den for e, v in kept.items() if v}
-        for e, v in images.items():
-            if v := out.pop(e, 0) + v * (den // blocks[(e[1] + e[2] + e[3], e[1] - e[3])][0]):
-                out[e] = v
-        return scale * den, out
+                rewrites.append((v, x, a, b, c, blocks[(k, d)][b // 2 - r]))
+        den = lcm(*{column[0] for *_, column in rewrites})
+        out = {e: v * den for e, v in kept.items()}
+        for v, x, a, b, c, (d, steps) in rewrites:
+            v *= den // d
+            for t, n in steps:
+                out[(x, a + t, b - 2 * t, c + t)] = out.get((x, a + t, b - 2 * t, c + t), 0) + v * n
+        return scale * den, {e: v for e, v in out.items() if v}
 
     def is_zero(self, p: Polynomial) -> bool:
         """Exact ideal-membership test in the quotient ring."""

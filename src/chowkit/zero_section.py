@@ -25,7 +25,7 @@ from math import comb, lcm
 from operator import add, sub
 from typing import Callable
 
-from .arith import bernoulli, double_factorial, factorial
+from .arith import _require_genus, bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _from_numerators, _numerators, format_polynomial
 from .ring import (
     RingContext, _level_sums, _shift_parts, _shifted, degree_triples, extra_shift_invariant, invariant_generators,
@@ -107,7 +107,7 @@ def _tangent_terms(genus: int) -> tuple[int, list[int]]:
     return den, [(2 - 4**m) * b.numerator * (den // b.denominator) for m, b in enumerate(numbers)]
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)  # typed: True == 1 would find genus 1's table, unchecked
 def coefficient_table(genus: int) -> CoefficientTable:
     """Both families at ``genus``, each coefficient one integer sum and one ``Fraction``.
 
@@ -121,8 +121,7 @@ def coefficient_table(genus: int) -> CoefficientTable:
     ``w_(k+1)/w_k = (2n-u) (2n-u-1) (b-k) (c+k+1) / ((u+1) (u+2) (s-k) (k+1))``
     for ``u = 2c+2k`` (Petkovsek-Wilf-Zeilberger, "A = B", 1996).
     """
-    if genus < 1:
-        raise ValueError(f"genus must be a positive integer, got {genus}")
+    _require_genus(genus)
     fact, dfact = [factorial(i) for i in range(2 * genus + 1)], [double_factorial(2 * p - 1) for p in range(genus + 1)]
     den, t = _tangent_terms(genus)
     alphas, etas = {}, {}
@@ -286,10 +285,9 @@ class VerificationReport:
 
 def _checked(name: str, genus: int, residual: Callable[[], Polynomial]) -> VerificationReport:
     """Time ``residual()`` and report it: the check holds when it is zero."""
-    clock = time.perf_counter
-    started = clock()
+    started = time.perf_counter()
     value = residual()
-    return VerificationReport(name=name, genus=genus, holds=value.is_zero(), residual=value, seconds=clock() - started)
+    return VerificationReport(name=name, genus=genus, holds=value.is_zero(), residual=value, seconds=time.perf_counter() - started)
 
 
 # -------------------------------------------------------------- verifiers

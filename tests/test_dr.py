@@ -132,6 +132,8 @@ def test_weight_validation():
         FormalClass(2, (2.7, -2.2))
     with pytest.raises(ValueError, match="must be integers"):
         dr_class(True, (1, -1))
+    with pytest.raises(ValueError, match="must be integers"):
+        dr_class(2.0, (1, -1))
 
 
 # ------------------------------------------------------------------ pullbacks

@@ -213,6 +213,18 @@ def test_the_bit_bound_is_on_coefficients_in_lowest_terms():
     assert parse("2^10000") == Polynomial.constant(RING_VARS, 2**10000)
 
 
+def test_values_in_lowest_terms_pass_the_check_as_they_are():
+    # A value whose scale and numerators share no factor, with no zero term,
+    # keeps its terms, not a copy; otherwise the factor and the zero terms go.
+    from chowkit.parsing import _Parser
+
+    parser, t1, p = _Parser("", RING_VARS, None), (0, 1, 0, 0), (0, 0, 1, 0)
+    value = (6, {t1: 4, p: 9})
+    assert parser.checked(value, 0) == value and parser.checked(value, 0)[1] is value[1]
+    assert parser.checked((6, {t1: 4, p: 0}), 0) == (3, {t1: 2})
+    assert parser.checked((6, {t1: 4, p: 2}), 0) == (3, {t1: 2, p: 1})
+
+
 def test_powers_are_bounded_when_reduce_kills_no_power():
     # With a multiply under which no power of the non-constant part vanishes,
     # the binomial ladder stops at the first summand past the bound, and a

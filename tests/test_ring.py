@@ -10,6 +10,8 @@ graded dimensions.
 
 import functools
 import random
+import time
+from collections import Counter
 from fractions import Fraction
 from math import lcm
 
@@ -98,10 +100,9 @@ def test_relations_evaluation_oracle(g):
 
 
 def test_context_validation():
-    with pytest.raises(ValueError):
-        make_context(0)
-    with pytest.raises(ValueError):
-        make_context(-2)
+    for genus in (0, -2, True, 2.0):  # a bool or a float is not read as an int
+        with pytest.raises(ValueError, match="genus must be a positive integer"):
+            make_context(genus)
     ctx = make_context(2)
     with pytest.raises(ValueError):
         ctx.relation(3)
@@ -191,7 +192,7 @@ def test_parse_reduced_as_it_forms_is_the_normal_form_of_the_expansion(g):
 def built_degrees(ctx):
     """The top degree that each of the context's tables serves: a block of
     rank ``r`` and degree ``k`` is ``r + k - g + 1`` monomials wide."""
-    return {ctx.genus - 1 + len(columns) for _, columns in ctx._tables.values()}
+    return {ctx.genus - 1 + len(columns) for columns, _ in ctx._tables.values()}
 
 
 def test_degrees_past_the_top_vanish_without_elimination():
@@ -216,36 +217,46 @@ def test_reduction_builds_no_degree_past_the_top(g):
     assert 2 * g - 2 in built_degrees(ctx)
 
 
+def recording_context(g, made):
+    """A fresh context whose shapes' recurrences each append ``(shape, index)``
+    to ``made`` for every column they yield."""
+
+    def recorded(shape, recurrence):
+        for index, column in enumerate(recurrence):
+            made.append((shape, index))
+            time.sleep(0)  # lets another thread run while a column is being added
+            yield column
+
+    class Recording(dict):
+        def __setitem__(self, shape, table):
+            columns, recurrence = table
+            time.sleep(0)  # and while a shape is being added
+            super().__setitem__(shape, (columns, recorded(shape, recurrence)))
+
+    ctx = make_context(g)
+    ctx._tables = Recording()
+    return ctx
+
+
 def test_concurrent_reductions_solve_each_block_once():
-    # Threads share one context; its tables are filled under its lock, so a
-    # table solved twice at one width (a lost update) would show as a second
-    # write of the same shape and width to the context's tables.  Each thread
+    # Threads share one context; its tables are grown under its lock, so a
+    # column made twice (a lost update) would show as a second record of the
+    # same shape and column index from the shape's recurrence.  Each thread
     # asks for the same widths in the same order, so the threads together
     # solve what one thread solves.
     import sys
     from concurrent.futures import ThreadPoolExecutor
 
     solved = []
-
-    class Recording(dict):
-        def __setitem__(self, shape, table):
-            solved.append((shape, len(table[1])))
-            super().__setitem__(shape, table)
-
-    def recording_context(g):
-        ctx = make_context(g)
-        ctx._tables = Recording()
-        return ctx
-
     g = 6
     p = parse(f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1} + (T1 - P + 2*T2)^{2 * g - 2} + (T1 + P - 3*T2)^{g + 2}")
-    expected = recording_context(g).normal_form(p)
+    expected = recording_context(g, solved).normal_form(p)
     alone = sorted(solved)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         for _ in range(4):
-            ctx = recording_context(g)
+            ctx = recording_context(g, solved)
             solved.clear()
             with ThreadPoolExecutor(max_workers=8) as pool:
                 results = list(pool.map(lambda _: ctx.normal_form(p), range(16), timeout=120))
@@ -463,22 +474,26 @@ def test_blocks_are_prefixes_of_their_shape_tables(g):
                 if not r:
                     assert all(image == () for image in solved.values())
                     continue
-                den, columns = ctx._table(block[0][2] % 2, r, len(block))
+                columns = ctx._table(block[0][2] % 2, r, len(block))
                 assert len(columns) >= len(block) - r
                 for j in range(r, len(block)):
                     steps = tuple((j - block.index(m), c) for m, c in solved[block[j]])
-                    assert steps == tuple((t, F(n, den)) for t, n in columns[j - r])
+                    den, column = columns[j - r]
+                    assert steps == tuple((t, F(n, den)) for t, n in column)
 
 
 def hankel_table(ctx, e, r, width):
-    """The ``(den, columns)`` of :meth:`RingContext._table` by an ``rref`` of
-    the ``r`` Hankel rows ``h(e+i+j)``, ``width`` wide, which must pivot on
-    their first ``r`` columns."""
+    """The columns of :meth:`RingContext._table`, each ``(den, steps)`` in
+    lowest terms, by an ``rref`` of the ``r`` Hankel rows ``h(e+i+j)``,
+    ``width`` wide, which must pivot on their first ``r`` columns."""
     h = [ctx._h(a) for a in range(e, e + r + width - 1)]
     rows, pivots = rref([h[i : i + width] for i in range(r)])
     assert pivots == list(range(r))
-    den = lcm(*(row[j].denominator for row in rows for j in range(r, width)))
-    return den, [tuple((j - i, int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j]) for j in range(r, width)]
+    columns = []
+    for j in range(r, width):
+        den = lcm(*(row[j].denominator for row in rows))
+        columns.append((den, tuple((j - i, int(rows[i][j] * den)) for i in reversed(range(r)) if rows[i][j])))
+    return columns
 
 
 @pytest.mark.parametrize("g", [20, 30])
@@ -490,6 +505,23 @@ def test_recurrence_tables_match_the_hankel_rref(g):
     for e in (0, 1):
         for r in range(1, (g - e) // 2 + 1):
             assert ctx._table(e, r, g - r - e + 1) == hankel_table(ctx, e, r, g - r - e + 1), (e, r)
+
+
+def test_tables_grown_one_degree_at_a_time_make_each_column_once():
+    # Asked for every block of every degree from g up, ascending, each table
+    # grows a column or so at a time: its recurrence yields each column once,
+    # kept, and the columns are those of a context that asked widest first.
+    g, made = 30, []
+    ctx = recording_context(g, made)
+    for k in range(g, 2 * g - 1):
+        for d in range(-k, k + 1):
+            if r := ctx._rank(k, d):
+                ctx._table((k - d) % 2, r, len(_block(k, d)))
+    assert len(ctx._tables) == g - 1 and Counter(shape for shape, _ in made) == {s: len(c) for s, (c, _) in ctx._tables.items()}
+    widest = make_context(g)
+    for (e, r), (columns, _) in ctx._tables.items():
+        assert len(columns) == g - r - e + 1 - r
+        assert widest._table(e, r, g - r - e + 1) == columns, (e, r)
 
 
 @pytest.mark.parametrize("g", [7, 9, 11])
@@ -741,7 +773,7 @@ def test_reductions_have_no_phi_moments(g):
         for (x, d), piece in pieces.items():
             for m in _block(2 * g - 2 - (k - x), -d):
                 assert ctx.socle_pushforward(Polynomial(RING_VARS, piece) * Polynomial.monomial(RING_VARS, m)) == 0
-    assert {shape: shape[1] + len(columns) for shape, (_, columns) in ctx._tables.items()} == needed
+    assert {shape: shape[1] + len(columns) for shape, (columns, _) in ctx._tables.items()} == needed
     assert nonzero > g // 2
 
 

@@ -347,8 +347,10 @@ def test_coefficient_table_contents():
     assert table.alpha[(0, 2, 0)] == F(7, 1920)
     assert table.eta[(0, 2, 0)] == F(-1, 240)
     assert coefficient_table(2) is table  # cached
-    with pytest.raises(ValueError):
-        coefficient_table(0)
+    coefficient_table(1)
+    for genus in (0, True, 2.0):  # True == 1 must not find genus 1's cached table
+        with pytest.raises(ValueError, match="genus must be a positive integer"):
+            coefficient_table(genus)
 
 
 # ------------------------------------------------------------------ assembly
