@@ -109,7 +109,7 @@ def cmd_ring(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
         if args.expr is None:
             raise ValueError("ring reduce needs an expression argument")
         try:
-            reduced = format_polynomial(ctx.normal_form(parse(args.expr, multiply=ctx.multiply_numerators)))
+            reduced = format_polynomial(parse(args.expr, ring=ctx))
         except ParseError as exc:
             raise ValueError(f"cannot parse expression: {exc}") from None
         return 0, iter([_dump({**payload, "input": args.expr, "normal_form": reduced}, "\n") if args.json else reduced])

@@ -18,22 +18,26 @@ Parentheses and unary minus signs may nest at most ``MAX_DEPTH`` deep;
 deeper input is rejected with a :class:`ParseError` instead of exhausting
 the interpreter stack.  Rationals past ``MAX_POWER_BITS`` bits, sums,
 products and powers whose coefficients would pass them, and products past
-``MAX_TERM_PAIRS`` term pairs with no ``multiply`` are rejected the same way,
+``MAX_TERM_PAIRS`` term pairs with no ``ring`` are rejected the same way,
 at the literal or the operator.  Values are parsed as integer numerators over
-one scale in lowest terms, as are a ``multiply``'s arguments and result, and
-the :class:`Polynomial` is built once, from the last value.
+one scale in lowest terms, as are the arguments and results of a ``ring``'s
+methods, and the :class:`Polynomial` is built once, from the last value.
 """
 
 from __future__ import annotations
 
 from math import comb, gcd, lcm
-from typing import Callable
+from typing import Protocol
 
 from .poly import Numerators, Polynomial, RING_VARS, Vars, _add_product, _from_numerators
 
 __all__ = ["ParseError", "parse"]
 
-Multiply = Callable[[Numerators, Numerators], Numerators]
+
+class Ring(Protocol):  # what parse reduces through, on (scale, {exponents: numerator}) pairs
+    def multiply_numerators(self, a: Numerators, b: Numerators) -> Numerators: ...
+    def power_numerators(self, base: Numerators, n: int) -> Numerators: ...
+
 
 _SYMBOLS = set("+-*^/()")
 # Literals are ASCII only: str.isdigit also accepts superscripts and other
@@ -43,13 +47,12 @@ _DIGITS = set("0123456789")
 #: Deepest nesting of ``(`` and unary ``-`` that :func:`parse` accepts.
 MAX_DEPTH = 100
 
-#: Largest bit length less one of the larger of numerator and denominator of a
-#: coefficient in lowest terms, and of that times the exponent for the constant
-#: term of a power.  Reduction bounds degrees, not coefficients; this bounds the
-#: time and memory their arithmetic takes.  Printing needs no bound.
+#: Largest bit length less one of the larger of numerator and denominator of a coefficient in lowest terms, and of that
+#: times the exponent for the constant term of a power and for each term of a ring's power of a linear form.  Reduction
+#: bounds degrees, not coefficients; this bounds the time and memory their arithmetic takes.  Printing needs no bound.
 MAX_POWER_BITS = 10_000
 
-#: Most term pairs ``len(a) * len(b)`` of a product with no ``multiply``: ``(T1+P)^20000`` has no other bound.
+#: Most term pairs ``len(a) * len(b)`` of a product with no ``ring``: ``(T1+P)^20000`` has no other bound.
 MAX_TERM_PAIRS = 1_000_000
 
 
@@ -100,13 +103,10 @@ def _sum(a: Numerators, b: Numerators, sign: int = 1) -> Numerators:
 
 
 class _Parser:
-    def __init__(self, text: str, variables: Vars, multiply: Multiply | None):
-        self.tokens = _tokenize(text)
-        self.pos = 0
-        self.depth = 0
-        self.vars = variables
+    def __init__(self, text: str, variables: Vars, ring: Ring | None):
+        self.tokens, self.pos, self.depth, self.ring = _tokenize(text), 0, 0, ring
         self.one = (0,) * len(variables)  # the exponents of a constant
-        self.multiply = multiply
+        self.vars = {name: self.power((1, {tuple(int(n == name) for n in variables): 1}), 1, 0) for name in variables}  # reduced once
 
     def checked(self, p: Numerators, position: int) -> Numerators:
         """``p`` in lowest terms, ``gcd(scale, *numerators)`` divided out and zero terms
@@ -120,22 +120,26 @@ class _Parser:
         return scale, terms
 
     def product(self, a: Numerators, b: Numerators, position: int) -> Numerators:
-        """``multiply(a, b)``, or with no ``multiply`` the expanded product, refused past ``MAX_TERM_PAIRS`` term pairs."""
-        if not self.multiply and len(a[1]) * len(b[1]) > MAX_TERM_PAIRS:
+        """The ``ring``'s product, or with no ``ring`` the expanded product, refused past ``MAX_TERM_PAIRS`` term pairs."""
+        if not self.ring and len(a[1]) * len(b[1]) > MAX_TERM_PAIRS:
             raise ParseError(f"product of {len(a[1])} by {len(b[1])} terms passes {MAX_TERM_PAIRS} term pairs", position)
-        return self.checked(self.multiply(a, b) if self.multiply else (a[0] * b[0], _add_product({}, a[1], b[1])), position)
+        return self.checked(self.ring.multiply_numerators(a, b) if self.ring else (a[0] * b[0], _add_product({}, a[1], b[1])), position)
 
     def power(self, base: Numerators, exponent: int, position: int) -> Numerators:
-        """``base ** exponent``, refused at ``position`` (of the ``^``) when the
-        constant term ``c`` would grow past ``MAX_POWER_BITS`` bits.  Taken by
-        squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k)
-        * c^(n-k) * u^k`` for ``u = base - c``, each summand checked, up to the
-        first ``u^k`` that is zero."""
+        """``base ** exponent``, refused at ``position`` (of the ``^``) when the constant term ``c`` would
+        grow past ``MAX_POWER_BITS`` bits.  The ``ring``'s power when every term has degree 1; else taken
+        by squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k) * c^(n-k) * u^k`` for
+        ``u = base - c``, each summand checked, up to the first ``u^k`` that is zero."""
         (scale, terms), result = base, (1, {self.one: 1})
         constant = terms.get(self.one, 0)
         c, d = constant // (common := gcd(constant, scale)), scale // common
         if exponent * (max(abs(c), d).bit_length() - 1) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
+        if self.ring and all(sum(e) == 1 for e in terms):
+            try:
+                return self.checked(self.ring.power_numerators(base, exponent), position)
+            except OverflowError:
+                raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position) from None
         if not constant:
             while exponent:
                 if exponent & 1:
@@ -158,9 +162,8 @@ class _Parser:
         return self.tokens[self.pos]
 
     def next(self) -> tuple[str, str, int]:
-        token = self.tokens[self.pos]
         self.pos += 1
-        return token
+        return self.tokens[self.pos - 1]
 
     def expect(self, kind: str) -> tuple[str, str, int]:
         token = self.next()
@@ -186,8 +189,7 @@ class _Parser:
         base = self.parse_base()
         if self.peek()[0] == "^":
             caret = self.next()[2]
-            kind, value, position = self.expect("number")
-            return self.power(base, int(value), caret)
+            return self.power(base, int(self.expect("number")[1]), caret)
         return base
 
     def nested(self, parse, position: int) -> Numerators:
@@ -214,7 +216,7 @@ class _Parser:
         if kind == "name":
             if value not in self.vars:
                 raise ParseError(f"unknown variable {value!r}", position)
-            return 1, {tuple(int(name == value) for name in self.vars): 1}
+            return self.vars[value]
         if kind == "(":
             inner = self.nested(self.parse_expr, position)
             self.expect(")")
@@ -222,26 +224,26 @@ class _Parser:
         raise ParseError(f"unexpected {value or 'end of input'!r}", position)
 
 
-def parse(text: str, variables: Vars = RING_VARS, multiply: Multiply | None = None) -> Polynomial:
+def parse(text: str, variables: Vars = RING_VARS, ring: Ring | None = None) -> Polynomial:
     """Parse ``text`` into a :class:`Polynomial` over ``variables``.
 
-    With ``multiply``, every product, each step of a power included, is
-    ``multiply(a, b)`` of two ``(scale, {exponents: numerator})`` pairs of
-    integers, the polynomials ``numerators / scale``, and returns such a pair,
-    which the parser puts in lowest terms; the result is the caller's to
-    reduce: ``ctx.normal_form(parse(text, multiply=ctx.multiply_numerators))``
-    reduces each product as it forms it, against the ring's tables of
-    rewrites (see :class:`~chowkit.ring.RingContext`).  A power with a
-    constant term is a binomial sum, ended once its non-constant part's
-    powers multiply to 0.
+    With ``ring``, each value is reduced as it forms, on ``(scale, {exponents:
+    numerator})`` pairs of integers, the polynomials ``numerators / scale``,
+    which the parser puts in lowest terms: each variable, once, and a power
+    whose base's terms all have degree 1 by ``ring.power_numerators`` (which may
+    refuse one past ``MAX_POWER_BITS`` by ``OverflowError``), every other
+    product, each step of a power included, by ``ring.multiply_numerators``.  So
+    ``parse(text, ring=ctx)`` is the normal form in a
+    :class:`~chowkit.ring.RingContext` ``ctx``.  A power with a constant term is
+    a binomial sum, ended once its non-constant part's powers multiply to 0.
 
     Raises :class:`ParseError` (a ``ValueError``) on syntax errors, on names
     outside the variable set, on coefficients past ``MAX_POWER_BITS`` and on
-    products past ``MAX_TERM_PAIRS`` with no ``multiply``, at the offending position.
+    products past ``MAX_TERM_PAIRS`` with no ``ring``, at the offending position.
     """
-    parser = _Parser(text, tuple(variables), multiply)
+    parser = _Parser(text, tuple(variables), ring)
     result = parser.parse_expr()
     kind, value, position = parser.peek()
     if kind != "end":
         raise ParseError(f"unexpected trailing {value!r}", position)
-    return _from_numerators(parser.vars, *result)
+    return _from_numerators(tuple(parser.vars), *result)

@@ -262,6 +262,63 @@ def test_ring_reduce_of_a_rank_199_block_at_genus_400(capsys):
         assert sum(int(v * den) * h[399 - z - w] for (_, z, _, _), v in residual.terms.items()) == 0
 
 
+def test_ring_reduce_of_linear_form_powers_at_genus_100_and_200(capsys):
+    # One multinomial pass per power: the genus-100 power took 4.8 s by
+    # squaring and prints 0, as T1+P+T2 lies on the conic b^2 = ac, and the
+    # genus-200 one ran past 30 s.  The second pin is checked by apolarity:
+    # phi(NF(l^300) * m) = phi(l^300 * m) = 300! * (m(d)F)(1, 2, 5) for
+    # partner monomials m of degree 2g-2-300 = 98.
+    import hashlib
+    import random
+    import time
+    from math import factorial
+
+    from chowkit.parsing import parse
+    from test_ring import apolar_value
+
+    for genus, expr, limit, digest in (
+        ("100", "(T1+P+T2)^150", 3, "9a271f2a916b0b6ee6cecb2426f0b3206ef074578be55d9bc94f6f3fe3ab86aa"),
+        ("200", "(T1+2*P+5*T2)^300", 15, "9f104b266328c2179b70691aa8d1c7edca8a3e06a7a5a913a1358806468fd771"),
+    ):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["ring", "--genus", genus, "reduce", expr])
+        assert time.perf_counter() - start < limit, expr
+        assert (code, err) == (0, "")
+        assert hashlib.sha256(out.encode("utf-8")).hexdigest() == digest, expr
+    ctx, reduced, rng = make_context(200), parse(out), random.Random(36)
+    for i, j in [(0, 0), (98, 0), (49, 0), (0, 98)] + [(rng.randint(0, 98), rng.randint(0, 98)) for _ in range(4)]:
+        i, j = min(i, 98 - j), j  # T1^i P^j T2^k with i + j + k = 98
+        m = Polynomial.monomial(RING_VARS, (0, i, j, 98 - i - j))
+        assert ctx.socle_pushforward(reduced * m) == factorial(300) * apolar_value(200, (i, j, 98 - i - j), (1, 2, 5))
+
+
+def test_ring_reduce_bounds_a_linear_form_power_before_expanding(capsys):
+    # The multinomial expansion is refused at its '^' by n times the bits of
+    # its largest coefficient, as squaring refused its first product; with no
+    # bound it ran past 20 s.  Past degree 2g-1 the power is 0 at once.
+    import time
+
+    nines = "9" * 3000
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["ring", "--genus", "300", "reduce", f"({nines}*T1+P)^598"])
+    assert time.perf_counter() - start < 2
+    assert (code, out, err) == (2, "", "error: cannot parse expression: coefficients grow past 10000 bits (at position 3007)\n")
+    assert run(capsys, ["ring", "--genus", "300", "reduce", f"({nines}*T1+P)^600"]) == (0, "0\n", "")
+
+
+@pytest.mark.parametrize(
+    "genus, expr, expected",
+    [
+        (1, "T1", "0"), (1, "P", "0"), (1, "-T2", "0"), (1, "xi", "xi"), (1, "T1+xi", "xi"), (1, "xi+P+T2", "xi"),
+        (2, "T1", "T1"), (2, "(P)", "P"), (2, "xi", "xi"), (2, "T1+xi", "xi + T1"), (2, "xi+P+T2", "xi + P + T2"),
+    ],
+)
+def test_ring_reduce_reduces_a_bare_variable(capsys, genus, expr, expected):
+    # The parser reduces a variable as it reads it, so its value is a normal
+    # form that the CLI prints with no second reduction; at g=1, R_1 = 0.
+    assert run(capsys, ["ring", "--genus", str(genus), "reduce", expr]) == (0, expected + "\n", "")
+
+
 def test_verify_at_genus_35_finishes(capsys):
     # Took more than 20 s when the right-hand side was expanded over Fractions.
     import time

@@ -40,7 +40,9 @@ from chowkit import (
     restrict_zero,
     shift,
 )
+from chowkit.arith import binomial
 from chowkit.linalg import determinant, rref
+from chowkit.parsing import MAX_POWER_BITS, ParseError
 from chowkit.poly import d_grade
 from chowkit.ring import _block, _monomials
 from test_linalg import rank
@@ -160,7 +162,7 @@ def test_parse_truncated_at_2g_minus_1_keeps_the_normal_form(g):
         f"(xi + T2)^{g}*(T1 - P)^{g - 1} + xi^{2 * g}",
         f"(xi + T1)^{g}*(P + T2)^{g} + T1",
     ):
-        assert ctx.normal_form(parse(text, multiply=ctx.multiply_numerators)) == ctx.normal_form(parse(text))
+        assert ctx.normal_form(parse(text, ring=ctx)) == ctx.normal_form(parse(text))
     if g > 1:
         assert not ctx.normal_form(parse(f"xi*P^{2 * g - 2}")).is_zero()
 
@@ -186,7 +188,91 @@ def test_parse_reduced_as_it_forms_is_the_normal_form_of_the_expansion(g):
     rng = random.Random(3000 + g)
     for _ in range(40):
         text = random_expression(rng, 2)
-        assert ctx.normal_form(parse(text, multiply=ctx.multiply_numerators)) == ctx.normal_form(parse(text)), text
+        assert ctx.normal_form(parse(text, ring=ctx)) == ctx.normal_form(parse(text)), text
+
+
+def linear_form(rng):
+    """The text of a seeded ``x*xi + a*T1 + b*P + c*T2``, with zero coefficients and
+    ``x = -b`` among them, some of them over a common denominator."""
+    coeffs = [rng.choice((0, 0, 1, -1, 2, -3, 7)) for _ in range(4)]
+    if rng.random() < 0.3:
+        coeffs[0] = -coeffs[2] or 1  # then (l + x*P)^n lacks the monomials of l^n with a P
+    text = " + ".join(f"({v})*{name}" for v, name in zip(coeffs, RING_VARS) if v) or "0"
+    return f"1/{rng.randint(2, 5)}*({text})" if rng.random() < 0.2 else f"({text})"
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_powers_of_a_linear_form_are_the_normal_form_of_the_expansion(g):
+    # The parser takes the ring's power, one multinomial pass, for a base whose
+    # terms all have degree 1; the hook-free expansion, normalized once, is the
+    # oracle, on each side of the cuts at g, 2g-2, 2g-1 and 2g.
+    ctx, rng, powers = make_context(g), random.Random(3600 + g), []
+    original = ctx.power_numerators
+    ctx.power_numerators = lambda base, n: powers.append(n) or original(base, n)
+    exponents = {0, 1, g - 1, g, 2 * g - 2, 2 * g - 1, 2 * g, 2 * g + 1}
+    for n in sorted(exponents):
+        for _ in range(4):
+            text = f"{linear_form(rng)}^{n}"
+            assert parse(text, ring=ctx) == ctx.normal_form(parse(text)), text
+    assert set(powers) == exponents
+    # At n = 2g-1 only the xi part lives: xi times the socle.
+    assert parse("(3*xi + T1 + 2*P + T2)^13", ring=make_context(7)) == parse("844536801384*xi*T1^6*T2^6")
+
+
+def test_a_linear_form_power_is_bounded_before_it_is_expanded():
+    # n times the bits less one of the largest coefficient may not pass the bound,
+    # unless the power vanishes first: the expansion is refused at its '^'.
+    nines = "9" * 3000
+    ctx = make_context(300)
+    with pytest.raises(OverflowError):
+        ctx.power_numerators((1, {(0, 1, 0, 0): int(nines), (0, 0, 1, 0): 1}), 598)
+    with pytest.raises(ParseError, match=f"coefficients grow past {MAX_POWER_BITS} bits") as info:
+        parse(f"({nines}*T1+P)^598", ring=ctx)
+    assert info.value.position == 3007
+    assert parse(f"({nines}*T1+P)^600", ring=ctx).is_zero()
+    # Below degree g nothing is rewritten: 2^n*T1^n for n = MAX_POWER_BITS fits, one more does not.
+    ctx = make_context(MAX_POWER_BITS + 2)
+    assert parse(f"(2*T1)^{MAX_POWER_BITS}", ring=ctx) == parse(f"2^{MAX_POWER_BITS}*T1^{MAX_POWER_BITS}")
+    with pytest.raises(ParseError, match="coefficients grow") as info:
+        parse(f"(2*T1)^{MAX_POWER_BITS + 1}", ring=ctx)
+    assert info.value.position == 6
+
+
+def apolar_value(g, exponents, point):
+    """``(m(d/ds, d/du, d/dt) F)(a, b, c)`` for ``F = (st - u^2)^(g-1)``, the monomial ``m =
+    T1^i P^j T2^k`` and ``point = (a, b, c)``: termwise on ``F = sum_q C(g-1, q) (-u^2)^q (st)^(g-1-q)``."""
+    (i, j, k), (a, b, c), total = exponents, point, 0
+    for q in range(g):
+        p = g - 1 - q
+        if p >= max(i, k) and 2 * q >= j:
+            falling = factorial(p) // factorial(p - i) * factorial(p) // factorial(p - k) * factorial(2 * q) // factorial(2 * q - j)
+            total += binomial(g - 1, q) * (-1) ** q * falling * a ** (p - i) * b ** (2 * q - j) * c ** (p - k)
+    return total
+
+
+def test_apolar_value_is_the_socle_functional():
+    # phi(m) for a monomial m of degree 2g-2 is the constant m(d)F.
+    for g in range(1, 8):
+        ctx = make_context(g)
+        for _, i, j, k in _monomials(2 * g - 2):
+            assert ctx.socle_pushforward(Polynomial.monomial(RING_VARS, (0, i, j, k))) == apolar_value(g, (i, j, k), (1, 1, 1))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_the_socle_of_a_linear_form_power_is_its_apolar_value(seed):
+    # phi(l^k m) = k! (m(d)F)(a, b, c) for l = a*T1 + b*P + c*T2 (Iarrobino-Kanev,
+    # LNM 1721): at k = 2g-2, phi(l^(2g-2)) = (2g-2)! (ac - b^2)^(g-1), and on
+    # the conic b^2 = ac, where l is a multiple of some l_n, l^g = 0.
+    rng = random.Random(3660 + seed)
+    for g in sorted(rng.sample(range(1, 61), 5)) + [60] * (seed == 0):
+        ctx = make_context(g)
+        a, b, c = (rng.randint(-9, 9) for _ in range(3))
+        power = parse(f"(({a})*T1 + ({b})*P + ({c})*T2)^{2 * g - 2}", ring=ctx)
+        assert ctx.socle_pushforward(power) == factorial(2 * g - 2) * (a * c - b * b) ** (g - 1)
+        m, s, t = rng.randint(1, 5), rng.randint(-4, 4), rng.randint(-4, 4)
+        on_conic = f"(({m * s * s})*T1 + ({m * s * t})*P + ({m * t * t})*T2)"
+        assert parse(f"{on_conic}^{g}", ring=ctx).is_zero()
+        assert parse(f"{on_conic}^{g - 1}", ring=ctx).is_zero() == (s == t == 0 < g - 1)
 
 
 def built_degrees(ctx):
@@ -212,7 +298,7 @@ def test_reduction_builds_no_degree_past_the_top(g):
     ctx = make_context(g)
     product = "*".join(f"(xi - {i}*T1 + 3*P - T2)" for i in range(-(-3 * g // 2)))
     for text in (product, f"(xi - 2*T1 + 3*P - T2)^{2 * g - 1}"):
-        ctx.normal_form(parse(text, multiply=ctx.multiply_numerators))
+        ctx.normal_form(parse(text, ring=ctx))
         assert max(built_degrees(ctx)) < 2 * g - 1
     assert 2 * g - 2 in built_degrees(ctx)
 
