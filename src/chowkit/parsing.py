@@ -106,7 +106,8 @@ class _Parser:
     def __init__(self, text: str, variables: Vars, ring: Ring | None):
         self.tokens, self.pos, self.depth, self.ring = _tokenize(text), 0, 0, ring
         self.one = (0,) * len(variables)  # the exponents of a constant
-        self.vars = {name: self.power((1, {tuple(int(n == name) for n in variables): 1}), 1, 0) for name in variables}  # reduced once
+        units = {name: (1, {tuple(int(n == name) for n in variables): 1}) for name in variables}
+        self.vars = {name: ring.power_numerators(v, 1) if ring else v for name, v in units.items()}  # reduced once
 
     def checked(self, p: Numerators, position: int) -> Numerators:
         """``p`` in lowest terms, ``gcd(scale, *numerators)`` divided out and zero terms
@@ -127,19 +128,18 @@ class _Parser:
 
     def power(self, base: Numerators, exponent: int, position: int) -> Numerators:
         """``base ** exponent``, refused at ``position`` (of the ``^``) when the constant term ``c`` would
-        grow past ``MAX_POWER_BITS`` bits.  The ``ring``'s power when every term has degree 1; else taken
-        by squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k) * c^(n-k) * u^k`` for
+        grow past ``MAX_POWER_BITS`` bits.  The ``ring``'s power when every term has degree 1 and the exponent
+        times the bit length less one of the largest numerator or scale stays within ``MAX_POWER_BITS``; else
+        taken by squaring through ``product`` when ``c`` is 0; else the sum of ``C(n,k) * c^(n-k) * u^k`` for
         ``u = base - c``, each summand checked, up to the first ``u^k`` that is zero."""
         (scale, terms), result = base, (1, {self.one: 1})
         constant = terms.get(self.one, 0)
         c, d = constant // (common := gcd(constant, scale)), scale // common
         if exponent * (max(abs(c), d).bit_length() - 1) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        if self.ring and all(sum(e) == 1 for e in terms):
-            try:
-                return self.checked(self.ring.power_numerators(base, exponent), position)
-            except OverflowError:
-                raise ParseError(f"coefficients grow past {MAX_POWER_BITS} bits", position) from None
+        linear = self.ring and all(sum(e) == 1 for e in terms)  # past the bit bound, squaring refuses it unless it vanishes first
+        if linear and exponent * (max(scale, max(map(abs, terms.values()), default=0)).bit_length() - 1) <= MAX_POWER_BITS:
+            return self.checked(self.ring.power_numerators(base, exponent), position)
         if not constant:
             while exponent:
                 if exponent & 1:
@@ -230,8 +230,8 @@ def parse(text: str, variables: Vars = RING_VARS, ring: Ring | None = None) -> P
     With ``ring``, each value is reduced as it forms, on ``(scale, {exponents:
     numerator})`` pairs of integers, the polynomials ``numerators / scale``,
     which the parser puts in lowest terms: each variable, once, and a power
-    whose base's terms all have degree 1 by ``ring.power_numerators`` (which may
-    refuse one past ``MAX_POWER_BITS`` by ``OverflowError``), every other
+    whose base's terms all have degree 1 by ``ring.power_numerators`` (unless
+    its coefficients could pass ``MAX_POWER_BITS``; then it is squared), every other
     product, each step of a power included, by ``ring.multiply_numerators``.  So
     ``parse(text, ring=ctx)`` is the normal form in a
     :class:`~chowkit.ring.RingContext` ``ctx``.  A power with a constant term is

@@ -36,7 +36,6 @@ from typing import Iterator, NamedTuple, Sequence
 
 from .arith import _require_genus, binomial, factorial
 from .linalg import solve
-from .parsing import MAX_POWER_BITS
 from .poly import INVARIANT_VARS, Numerators, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
 __all__ = [
@@ -378,15 +377,13 @@ class RingContext:
         return self._reduced(s * t, _add_product({}, x, y))
 
     def power_numerators(self, base: Numerators, n: int) -> Numerators:
-        """The normal form of ``base^n``, for a pair ``x*xi + l`` whose terms all have degree 1: 0 from degree ``2g`` on,
-        else ``l^n + xi*((l + x*P)^n - l^n)/P`` (as ``xi^2 = xi*P``), both powers by the multinomial theorem, in one
-        :meth:`_reduced` pass.  ``OverflowError`` if ``n`` times a coefficient's bits less one passes ``MAX_POWER_BITS``."""
+        """The normal form of ``base^n``, for a pair ``x*xi + l`` whose terms all have degree 1: 0 from degree ``2g`` on
+        (``2g-1`` with no ``xi``), else ``l^n + xi*((l + x*P)^n - l^n)/P`` (as ``xi^2 = xi*P``), both powers by the
+        multinomial theorem, in one :meth:`_reduced` pass."""
         (scale, terms), out, free = base, {}, n < 2 * self.genus - 1  # R_n = 0 from n = 2g-1 on: only the xi part lives
-        if n >= 2 * self.genus:
-            return 1, {}
-        if n * max(((max(abs(v), scale) // gcd(v, scale)).bit_length() - 1 for v in terms.values()), default=0) > MAX_POWER_BITS:
-            raise OverflowError(f"coefficients grow past {MAX_POWER_BITS} bits")
         x, a, b, c = (terms.get(e, 0) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+        if n >= 2 * self.genus - (not x):
+            return 1, {}
         a_, b_, c_, bx = ([v**i for i in range(n + 1)] for v in (a, b, c, b + x))
         for i in (range(n + 1) if b or x or c else (n,)) if a else (0,):  # only the exponents that can be nonzero
             for j in (range(n - i + 1) if c else (n - i,)) if b or x else (0,):

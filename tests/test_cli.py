@@ -292,18 +292,20 @@ def test_ring_reduce_of_linear_form_powers_at_genus_100_and_200(capsys):
         assert ctx.socle_pushforward(reduced * m) == factorial(300) * apolar_value(200, (i, j, 98 - i - j), (1, 2, 5))
 
 
-def test_ring_reduce_bounds_a_linear_form_power_before_expanding(capsys):
-    # The multinomial expansion is refused at its '^' by n times the bits of
-    # its largest coefficient, as squaring refused its first product; with no
-    # bound it ran past 20 s.  Past degree 2g-1 the power is 0 at once.
+def test_ring_reduce_squares_a_linear_form_power_past_the_bit_bound(capsys):
+    # A linear form whose exponent times the bits less one of its largest
+    # coefficient passes the bound is squared, not expanded (the expansion ran
+    # past 20 s): squaring refuses it at its '^' on its first product, also at
+    # n >= 2g, and prints 0 for a power that vanishes before its coefficients pass.
     import time
 
     nines = "9" * 3000
-    start = time.perf_counter()
-    code, out, err = run(capsys, ["ring", "--genus", "300", "reduce", f"({nines}*T1+P)^598"])
-    assert time.perf_counter() - start < 2
-    assert (code, out, err) == (2, "", "error: cannot parse expression: coefficients grow past 10000 bits (at position 3007)\n")
-    assert run(capsys, ["ring", "--genus", "300", "reduce", f"({nines}*T1+P)^600"]) == (0, "0\n", "")
+    for n in (598, 600):
+        start = time.perf_counter()
+        code, out, err = run(capsys, ["ring", "--genus", "300", "reduce", f"({nines}*T1+P)^{n}"])
+        assert time.perf_counter() - start < 2
+        assert (code, out, err) == (2, "", "error: cannot parse expression: coefficients grow past 10000 bits (at position 3007)\n")
+    assert run(capsys, ["ring", "--genus", "4", "reduce", "(2^3000*T1)^4"]) == (0, "0\n", "")
 
 
 @pytest.mark.parametrize(

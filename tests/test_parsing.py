@@ -151,9 +151,12 @@ def pair_polynomial(pair):
 
 
 def test_max_degree_truncates_products_and_powers():
-    # Huge exponents cost their bit length once terms past the bound drop.
+    # Huge exponents cost their bit length once terms past the bound drop: a
+    # base of degree-1 terms goes to the ring's power, any other is squared.
     assert parse("(T1+P)^100000000", ring=up_to_degree(4)).is_zero()
     assert parse("P^100000000", ring=up_to_degree(4)).is_zero()
+    assert parse("(T1*P+P^2)^100000000", ring=up_to_degree(4)).is_zero()
+    assert parse("(T1^2)^100000000", ring=up_to_degree(4)).is_zero()
     assert parse("T1^3*P^3 + xi", ring=up_to_degree(5)) == parse("xi")
     full = parse("(1 + xi - 2*T1 + 1/3*P)^7")
     for bound in range(9):
@@ -202,6 +205,7 @@ def test_power_bounds_the_growth_of_its_constant_term():
     # Constant terms of bit length 1, and no constant term, grow nothing.
     assert parse("(1+T1)^100000000", ring=up_to_degree(2)) == parse("1 + 100000000*T1 + 4999999950000000*T1^2")
     assert parse("(-1+P)^100000001", ring=up_to_degree(0)) == parse("-1")
+    # A linear form whose coefficients could pass the bound is squared, not expanded.
     assert parse("(2*T1)^100000000", ring=up_to_degree(5)).is_zero()
     assert parse("(1/2+xi)^40") == parse("1/2+xi") ** 40
 
@@ -234,11 +238,16 @@ def test_values_in_lowest_terms_pass_the_check_as_they_are():
 
 def test_powers_are_bounded_when_reduce_kills_no_power():
     # With a ring under which no power of the non-constant part vanishes,
-    # the binomial ladder stops at the first summand past the bound, and a
-    # power with no constant term is taken by squaring.
+    # the binomial ladder stops at the first summand past the bound, a power
+    # of a linear form is the ring's power, and any other power with no
+    # constant term is taken by squaring.
     import time
 
-    for text, expected in (("(1+T1)^100000000", None), ("T1^100000000", Polynomial.monomial(RING_VARS, (0, 100000000, 0, 0)))):
+    for text, expected in (
+        ("(1+T1)^100000000", None),
+        ("T1^100000000", Polynomial.monomial(RING_VARS, (0, 100000000, 0, 0))),
+        ("(T1^2)^100000000", Polynomial.monomial(RING_VARS, (0, 200000000, 0, 0))),
+    ):
         start = time.perf_counter()
         if expected is None:
             with pytest.raises(ParseError, match="coefficients") as info:

@@ -219,17 +219,21 @@ def test_powers_of_a_linear_form_are_the_normal_form_of_the_expansion(g):
     assert parse("(3*xi + T1 + 2*P + T2)^13", ring=make_context(7)) == parse("844536801384*xi*T1^6*T2^6")
 
 
-def test_a_linear_form_power_is_bounded_before_it_is_expanded():
-    # n times the bits less one of the largest coefficient may not pass the bound,
-    # unless the power vanishes first: the expansion is refused at its '^'.
+def test_a_linear_form_power_past_the_bit_bound_is_squared():
+    # When n times the bits less one of the base's largest numerator or scale
+    # passes the bound, the parser squares instead of expanding: squaring
+    # refuses the 3000-nines power at its '^' on its first product, whatever
+    # n is, while a power that reduces to 0 before its coefficients pass is 0.
     nines = "9" * 3000
-    ctx = make_context(300)
-    with pytest.raises(OverflowError):
-        ctx.power_numerators((1, {(0, 1, 0, 0): int(nines), (0, 0, 1, 0): 1}), 598)
-    with pytest.raises(ParseError, match=f"coefficients grow past {MAX_POWER_BITS} bits") as info:
-        parse(f"({nines}*T1+P)^598", ring=ctx)
-    assert info.value.position == 3007
-    assert parse(f"({nines}*T1+P)^600", ring=ctx).is_zero()
+    ctx, powers = make_context(300), []
+    original = ctx.power_numerators
+    ctx.power_numerators = lambda base, n: powers.append(n) or original(base, n)
+    for n in (598, 600):
+        with pytest.raises(ParseError, match=f"coefficients grow past {MAX_POWER_BITS} bits") as info:
+            parse(f"({nines}*T1+P)^{n}", ring=ctx)
+        assert info.value.position == 3007
+    assert set(powers) == {1}  # only the variables, reduced as the parser starts
+    assert parse("(2^3000*T1)^4", ring=make_context(4)).is_zero()  # T1 is on the conic b^2 = ac: T1^g = 0
     # Below degree g nothing is rewritten: 2^n*T1^n for n = MAX_POWER_BITS fits, one more does not.
     ctx = make_context(MAX_POWER_BITS + 2)
     assert parse(f"(2*T1)^{MAX_POWER_BITS}", ring=ctx) == parse(f"2^{MAX_POWER_BITS}*T1^{MAX_POWER_BITS}")
