@@ -21,7 +21,10 @@ products and powers whose coefficients would pass them, and products past
 ``MAX_TERM_PAIRS`` term pairs with no ``ring`` are rejected the same way,
 at the literal or the operator.  Values are parsed as integer numerators over
 one scale in lowest terms, as are the arguments and results of a ``ring``'s
-methods, and the :class:`Polynomial` is built once, from the last value.
+methods, and the :class:`Polynomial` is built once, from the last value.  With
+a ``ring``, each maximal run of linear factors in a term (bases whose terms all
+have degree 1, with their exponents) is one call of the ring's product of
+linear powers, made where the run ends.
 """
 
 from __future__ import annotations
@@ -36,7 +39,7 @@ __all__ = ["ParseError", "parse"]
 
 class Ring(Protocol):  # what parse reduces through, on (scale, {exponents: numerator}) pairs
     def multiply_numerators(self, a: Numerators, b: Numerators) -> Numerators: ...
-    def power_numerators(self, base: Numerators, n: int) -> Numerators: ...
+    def linear_product_numerators(self, factors: list[tuple[Numerators, int]]) -> Numerators: ...
 
 
 _SYMBOLS = set("+-*^/()")
@@ -93,6 +96,11 @@ def _tokenize(text: str) -> list[tuple[str, str, int]]:
     return tokens
 
 
+def _bits(base: Numerators, n: int) -> int:
+    """``n`` times the bit length less one of the largest of the scale and the numerators of ``base``."""
+    return n * (max([base[0], *map(abs, base[1].values())]).bit_length() - 1)
+
+
 def _sum(a: Numerators, b: Numerators, sign: int = 1) -> Numerators:
     """``a + sign * b`` over the least common multiple of their scales, zero terms kept."""
     (s, x), (t, y), m = a, b, lcm(a[0], b[0])
@@ -107,7 +115,7 @@ class _Parser:
         self.tokens, self.pos, self.depth, self.ring = _tokenize(text), 0, 0, ring
         self.one = (0,) * len(variables)  # the exponents of a constant
         units = {name: (1, {tuple(int(n == name) for n in variables): 1}) for name in variables}
-        self.vars = {name: ring.power_numerators(v, 1) if ring else v for name, v in units.items()}  # reduced once
+        self.vars = {name: ring.linear_product_numerators([(v, 1)]) if ring else v for name, v in units.items()}  # reduced once
 
     def checked(self, p: Numerators, position: int) -> Numerators:
         """``p`` in lowest terms, ``gcd(scale, *numerators)`` divided out and zero terms
@@ -124,6 +132,9 @@ class _Parser:
         """The ``ring``'s product, or with no ``ring`` the expanded product, refused past ``MAX_TERM_PAIRS`` term pairs."""
         if not self.ring and len(a[1]) * len(b[1]) > MAX_TERM_PAIRS:
             raise ParseError(f"product of {len(a[1])} by {len(b[1])} terms passes {MAX_TERM_PAIRS} term pairs", position)
+        if a[1].keys() <= {self.one} or b[1].keys() <= {self.one}:  # a constant scales the other value, reduced already
+            (s, constant), (t, terms) = (a, b) if a[1].keys() <= {self.one} else (b, a)
+            return self.checked((s * t, {e: constant.get(self.one, 0) * v for e, v in terms.items()}), position)
         return self.checked(self.ring.multiply_numerators(a, b) if self.ring else (a[0] * b[0], _add_product({}, a[1], b[1])), position)
 
     def power(self, base: Numerators, exponent: int, position: int) -> Numerators:
@@ -137,9 +148,8 @@ class _Parser:
         c, d = constant // (common := gcd(constant, scale)), scale // common
         if exponent * (max(abs(c), d).bit_length() - 1) > MAX_POWER_BITS:
             raise ParseError(f"power grows coefficients past {MAX_POWER_BITS} bits", position)
-        linear = self.ring and all(sum(e) == 1 for e in terms)  # past the bit bound, squaring refuses it unless it vanishes first
-        if linear and exponent * (max(scale, max(map(abs, terms.values()), default=0)).bit_length() - 1) <= MAX_POWER_BITS:
-            return self.checked(self.ring.power_numerators(base, exponent), position)
+        if self.ring and all(sum(e) == 1 for e in terms) and _bits(base, exponent) <= MAX_POWER_BITS:  # else squaring refuses it unless it vanishes first
+            return self.checked(self.ring.linear_product_numerators([(base, exponent)]), position)
         if not constant:
             while exponent:
                 if exponent & 1:
@@ -179,18 +189,41 @@ class _Parser:
         return result
 
     def parse_term(self) -> Numerators:
-        result = self.parse_factor()
-        while self.peek()[0] == "*":
+        """The product of the factors, each maximal run of linear ones (nonzero, all terms of degree 1) joined where it ends."""
+        result, run, star = None, [], None
+        while True:
+            try:
+                run.append((*self.parse_factor(), star))
+            except ParseError:
+                self.joined(result, run)  # a refusal to the left of the error is raised first
+                raise
+            if not (self.ring and run[-1][0][1] and all(sum(e) == 1 for e in run[-1][0][1])):
+                result, run = self.joined(self.joined(result, run[:-1]), run[-1:]), []
+            if self.peek()[0] != "*":
+                return self.joined(result, run)
             star = self.next()[2]
-            result = self.product(result, self.parse_factor(), star)
+
+    def joined(self, result: Numerators | None, run: list) -> Numerators:
+        """``result`` times the factors ``(base, exponent, caret, star)`` of ``run``: in one ``ring`` call for two or more
+        whose :func:`_bits` sum to ``MAX_POWER_BITS`` at most; else, or if that is refused, one at a time, so that a
+        refusal points at the first power or product refused."""
+        if len(run) > 1 and sum(_bits(base, n) for base, n, *_ in run) <= MAX_POWER_BITS:
+            try:
+                value = self.checked(self.ring.linear_product_numerators([(base, n) for base, n, *_ in run]), run[-1][3])
+                return value if result is None else self.product(result, value, run[0][3])
+            except ParseError:
+                pass
+        for base, exponent, caret, star in run:
+            value = base if caret is None else self.power(base, exponent, caret)
+            result = value if result is None else self.product(result, value, star)
         return result
 
-    def parse_factor(self) -> Numerators:
+    def parse_factor(self) -> tuple[Numerators, int, int | None]:  # the base, its exponent and the position of the ^
         base = self.parse_base()
         if self.peek()[0] == "^":
             caret = self.next()[2]
-            return self.power(base, int(self.expect("number")[1]), caret)
-        return base
+            return base, int(self.expect("number")[1]), caret
+        return base, 1, None
 
     def nested(self, parse, position: int) -> Numerators:
         """Run ``parse`` one nesting level deeper."""
@@ -229,10 +262,13 @@ def parse(text: str, variables: Vars = RING_VARS, ring: Ring | None = None) -> P
 
     With ``ring``, each value is reduced as it forms, on ``(scale, {exponents:
     numerator})`` pairs of integers, the polynomials ``numerators / scale``,
-    which the parser puts in lowest terms: each variable, once, and a power
-    whose base's terms all have degree 1 by ``ring.power_numerators`` (unless
-    its coefficients could pass ``MAX_POWER_BITS``; then it is squared), every other
-    product, each step of a power included, by ``ring.multiply_numerators``.  So
+    which the parser puts in lowest terms: each variable, once, and each run of
+    factors whose bases' terms all have degree 1 by one call of
+    ``ring.linear_product_numerators`` (a lone power is a run of one; a run
+    whose coefficients could pass ``MAX_POWER_BITS``, or whose value is refused,
+    is taken a factor at a time, and such a power is squared), a constant
+    factor by scaling, and every other product, each step of a power included,
+    by ``ring.multiply_numerators``.  So
     ``parse(text, ring=ctx)`` is the normal form in a
     :class:`~chowkit.ring.RingContext` ``ctx``.  A power with a constant term is
     a binomial sum, ended once its non-constant part's powers multiply to 0.

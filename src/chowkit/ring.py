@@ -258,6 +258,19 @@ def _sort_sign(keys: Sequence[int]) -> int:
     return -1 if inversions % 2 else 1
 
 
+def _linear_powers(n: int, a: int, b: int, c: int, x: int, width: int) -> tuple[dict[int, int], dict[int, int]]:
+    """``l^n`` and ``(l + x*P)^n`` for ``l = a*T1 + b*P + c*T2``, ``T1^i P^j T2^k`` keyed ``i*width + j``, over the
+    same exponents, those whose coefficient in either can be nonzero (``T1^n`` is one term): ``n!/(i! j! k!)`` is
+    ``C(n, i)`` times a binomial updated along the row."""
+    out, shifted, (b_, d_, c_) = {}, {}, ([v**j for j in range(n + 1)] for v in (b, b + x, c))
+    for i in (range(n + 1) if b or x or c else (n,)) if a else (0,):
+        m, head, row = n - i, comb(n, i) * a**i, 1
+        for j in (range(m + 1) if c else (m,)) if b or x else (0,):
+            term, row = head * row * c_[m - j], row * (m - j) // (j + 1)
+            out[i * width + j], shifted[i * width + j] = term * b_[j], term * d_[j]
+    return out, shifted
+
+
 class RingContext:
     """Exact model of the boundary Chow ring at one genus.
 
@@ -376,20 +389,30 @@ class RingContext:
             return 1, {}
         return self._reduced(s * t, _add_product({}, x, y))
 
-    def power_numerators(self, base: Numerators, n: int) -> Numerators:
-        """The normal form of ``base^n``, for a pair ``x*xi + l`` whose terms all have degree 1: 0 from degree ``2g`` on
-        (``2g-1`` with no ``xi``), else ``l^n + xi*((l + x*P)^n - l^n)/P`` (as ``xi^2 = xi*P``), both powers by the
-        multinomial theorem, in one :meth:`_reduced` pass."""
-        (scale, terms), out, free = base, {}, n < 2 * self.genus - 1  # R_n = 0 from n = 2g-1 on: only the xi part lives
-        x, a, b, c = (terms.get(e, 0) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
-        if n >= 2 * self.genus - (not x):
+    def linear_product_numerators(self, factors: Sequence[tuple[Numerators, int]]) -> Numerators:
+        """The normal form of the product of the ``base^n`` over ``factors``, for pairs ``x*xi + l`` whose terms all have
+        degree 1: 0 from degree ``2g`` on (``2g-1`` with no ``xi``), else ``M + xi*(M' - M)/P`` (as ``xi^2 = xi*P``) for
+        ``M = prod l^n`` and ``M' = prod (l + x*P)^n``, multiplied in ``Q[T1, P, T2]`` on the keys of :func:`_linear_powers`
+        and reduced in one :meth:`_reduced` pass."""
+        xi, total, scale = any(base[1].get((1, 0, 0, 0)) for base, _ in factors), sum(n for _, n in factors), 1
+        if total >= 2 * self.genus - (not xi):
             return 1, {}
-        a_, b_, c_, bx = ([v**i for i in range(n + 1)] for v in (a, b, c, b + x))
-        for i in (range(n + 1) if b or x or c else (n,)) if a else (0,):  # only the exponents that can be nonzero
-            for j in (range(n - i + 1) if c else (n - i,)) if b or x else (0,):
-                m, k = comb(n, i) * comb(n - i, j) * a_[i] * c_[n - i - j], n - i - j  # the multinomial n!/(i! j! k!)
-                out[(0, i, j, k)], out[(1, i, j - 1, k)] = m * b_[j] * free, m * (bx[j] - b_[j])  # the latter is 0 at j = 0
-        return self._reduced(scale**n, {e: v for e, v in out.items() if v})
+        products: list = [None] * (1 + xi)  # M, and M' if some factor has xi
+        for (s, terms), n in factors:
+            x, a, b, c = (terms.get(e, 0) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+            scale *= s**n
+            for y, (p, q) in enumerate(zip(products, _linear_powers(n, a, b, c, x, total + 1))):
+                products[y] = q if p is None else {}
+                for e, v in (p or {}).items():
+                    for f, w in q.items():
+                        products[y][k] = products[y].get(k := e + f, 0) + v * w
+        (free, *shifted), out = products, {}  # M and M' have the same keys
+        for x, p in enumerate([free if total < 2 * self.genus - 1 else {}, *shifted]):  # R_k = 0 from k = 2g-1 on
+            for e, v in p.items():
+                if v := (v - free[e] if x else v):  # M' - M has no P-free term
+                    i, j = divmod(e, total + 1)
+                    out[(x, i, j - x, total - i - j)] = v
+        return self._reduced(scale, out)
 
     def _reduced(self, scale: int, terms: dict[Exponents, int]) -> Numerators:
         """The normal form of integer ``terms`` over ``scale``, as nonzero integers over ``scale`` times the ``lcm`` of

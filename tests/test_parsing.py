@@ -135,11 +135,14 @@ def up_to_degree(bound=None):
                         out[e] = out.get(e, 0) + v1 * v2
             return a[0] * b[0], out
 
-        def power_numerators(self, base, n):
-            # The base's terms have degree 1, so its n-th power is homogeneous of degree n.
-            if bound is not None and n > bound:
+        def linear_product_numerators(self, factors):
+            # The bases' terms have degree 1, so the product of their n-th powers is homogeneous of degree sum(n).
+            if bound is not None and sum(n for _, n in factors) > bound:
                 return 1, {}
-            return base[0] ** n, {e: int(c) for e, c in (Polynomial(RING_VARS, base[1]) ** n).terms.items()}
+            scale, product = 1, Polynomial.constant(RING_VARS, 1)
+            for base, n in factors:
+                scale, product = scale * base[0] ** n, product * Polynomial(RING_VARS, base[1]) ** n
+            return scale, {e: int(c) for e, c in product.terms.items()}
 
     return UpToDegree()
 
@@ -168,24 +171,43 @@ def test_max_degree_truncates_products_and_powers():
 
 
 def test_the_parser_multiplies_only_normal_forms(monkeypatch):
-    # With the ring's multiply, every product and every step of a power
-    # starts from reduced factors: no monomial that reduction would rewrite
-    # or drop is ever multiplied.
+    # With the ring's multiply and its product of linear powers, every
+    # product, every step of a power and every base of a run of linear
+    # factors is reduced: no monomial that reduction would rewrite or drop is
+    # ever multiplied.
     ctx = make_context(3)
     text = "(1 + xi - 2*T1)^7*(P + T2)^3 + xi*P^4*(T1 - 1/2)^99 - (xi + T2)^5*T1*(2 - P)"
+    text += " + 3*(T1 - xi)^2*(P - 2*T2)*T2*(1 + T1)^2"
     factors = []
-    multiply = ctx.multiply_numerators
+    multiply, linear_product = ctx.multiply_numerators, ctx.linear_product_numerators
 
     def recording(a, b):
         factors.extend((a, b))
         return multiply(a, b)
 
+    def recording_bases(pairs):
+        factors.extend(base for base, _ in pairs)
+        return linear_product(pairs)
+
     monkeypatch.setattr(ctx, "multiply_numerators", recording)
+    monkeypatch.setattr(ctx, "linear_product_numerators", recording_bases)
     reduced = ctx.normal_form(parse(text, ring=ctx))
     monkeypatch.undo()
     assert reduced == ctx.normal_form(parse(text))
     assert len(factors) > 20
     assert [p for p in map(pair_polynomial, factors) if ctx.normal_form(p) != p] == []
+
+
+def test_a_constant_factor_scales_without_a_ring_product(monkeypatch):
+    # Every value is reduced already, so a constant operand only scales the
+    # other one's numerators: no ring product, and the bit check still applies.
+    ctx, calls = make_context(3), []
+    monkeypatch.setattr(ctx, "multiply_numerators", lambda a, b: calls.append((a, b)))
+    assert parse("2*xi*1/3 - 5*(T1 + P)*(-1) + 0*T2", ring=ctx) == parse("2/3*xi + 5*T1 + 5*P")
+    assert calls == []
+    with pytest.raises(ParseError, match="coefficients grow") as info:
+        parse("2^10000*T1*2^10000", ring=ctx)
+    assert info.value.position == 10 and calls == []
 
 
 def test_power_bounds_the_growth_of_its_constant_term():

@@ -207,12 +207,12 @@ def test_powers_of_a_linear_form_are_the_normal_form_of_the_expansion(g):
     # terms all have degree 1; the hook-free expansion, normalized once, is the
     # oracle, on each side of the cuts at g, 2g-2, 2g-1 and 2g.
     ctx, rng, powers = make_context(g), random.Random(3600 + g), []
-    original = ctx.power_numerators
-    ctx.power_numerators = lambda base, n: powers.append(n) or original(base, n)
+    original = ctx.linear_product_numerators
+    ctx.linear_product_numerators = lambda factors: powers.extend(n for _, n in factors) or original(factors)
     exponents = {0, 1, g - 1, g, 2 * g - 2, 2 * g - 1, 2 * g, 2 * g + 1}
     for n in sorted(exponents):
         for _ in range(4):
-            text = f"{linear_form(rng)}^{n}"
+            text = f"({linear_form(rng)})^{n}"  # the scaled forms are bases too
             assert parse(text, ring=ctx) == ctx.normal_form(parse(text)), text
     assert set(powers) == exponents
     # At n = 2g-1 only the xi part lives: xi times the socle.
@@ -226,8 +226,8 @@ def test_a_linear_form_power_past_the_bit_bound_is_squared():
     # n is, while a power that reduces to 0 before its coefficients pass is 0.
     nines = "9" * 3000
     ctx, powers = make_context(300), []
-    original = ctx.power_numerators
-    ctx.power_numerators = lambda base, n: powers.append(n) or original(base, n)
+    original = ctx.linear_product_numerators
+    ctx.linear_product_numerators = lambda factors: powers.extend(n for _, n in factors) or original(factors)
     for n in (598, 600):
         with pytest.raises(ParseError, match=f"coefficients grow past {MAX_POWER_BITS} bits") as info:
             parse(f"({nines}*T1+P)^{n}", ring=ctx)
@@ -240,6 +240,116 @@ def test_a_linear_form_power_past_the_bit_bound_is_squared():
     with pytest.raises(ParseError, match="coefficients grow") as info:
         parse(f"(2*T1)^{MAX_POWER_BITS + 1}", ring=ctx)
     assert info.value.position == 6
+
+
+def linear_run(rng, total):
+    """Two to four factors ``(base, exponent)``, bare variables and seeded forms (see
+    :func:`linear_form`), the exponent ``None`` for some of those of degree 1, whose
+    exponents sum to ``total``."""
+    cuts = sorted(rng.randint(0, total) for _ in range(rng.randint(1, 3)))
+    factors = []
+    for n in (b - a for a, b in zip([0, *cuts], [*cuts, total])):
+        base = rng.choice(RING_VARS) if rng.random() < 0.25 else f"({linear_form(rng)})"
+        factors.append((base, None if n == 1 and rng.random() < 0.5 else n))
+    return factors
+
+
+def run_count(ctx, factors):
+    """The number of maximal runs of two factors or more whose bases reduce under ``ctx``
+    to nonzero values with all terms of degree 1."""
+    count = length = 0
+    for base, _ in [*factors, ("1", None)]:
+        terms = parse(base, ring=ctx).terms
+        count, length = (count, length + 1) if terms and all(sum(e) == 1 for e in terms) else (count + (length > 1), 0)
+    return count
+
+
+def recording_runs(ctx):
+    """The lengths of the runs of two factors or more that ``ctx``'s product of linear powers is asked for."""
+    runs, original = [], ctx.linear_product_numerators
+    ctx.linear_product_numerators = lambda factors: (len(factors) > 1 and runs.append(len(factors))) or original(factors)
+    return runs
+
+
+@pytest.mark.parametrize("g", range(1, 13))
+def test_runs_of_linear_factors_are_the_normal_form_of_the_expansion(g):
+    # Each maximal run of linear factors, bare variables, linear forms and their
+    # powers, is one call of the ring's product of linear powers, and a constant
+    # or a non-linear factor ends it; the hook-free expansion, normalized once,
+    # is the oracle, at run degrees on each side of g, 2g-2, 2g-1 and 2g.
+    ctx, rng = make_context(g), random.Random(3700 + g)
+    runs = recording_runs(ctx)
+    others = [("2", None), ("1/3", None), ("(-5)", None), ("(1 + T1)", None), ("(1 - xi)", 3)]
+    others += [("(T1^2 - xi)", None), ("(xi^2)", None), ("(T2^2 + P)", 2)]  # linear or 0 at small g, as run_count sees
+    for total in sorted({g - 1, g, g + 1, 2 * g - 3, 2 * g - 2, 2 * g - 1, 2 * g, 2 * g + 1} - {-1}):
+        for _ in range(4):
+            first = rng.randint(0, total) if rng.random() < 0.5 else total
+            terms = [linear_run(rng, first)]
+            if first < total:
+                terms[0] += [rng.choice(others), *linear_run(rng, total - first)]
+            if rng.random() < 0.3:
+                terms = [[rng.choice(others), *terms[0]], linear_run(rng, total)]
+            text = " - ".join("*".join(b if n is None else f"{b}^{n}" for b, n in term) for term in terms)
+            expected, before = sum(run_count(ctx, term) for term in terms), len(runs)
+            assert parse(text, ring=ctx) == ctx.normal_form(parse(text)), text
+            assert len(runs) - before == expected, text
+    assert runs
+    # A run's factors sum their degrees: xi*P^12*T2*(xi + T1) has degree 14 = 2g at g = 7.
+    assert parse("xi*P^12*T2*(xi + T1)", ring=make_context(7)).is_zero()
+    assert parse("(xi - P)*xi*(T1 + 2*P)^11", ring=make_context(7)).is_zero()  # xi*(xi - P) = 0
+
+
+@pytest.mark.parametrize("g", range(2, 11))
+def test_the_socle_of_a_product_of_linear_forms_is_its_apolar_value(g):
+    # phi(NF(l_1 ... l_(2g-2))) = l_1(d) ... l_(2g-2)(d) F for F = (st - u^2)^(g-1)
+    # (Iarrobino-Kanev, LNM 1721), with T1, P and T2 acting as d/ds, d/du and
+    # d/dt and F differentiated directly, one form at a time.
+    ctx, rng = make_context(g), random.Random(3800 + g)
+    runs = recording_runs(ctx)
+    forms = [[rng.choice((-5, -2, 1, 3)), rng.randint(-5, 5), rng.randint(-5, 5)] for _ in range(2 * g - 2)]  # none 0
+    derivative = {(g - 1 - q, 2 * q, g - 1 - q): (-1) ** q * binomial(g - 1, q) for q in range(g)}  # s^p u^2q t^p
+    for form in forms:
+        out = {}
+        for exponents, v in derivative.items():
+            for axis, (w, e) in enumerate(zip(form, exponents)):
+                if w and e:
+                    lower = tuple(d - (i == axis) for i, d in enumerate(exponents))
+                    out[lower] = out.get(lower, 0) + v * w * e
+        derivative = {e: v for e, v in out.items() if v}
+    text = "*".join(f"(({a})*T1 + ({b})*P + ({c})*T2)" for a, b, c in forms)
+    assert ctx.socle_pushforward(parse(text, ring=ctx)) == derivative.get((0, 0, 0), 0)
+    assert runs == [2 * g - 2]
+
+
+def test_a_refused_run_keeps_the_position_of_its_first_refusal():
+    # A run whose value is refused is taken again one factor at a time, so the
+    # error is the one the first refused power or product gives, and it comes
+    # before an error further right; a run past the bit bound takes that path
+    # at once.
+    ctx = make_context(50)
+    runs = recording_runs(ctx)
+    power = "(2^198*T1 + 2^199*P + 5*2^198*T2)^50"
+    for text in (f"T1*{power}*P", f"T1*{power}*P*foo", f"xi*{power}*(P + T2"):
+        with pytest.raises(ParseError, match=f"coefficients grow past {MAX_POWER_BITS} bits") as info:
+            parse(text, ring=ctx)
+        assert info.value.position == text.index(")^50") + 1, text
+    assert runs == [3, 3, 2]
+    assert parse("T1*(2^3000*T1)^3*T1", ring=make_context(4)).is_zero()  # 9000 bits, not refused
+    ctx = make_context(2)
+    runs = recording_runs(ctx)
+    assert parse("(2^3000*P)^2*(2^3000*T2)^2", ring=ctx).is_zero() and runs == []  # 12000 bits: step by step
+
+
+def test_only_the_value_of_a_run_is_held_to_the_bit_bound():
+    # This power alone passes the bound, but times T1^28 it lands in the socle
+    # with coefficients that fit (phi(l^30 m) = 30! (m(d)F)(a, b, c)), and the
+    # run is not refused for the value of one of its factors.
+    g, (a, b, c) = 30, (2**331, 2**332, 5 * 2**331)
+    power = f"({a}*T1 + {b}*P + {c}*T2)^30"
+    with pytest.raises(ParseError, match="coefficients grow"):
+        parse(power, ring=make_context(g))
+    value = parse(f"{power}*T1^28", ring=make_context(g))
+    assert make_context(g).socle_pushforward(value) == factorial(30) * apolar_value(g, (28, 0, 0), (a, b, c)) != 0
 
 
 def apolar_value(g, exponents, point):
