@@ -152,7 +152,13 @@ Term = tuple[tuple[DivisorSymbol, int], ...]
 Key = tuple[int, ...]
 
 
-def _key(powers: Mapping[int, int]) -> Key:
+def _key(key: Key) -> Key:
+    """The normal form of ``key``: powers of repeated ids summed, ids sorted, zero powers dropped (``key`` if it is one)."""
+    if all(map(lt, key[:-2:2], key[2::2])) and all(key[1::2]):
+        return key
+    powers: dict[int, int] = {}
+    for i, p in _pairs(key):
+        powers[i] = powers.get(i, 0) + p
     return tuple(x for i in sorted(powers) if powers[i] for x in (i, powers[i]))
 
 
@@ -194,11 +200,7 @@ class FormalClass:
         index = {s: i for i, s in enumerate(symbols)}
         ids: dict[Key, Fraction] = {}
         for term, coeff in items:
-            powers: dict[int, int] = {}
-            for symbol, power in term:
-                i = index[symbol]
-                powers[i] = powers.get(i, 0) + power
-            key = _key(powers)
+            key = _key(tuple(x for symbol, power in term for x in (index[symbol], power)))
             ids[key] = ids.get(key, 0) + Fraction(coeff)
         self.genus = genus
         self.weights = weights
@@ -311,12 +313,8 @@ class FormalClass:
         symbols, left, right = self._aligned(other)
         accum: dict[Key, Fraction] = {}
         for key1, c1 in left.items():
-            base = dict(_pairs(key1))
             for key2, c2 in right.items():
-                powers = dict(base)
-                for i, p in _pairs(key2):
-                    powers[i] = powers.get(i, 0) + p
-                key = _key(powers)
+                key = _key(key1 + key2)
                 accum[key] = accum.get(key, 0) + c1 * c2
         return FormalClass._raw(self.genus, self.weights, symbols, {k: c for k, c in accum.items() if c})
 
@@ -698,12 +696,7 @@ def deserialize(text: str) -> FormalClass:
         pairs = {name: (index[symbol], power) for name, (symbol, power) in decoded.items()}
         ids: dict[Key, Fraction] = {}
         for names, coeff in rows:
-            key = tuple(chain.from_iterable(map(pairs.__getitem__, names)))
-            if not all(map(lt, key[:-2:2], key[2::2])):  # out of order or repeated: merge
-                powers: dict[int, int] = {}
-                for i, power in _pairs(key):
-                    powers[i] = powers.get(i, 0) + power
-                key = _key(powers)
+            key = _key(tuple(chain.from_iterable(map(pairs.__getitem__, names))))
             ids[key] = ids[key] + coeff if key in ids else coeff
         cls = FormalClass._raw(genus, weights, tuple(table), {key: coeff for key, coeff in ids.items() if coeff})
         if payload.get("codim", cls.codimension()) != cls.codimension():

@@ -61,6 +61,7 @@ XI = Polynomial.variable(RING_VARS, "xi")
 T1 = Polynomial.variable(RING_VARS, "T1")
 P = Polynomial.variable(RING_VARS, "P")
 T2 = Polynomial.variable(RING_VARS, "T2")
+_LINEAR = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))  # xi, T1, P, T2: the terms of a linear form
 
 
 class NotInSpanError(ValueError):
@@ -391,15 +392,17 @@ class RingContext:
 
     def linear_product_numerators(self, factors: Sequence[tuple[Numerators, int]]) -> Numerators:
         """The normal form of the product of the ``base^n`` over ``factors``, for pairs ``x*xi + l`` whose terms all have
-        degree 1: 0 from degree ``2g`` on (``2g-1`` with no ``xi``), else ``M + xi*(M' - M)/P`` (as ``xi^2 = xi*P``) for
-        ``M = prod l^n`` and ``M' = prod (l + x*P)^n``, multiplied in ``Q[T1, P, T2]`` on the keys of :func:`_linear_powers`
-        and reduced in one :meth:`_reduced` pass."""
-        xi, total, scale = any(base[1].get((1, 0, 0, 0)) for base, _ in factors), sum(n for _, n in factors), 1
+        degree 1 (a term of another degree is a ``ValueError``): 0 from degree ``2g`` on (``2g-1`` with no ``xi``), else
+        ``M + xi*(M' - M)/P`` (as ``xi^2 = xi*P``) for ``M = prod l^n`` and ``M' = prod (l + x*P)^n``, multiplied in
+        ``Q[T1, P, T2]`` on the keys of :func:`_linear_powers` and reduced in one :meth:`_reduced` pass."""
+        if wrong := next((e for (_, terms), _ in factors for e in terms if e not in _LINEAR), None):
+            raise ValueError(f"a linear factor has only terms of degree 1, got exponents {wrong}")
+        xi, total, scale = any(base[1].get(_LINEAR[0]) for base, _ in factors), sum(n for _, n in factors), 1
         if total >= 2 * self.genus - (not xi):
             return 1, {}
         products: list = [None] * (1 + xi)  # M, and M' if some factor has xi
         for (s, terms), n in factors:
-            x, a, b, c = (terms.get(e, 0) for e in ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1)))
+            x, a, b, c = (terms.get(e, 0) for e in _LINEAR)
             scale *= s**n
             for y, (p, q) in enumerate(zip(products, _linear_powers(n, a, b, c, x, total + 1))):
                 products[y] = q if p is None else {}

@@ -116,6 +116,70 @@ def test_formal_class_pow_and_ambient_errors():
         (irr + FormalClass.one(2, (1, -1))).codimension()
 
 
+def test_formal_class_powers_of_a_class_with_products_squares_and_xi():
+    # Not a sum of distinct single symbols, so the power multiplies term by term.
+    w = (1, 1, -2)
+    k1, irr, xi = DivisorSymbol.cotangent(1), DivisorSymbol.irreducible(), DivisorSymbol.rational_bridge(1)
+    c = FormalClass(3, w, {((k1, 1), (irr, 1)): 2, ((irr, 2),): -1, single(xi): F(1, 3)})
+    # (A + B + C)^3 for A = 2 K1 irr, B = -irr^2, C = xi/3, by the multinomial theorem.
+    cube = {
+        ((k1, 3), (irr, 3)): 8, ((irr, 6),): -1, ((xi, 3),): F(1, 27),
+        ((k1, 2), (irr, 4)): -12, ((k1, 2), (irr, 2), (xi, 1)): 4, ((k1, 1), (irr, 5)): 6,
+        ((irr, 4), (xi, 1)): 1, ((k1, 1), (irr, 1), (xi, 2)): F(2, 3), ((irr, 2), (xi, 2)): F(-1, 3),
+        ((k1, 1), (irr, 3), (xi, 1)): -4,
+    }
+    assert c**3 == FormalClass(3, w, cube) and len((c**3).ids) == 10
+    assert c**0 == FormalClass.one(3, w)
+    assert c**1 == c
+    assert c != FormalClass(3, (2, 1, -3), c.terms) and c != FormalClass(4, w, c.terms)
+    assert c.__eq__(1) is NotImplemented
+    assert repr(c) == "FormalClass(genus=3, weights=(1, 1, -2), 3 terms)"
+
+
+def _json_entry(symbol, power):
+    """A symbol's JSON entry, written out field by field."""
+    fields = {"i": symbol.index} if symbol.kind in ("K", "xi") else {}
+    if symbol.kind == "delta":
+        fields = {"h": symbol.genus_part, "P": list(symbol.points)}
+    return {"kind": symbol.kind, **fields, **({"power": power} if power != 1 else {})}
+
+
+@pytest.mark.parametrize("seed", range(8))
+def test_the_constructor_products_and_deserialize_agree_on_keys(seed):
+    # Terms with repeated, out-of-order and zero-power symbols: each way of
+    # making a class puts every key in one normal form, increasing ids and no
+    # zero power, and the three give the same class.
+    g, w = 3, (1, 1, -2)
+    pool = [DivisorSymbol.cotangent(1), DivisorSymbol.cotangent(3), DivisorSymbol.irreducible(), sep(g, 0, [1, 2], 3)]
+    pool += [sep(g, 1, [3], 3), DivisorSymbol.rational_bridge(1), DivisorSymbol.rational_bridge(3)]
+    rng = random.Random(4100 + seed)
+
+    def term(budget):  # of codimension budget (deserialize checks that the terms share one), with zero powers
+        factors = []
+        while budget:
+            symbol = rng.choice(pool)
+            power = rng.randint(0, budget // symbol.codimension)
+            factors.append((symbol, power))
+            budget -= power * symbol.codimension
+        return tuple(rng.sample(factors, len(factors)))
+
+    def terms(count):
+        return [(term(4), F(rng.randint(-4, 4), rng.randint(1, 3))) for _ in range(count)]
+
+    def normal(cls):
+        return all(list(key[::2]) == sorted(set(key[::2])) and all(key[1::2]) for key in cls.ids)
+
+    a, b = terms(6), terms(5)
+    built = FormalClass(g, w, a)
+    payload = {"g": g, "weights": list(w), "terms": [
+        {"coeff": str(coeff), "symbols": [_json_entry(s, p) for s, p in term if p]} for term, coeff in a
+    ]}
+    read = deserialize(json.dumps(payload))
+    assert read == built and normal(read) and normal(built)
+    product, joined = FormalClass(g, w, a) * FormalClass(g, w, b), FormalClass(g, w, [(s + t, x * y) for s, x in a for t, y in b])
+    assert product.symbols == joined.symbols and product.ids == joined.ids and normal(product)
+
+
 def test_weight_validation():
     with pytest.raises(ValueError):
         theta_pullback(2, (1, 1))

@@ -242,6 +242,24 @@ def test_a_linear_form_power_past_the_bit_bound_is_squared():
     assert info.value.position == 6
 
 
+def test_a_product_of_linear_powers_refuses_a_term_that_is_not_of_degree_1():
+    # (3 + T1)^2 and T1^2 are not powers of linear forms: their first term of
+    # another degree is named, where reading only the degree-1 terms would
+    # return T1^2 for the first and 0 for the second.
+    ctx = make_context(5)
+    with pytest.raises(ValueError, match=r"\(0, 0, 0, 0\)"):
+        ctx.linear_product_numerators([((1, {(0, 0, 0, 0): 3, (0, 1, 0, 0): 1}), 2)])
+    with pytest.raises(ValueError, match=r"\(0, 2, 0, 0\)"):
+        ctx.linear_product_numerators([((1, {(0, 2, 0, 0): 1}), 1)])
+    # Linear bases with xi, and an xi-free one among them, are the normal form of the expansion.
+    factors = [((2, {(1, 0, 0, 0): 3, (0, 1, 0, 0): 1, (0, 0, 1, 0): -2, (0, 0, 0, 1): 5}), 3)]
+    factors += [((1, {(1, 0, 0, 0): -1, (0, 0, 1, 0): 1}), 2), ((1, {(0, 1, 0, 0): 1, (0, 0, 1, 0): 1}), 2)]
+    scale, terms = ctx.linear_product_numerators(factors)
+    expected = ctx.normal_form(parse("(1/2*(3*xi + T1 - 2*P + 5*T2))^3 * (P - xi)^2 * (T1 + P)^2"))
+    assert Polynomial(RING_VARS, {e: F(v, scale) for e, v in terms.items()}) == expected
+    assert not expected.is_zero()
+
+
 def linear_run(rng, total):
     """Two to four factors ``(base, exponent)``, bare variables and seeded forms (see
     :func:`linear_form`), the exponent ``None`` for some of those of degree 1, whose
