@@ -25,10 +25,8 @@ the distinguished invariant classes — live at module level.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import threading
-from collections import Counter
 from fractions import Fraction
 from math import comb, gcd, lcm
 from operator import add, mul
@@ -82,8 +80,8 @@ def _require_xi_free(p: Polynomial) -> None:
 
 
 def _require_degree(k: int) -> None:
-    if k < 0:
-        raise ValueError(f"degree must be nonnegative, got {k}")
+    if type(k) is not int or k < 0:  # a bool or a float is refused, not read as an int
+        raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
 
 
 def _level_sums(terms: dict[Exponents, int], weights: Sequence[int], parts: int = 1) -> tuple[dict[Exponents, int], ...]:
@@ -250,15 +248,6 @@ def _block(k: int, d: int) -> list[Exponents]:
     return [(0, z + d, k - d - 2 * z, z) for z in range((k - d) // 2, max(0, -d) - 1, -1)]
 
 
-def _sort_sign(keys: Sequence[int]) -> int:
-    """The sign of the stable sort of ``keys``: -1 to the number of inversions."""
-    seen, inversions = [], 0
-    for key in keys:
-        inversions += len(seen) - bisect.bisect_right(seen, key)
-        bisect.insort(seen, key)
-    return -1 if inversions % 2 else 1
-
-
 def _linear_powers(n: int, a: int, b: int, c: int, x: int, width: int) -> tuple[dict[int, int], dict[int, int]]:
     """``l^n`` and ``(l + x*P)^n`` for ``l = a*T1 + b*P + c*T2``, ``T1^i P^j T2^k`` keyed ``i*width + j``, over the
     same exponents, those whose coefficient in either can be nonzero (``T1^n`` is one term): ``n!/(i! j! k!)`` is
@@ -285,7 +274,6 @@ class RingContext:
         self.genus = genus
         self.relation_grades = range(genus, -genus - 1, -1)
         self._tables: dict[tuple[int, int], tuple[list, Iterator]] = {}
-        self._bases: dict[int, tuple[Exponents, ...]] = {}  # read twice per pairing; a race builds one twice
         self._lock = threading.Lock()
 
     # ------------------------------------------------------------- relations
@@ -295,8 +283,8 @@ class RingContext:
         of degree ``g`` and d-grade ``l``, each ``T1^i P^j T2^k`` weighted by
         ``g!/(i! j! k!)``, built when asked."""
         g = self.genus
-        if not -g <= l <= g:
-            raise ValueError(f"d-grade must satisfy -{g} <= l <= {g}, got {l}")
+        if type(l) is not int or not -g <= l <= g:
+            raise ValueError(f"d-grade must be an integer with -{g} <= l <= {g}, got {l!r}")
         return Polynomial(RING_VARS, {e: binomial(g, e[1]) * binomial(g - e[1], e[2]) for e in _block(g, l)})
 
     @property
@@ -449,10 +437,8 @@ class RingContext:
         each d-grade block, the :meth:`_rank` monomials of smallest ``P``-exponent.  As ``b`` and ``m - |d|`` share
         their parity, ``T1^a P^b T2^c`` is one iff ``b + |a - c| <= m``."""
         _require_degree(k)
-        if k not in self._bases:
-            m = min(k, 2 * self.genus - 2 - k)
-            self._bases[k] = tuple(e for e in _monomials(k) if e[2] + abs(e[1] - e[3]) <= m)
-        return self._bases[k]
+        m = min(k, 2 * self.genus - 2 - k)
+        return tuple(e for e in _monomials(k) if e[2] + abs(e[1] - e[3]) <= m)
 
     def dim_graded(self, k: int, l: int | None = None) -> int:
         """Dimension of the xi-free graded piece of degree ``k``; with ``l``
@@ -460,6 +446,8 @@ class RingContext:
         min(k, 2g-2-k)`` give the d-grade parts their sizes and partition the
         ``C(m+2, 2)`` monomials of that degree, none once ``m < 0``."""
         _require_degree(k)
+        if l is not None and type(l) is not int:
+            raise ValueError(f"d-grade must be an integer, got {l!r}")
         m = min(k, 2 * self.genus - 2 - k)
         return self._rank(k, l) if l is not None else max(m + 1, 0) * (m + 2) // 2
 
@@ -482,52 +470,51 @@ class RingContext:
         top = 2 * self.genus - 2
         if any(sum(e) != top for e in p.terms):
             raise ValueError(f"socle pushforward needs a homogeneous class of degree {top}")
-        return sum((coeff * self._phi(e) for e, coeff in p.terms.items()), Fraction(0))
-
-    def _phi(self, e: Exponents) -> int:
-        """The socle functional on one monomial of degree ``2g-2``."""
-        _, x, y, z = e
-        return self._h(y // 2) if x == z and not y % 2 else 0
+        return sum((v * self._h(b // 2) for (_, a, b, c), v in p.terms.items() if a == c and not b % 2), Fraction(0))
 
     def _gram(self, rows: Sequence[Exponents], cols: Sequence[Exponents]) -> list[list[int]]:
-        """The matrix ``phi(r*c)`` over two monomial lists of complementary
-        degrees: 0, with no ``phi`` call, where the d-grades do not cancel."""
-        return [[self._phi(tuple(map(add, r, c))) if r[1] - r[3] == c[3] - c[1] else 0 for c in cols] for r in rows]
+        """The matrix ``phi(r*c)`` over two monomial lists of complementary degrees: 0 where the d-grades do not cancel,
+        else ``h`` of half the product's ``P``-exponent, as its ``T1`` and ``T2`` exponents are then equal."""
+        return [[self._h((r[2] + c[2]) // 2) if r[1] - r[3] == c[3] - c[1] else 0 for c in cols] for r in rows]
 
-    def _pairing_bases(self, k: int) -> tuple[tuple[Exponents, ...], tuple[Exponents, ...]]:
-        if not 0 <= k <= self.genus - 1:
-            raise ValueError(f"pairing offset must satisfy 0 <= k <= {self.genus - 1}, got {k}")
-        return self.basis(self.genus - 1 - k), self.basis(self.genus - 1 + k)
+    def _require_offset(self, k: int) -> None:
+        if type(k) is not int or not 0 <= k <= self.genus - 1:
+            raise ValueError(f"pairing offset must be an integer with 0 <= k <= {self.genus - 1}, got {k!r}")
 
     def pairing_gram(self, k: int) -> list[list[int]]:
         """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``, as
         integers: each entry is ``phi`` of the product of the two basis
         monomials, which vanishes unless their d-grades cancel."""
-        return self._gram(*self._pairing_bases(k))
+        self._require_offset(k)
+        return self._gram(self.basis(self.genus - 1 - k), self.basis(self.genus - 1 + k))
 
     def pairing_matrix(self, k: int) -> list[list[Fraction]]:
         """:meth:`pairing_gram` with ``Fraction`` entries."""
         return [list(map(Fraction, row)) for row in self.pairing_gram(k)]
 
     def pairing_determinant(self, k: int) -> int:
-        """The determinant of :meth:`pairing_matrix`, in closed form.  Grouping
-        its rows by d-grade and its columns by minus d-grade, both stably,
-        makes it block diagonal, at the cost of the two permutations' signs.
-        Inside a block both bases run by descending ``P``, the Hankel order of
-        :meth:`_rank` reversed on both sides, so the block is the leading
-        ``r x r`` minor of ``h(s+i+j)``, ``s = (g-1-k-|d|) mod 2``, by the
-        product formula there, computed once per ``(s, r)``.  With ``A`` and
-        ``B - 1 - A`` half-integers, ``4 c_(2i-1) c_(2i)`` is a ratio of
-        integers, so each minor is one exact integer division."""
-        rows, cols = self._pairing_bases(k)
-        g, sizes = self.genus, Counter(m[1] - m[3] for m in rows)
-        det = _sort_sign([m[1] - m[3] for m in rows]) * _sort_sign([m[3] - m[1] for m in cols])
-        for (s, r), n in Counter(((g - 1 - k - abs(d)) % 2, r) for d, r in sizes.items()).items():
+        """The determinant of :meth:`pairing_matrix`, in closed form.  Grouping its rows by d-grade and its columns by
+        minus d-grade, both stably, makes it block diagonal, at the cost of the two permutations' signs.  The rows are
+        every monomial of degree ``m = g-1-k``, and dividing by ``(T1*T2)^k`` maps the columns onto the same list,
+        keeping each ``P``-exponent and d-grade, so the two sorts put one list's d-grades in ascending and in
+        descending order.  Their inversions together are the pairs of unequal d-grades, ``sum_(d<d') n_d n_d'`` for the
+        block sizes ``n_d = (m-|d|)//2 + 1``; mod 2 that is ``C(o, 2)``, for ``o`` the number of odd ``n_d``, those
+        with ``m - |d|`` 0 or 1 mod 4.  As ``o`` is 1, 3, 0, 0 mod 4 for ``m`` 0, 1, 2, 3 mod 4, the sign is -1
+        exactly when ``m`` is 1 mod 4, that is, when ``g - k`` is 2 mod 4.  Inside a block both bases run by
+        descending ``P``, the Hankel order of :meth:`_rank` reversed on both sides, so the blocks of d-grades ``d`` and
+        ``-d``, of rank ``r = _rank(m, d)``, are each the leading ``r x r`` minor of ``h(s+i+j)``, ``s = (m-|d|) mod
+        2``, by the product formula there.  With ``A`` and ``B - 1 - A`` half-integers, ``4 c_(2i-1) c_(2i)`` is a
+        ratio of integers, so each minor is one exact integer division."""
+        self._require_offset(k)
+        g, m = self.genus, self.genus - 1 - k
+        det = -1 if m % 4 == 1 else 1
+        for d in range(m + 1):
+            s, r = (m - d) % 2, self._rank(m, d)
             num, den = self._h(s) ** r * 2 ** (r * (r - 1)), 1
             for i in range(1, r):  # (4 c_(2i-1) c_(2i))^(r-i), with A = s + 1/2 and B = s + 1 - g
                 num *= ((2 * s + 2 * i - 1) * (s - 1 - g + i) * i * (2 * i - 2 * g - 1)) ** (r - i)
                 den *= ((s - 2 - g + 2 * i) * (s - 1 - g + 2 * i) ** 2 * (s - g + 2 * i)) ** (r - i)
-            det *= (num // den) ** n
+            det *= (num // den) ** (1 + (d > 0))
         return det
 
     # ------------------------------------------------------------- invariance

@@ -1109,7 +1109,8 @@ def test_benchmark_tracer_sees_every_ring_layer():
     # FormalClass arithmetic, and ring pairing prints pairing_gram's
     # integers and the closed-form pairing_determinant, so it calls neither
     # pairing_matrix nor determinant (the tests' oracle for the closed
-    # form); phi is read through _gram, not through socle_pushforward.
+    # form); pairing_gram reads phi as _gram's Hankel entries, not through
+    # socle_pushforward.
     # No CLI path substitutes: the restrictions and the involution are term
     # maps, shifts are exp(n*D), and the eta side is the table itself.
     # verify checks the main identity as the triangular normal form plus one
