@@ -1,5 +1,5 @@
 """Exact rational arithmetic helpers: factorials, double factorials, binomials
-and Bernoulli numbers, and the package's one check of a genus.
+and Bernoulli numbers, and the package's one check of an integer argument.
 
 Everything returns exact values (``int`` or ``fractions.Fraction``); no
 floating point is ever involved.
@@ -13,21 +13,25 @@ from fractions import Fraction
 
 __all__ = ["bernoulli", "binomial", "double_factorial", "factorial"]
 
+def _require_int(value: int, what: str, low: int | None = None, high: int | None = None) -> int:
+    """``value`` when it is an ``int`` in ``[low, high]`` (a ``None`` bound is open), else a ``ValueError`` that
+    says ``what`` was wanted.  A ``bool`` or a ``float`` is refused, never read as an integer."""
+    if type(value) is not int or (low is not None and value < low) or (high is not None and value > high):
+        raise ValueError(f"{what}, got {value!r}")
+    return value
+
+
+def _require_genus(genus: int) -> int:
+    return _require_int(genus, "genus must be a positive integer", 1)
+
+
 def factorial(n: int) -> int:
-    if n < 0:
-        raise ValueError(f"factorial undefined for negative argument {n}")
-    return math.factorial(n)
-
-
-def _require_genus(genus: int) -> None:
-    if type(genus) is not int or genus < 1:  # a bool or a float is refused, not read as an int
-        raise ValueError(f"genus must be a positive integer, got {genus!r}")
+    return math.factorial(_require_int(n, "factorial needs a nonnegative integer", 0))
 
 
 def binomial(n: int, k: int) -> int:
-    if n < 0 or k < 0 or k > n:
-        raise ValueError(f"binomial(n, k) needs 0 <= k <= n, got n={n}, k={k}")
-    return math.comb(n, k)
+    what = "binomial(n, k) needs integers 0 <= k <= n"
+    return math.comb(n, _require_int(k, what, 0, _require_int(n, what, 0)))
 
 
 def double_factorial(n: int) -> int:
@@ -37,8 +41,9 @@ def double_factorial(n: int) -> int:
     package only ever need odd double factorials, and silently accepting even
     ones would hide index bugs.
     """
-    if n < -1 or n % 2 == 0:
-        raise ValueError(f"double_factorial needs an odd n >= -1, got {n}")
+    what = "double_factorial needs an odd integer n >= -1"
+    if _require_int(n, what, -1) % 2 == 0:
+        raise ValueError(f"{what}, got {n}")
     return math.prod(range(n, 1, -2))
 
 
@@ -55,8 +60,7 @@ def bernoulli(m: int) -> Fraction:
     2011).  The table grows on demand, at least doubling, under a lock so
     concurrent callers see each value computed exactly once.
     """
-    if m < 0:
-        raise ValueError(f"bernoulli undefined for negative index {m}")
+    _require_int(m, "bernoulli needs a nonnegative integer index", 0)
     with _bernoulli_lock:
         if len(_bernoulli_table) <= m:
             n = max(m, 2 * len(_bernoulli_table)) // 2

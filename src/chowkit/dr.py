@@ -50,7 +50,7 @@ from json.encoder import encode_basestring_ascii
 from math import factorial, gcd, lcm
 from operator import lt, mul
 
-from .arith import _require_genus
+from .arith import _require_genus, _require_int
 from .poly import EXACT_FORM, Scalar, coeff_latex, exact_fraction, exact_text, signed_leads
 from .zero_section import coefficient_table
 
@@ -69,6 +69,7 @@ __all__ = [
 
 #: Each symbol kind, in sort order, with the JSON fields of its entries besides ``kind`` and ``power``.
 _FIELDS = {"K": ("i",), "delta_irr": (), "delta": ("h", "P"), "xi": ("i",)}
+_POWER = "symbol powers must be nonnegative integers"
 
 
 @dataclass(frozen=True)
@@ -83,9 +84,7 @@ class DivisorSymbol:
 
     @staticmethod
     def cotangent(i: int) -> "DivisorSymbol":
-        if i < 1:
-            raise ValueError(f"marked points are numbered from 1, got {i}")
-        return DivisorSymbol("K", index=i)
+        return DivisorSymbol("K", index=_require_int(i, "marked points are integers numbered from 1", 1))
 
     @staticmethod
     def irreducible() -> "DivisorSymbol":
@@ -93,19 +92,15 @@ class DivisorSymbol:
 
     @staticmethod
     def rational_bridge(i: int) -> "DivisorSymbol":
-        if i < 1:
-            raise ValueError(f"marked points are numbered from 1, got {i}")
-        return DivisorSymbol("xi", index=i)
+        return DivisorSymbol("xi", index=_require_int(i, "marked points are integers numbered from 1", 1))
 
     @staticmethod
     def separating(genus: int, h: int, points: Iterable[int], n: int) -> "DivisorSymbol":
         """The separating divisor ``delta_h^P`` on genus-``genus`` curves with
         ``n`` marked points, canonicalized across its two presentations."""
-        marked = tuple(sorted(set(points)))
-        if any(i < 1 or i > n for i in marked):
-            raise ValueError(f"points must lie in 1..{n}, got {marked}")
-        if not 0 <= h <= genus:
-            raise ValueError(f"genus part must satisfy 0 <= h <= {genus}, got {h}")
+        _require_int(n, "the number of marked points must be a positive integer", 1)
+        marked = tuple(sorted({_require_int(i, "points must be integers in 1..n", 1, n) for i in points}))
+        _require_int(h, f"genus part must be an integer with 0 <= h <= {genus}", 0, _require_genus(genus))
         other = tuple(i for i in range(1, n + 1) if i not in marked)
         flip = h > genus - h or (2 * h == genus and 1 not in marked)
         if flip:
@@ -141,7 +136,7 @@ class DivisorSymbol:
     def to_json_dict(self, power: int) -> dict:
         values = {"kind": self.kind, "i": self.index, "h": self.genus_part, "P": list(self.points or ())}
         payload = {name: values[name] for name in ("kind", *_FIELDS[self.kind])}
-        if power != 1:
+        if _require_int(power, "symbol powers must be positive integers", 1) != 1:
             payload["power"] = power
         return payload
 
@@ -200,7 +195,7 @@ class FormalClass:
         index = {s: i for i, s in enumerate(symbols)}
         ids: dict[Key, Fraction] = {}
         for term, coeff in items:
-            key = _key(tuple(x for symbol, power in term for x in (index[symbol], power)))
+            key = _key(tuple(x for symbol, power in term for x in (index[symbol], _require_int(power, _POWER, 0))))
             ids[key] = ids.get(key, 0) + Fraction(coeff)
         self.genus = genus
         self.weights = weights
@@ -321,8 +316,7 @@ class FormalClass:
     __rmul__ = __mul__
 
     def __pow__(self, exponent: int) -> "FormalClass":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"power needs a nonnegative integer, got {exponent!r}")
+        _require_int(exponent, "power needs a nonnegative integer", 0)
         if exponent == 0:
             return FormalClass.one(self.genus, self.weights)
         if all(len(key) == 2 and key[1] == 1 for key in self.ids):
@@ -345,8 +339,8 @@ class FormalClass:
 def _validate_weights(genus: int, weights: Sequence[int]) -> tuple[int, ...]:
     """The one ambient check; a number that is not an ``int`` is refused, not truncated."""
     weights = tuple(weights)
-    if {type(v) for v in (genus, *weights)} != {int}:
-        raise ValueError(f"the genus and the weights must be integers, got {genus!r} and {weights!r}")
+    for v in (genus, *weights):
+        _require_int(v, "the genus and the weights must be integers")
     _require_genus(genus)
     if len(weights) < 1:
         raise ValueError("at least one marked point is required")
@@ -639,8 +633,8 @@ def deserialize(text: str) -> FormalClass:
     try:
         payload = json.loads(text, parse_float=_refuse_float)
         genus, weights, entries = _fields(payload, "a payload", g=object, weights=list, terms=list)
-        if {type(payload.get(name, 0)) for name in ("n", "codim")} != {int}:
-            raise ValueError("n and codim must be integers")
+        for name in ("n", "codim"):
+            _require_int(payload.get(name, 0), "n and codim must be integers")
         weights = _validate_weights(genus, weights)
         n = len(weights)
         if payload.get("n", n) != n:
@@ -652,13 +646,13 @@ def deserialize(text: str) -> FormalClass:
             if not s.keys() <= allowed.get(kind, s.keys()):  # an unknown kind is refused below
                 raise ValueError(f"fields {sorted(s.keys() - allowed[kind])} do not belong to a {kind!r} symbol")
             i, h, points, power = s.get("i", 0), s.get("h", 0), s.get("P", []), s.get("power", 1)
-            if not isinstance(points, list) or {type(i), type(h), type(power), *map(type, points)} != {int}:
-                raise ValueError(f"symbol fields must be integers, got {s}")
-            if power < 1:
-                raise ValueError(f"symbol powers must be positive, got {power}")
+            if not isinstance(points, list):
+                raise ValueError(f"a separating divisor's points must be a list, got {points!r}")
+            for v in (i, h, power, *points):
+                _require_int(v, "symbol fields must be integers")
+            _require_int(power, "symbol powers must be positive", 1)
             if kind in ("K", "xi"):
-                if not 1 <= i <= n:
-                    raise ValueError(f"marked points must lie in 1..{n}, got {kind} {i}")
+                _require_int(i, "marked points must lie in 1..n", 1, n)
                 symbol = DivisorSymbol.cotangent(i) if kind == "K" else DivisorSymbol.rational_bridge(i)
             elif kind == "delta_irr":
                 symbol = DivisorSymbol.irreducible()

@@ -31,6 +31,8 @@ from math import lcm, prod
 from operator import add
 from typing import Iterable, Mapping, Sequence, Union
 
+from .arith import _require_int
+
 __all__ = [
     "INVARIANT_VARS",
     "RING_VARS",
@@ -48,6 +50,7 @@ Numerators = tuple[int, dict[Exponents, int]]  # (scale, {exponents: numerator})
 
 RING_VARS: Vars = ("xi", "T1", "P", "T2")
 INVARIANT_VARS: Vars = ("Theta", "D", "Delta")
+_EXPONENT = "exponents must be nonnegative integers"
 
 
 class Polynomial:
@@ -60,11 +63,9 @@ class Polynomial:
         nvars = len(self.vars)
         clean: dict[Exponents, Fraction] = {}
         for exps, coeff in (terms or {}).items():
-            exps = tuple(exps)
+            exps = tuple(_require_int(e, _EXPONENT, 0) for e in exps)
             if len(exps) != nvars:
                 raise ValueError(f"exponent tuple {exps} does not match {nvars} variables")
-            if any(e < 0 for e in exps):
-                raise ValueError(f"negative exponent in {exps}")
             value = Fraction(coeff)
             if value:
                 clean[exps] = value
@@ -215,8 +216,7 @@ class Polynomial:
         return NotImplemented
 
     def __pow__(self, exponent: int) -> "Polynomial":
-        if not isinstance(exponent, int) or exponent < 0:
-            raise ValueError(f"polynomial power needs a nonnegative integer, got {exponent!r}")
+        _require_int(exponent, "polynomial power needs a nonnegative integer", 0)
         if len(self._terms) == 1:  # a monomial's power is one term
             (exps, coeff), = self._terms.items()
             return Polynomial._raw(self.vars, {tuple(e * exponent for e in exps): coeff**exponent})
@@ -344,7 +344,8 @@ def d_graded_piece(p: Polynomial, l: int) -> Polynomial:
     """
     if p.vars != RING_VARS:
         raise ValueError(f"d-grading needs variables {RING_VARS}, got {p.vars}")
-    return Polynomial(p.vars, {e: c for e, c in p.terms.items() if d_grade(e) == l})
+    _require_int(l, "d-grade must be an integer")
+    return Polynomial._raw(p.vars, {e: c for e, c in p.terms.items() if d_grade(e) == l})
 
 
 # -------------------------------------------------------------------- formatting
@@ -469,12 +470,13 @@ def format_polynomial(p: Polynomial, mode: str = "text") -> str:
 
 
 def polynomial_from_json(data: "str | dict") -> Polynomial:
-    """Rebuild a polynomial from its JSON form (a string or parsed dict)."""
+    """Rebuild a polynomial from its JSON form (a string or parsed dict).  Each exponent must be a JSON integer,
+    checked as read, as ``true`` would merge into an equal ``1``: ``1.9``, ``true`` or ``"2"`` is refused."""
     if isinstance(data, str):
         data = json.loads(data)
     variables = tuple(data["vars"])
     terms: dict[Exponents, Fraction] = {}
     for entry in data["terms"]:
-        exps = tuple(int(e) for e in entry["exps"])
+        exps = tuple(_require_int(e, _EXPONENT, 0) for e in entry["exps"])
         terms[exps] = terms.get(exps, Fraction(0)) + exact_fraction(entry["coeff"])
     return Polynomial(variables, terms)

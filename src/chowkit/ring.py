@@ -32,7 +32,7 @@ from math import comb, gcd, lcm
 from operator import add, mul
 from typing import Iterator, NamedTuple, Sequence
 
-from .arith import _require_genus, binomial, factorial
+from .arith import _require_genus, _require_int, binomial, factorial
 from .linalg import solve
 from .poly import INVARIANT_VARS, Numerators, Polynomial, RING_VARS, _add_product, _from_numerators, _numerators
 
@@ -80,8 +80,7 @@ def _require_xi_free(p: Polynomial) -> None:
 
 
 def _require_degree(k: int) -> None:
-    if type(k) is not int or k < 0:  # a bool or a float is refused, not read as an int
-        raise ValueError(f"degree must be a nonnegative integer, got {k!r}")
+    _require_int(k, "degree must be a nonnegative integer", 0)
 
 
 def _level_sums(terms: dict[Exponents, int], weights: Sequence[int], parts: int = 1) -> tuple[dict[Exponents, int], ...]:
@@ -126,9 +125,7 @@ def _shifted(p: Polynomial, n: Fraction | int) -> Polynomial:
 def shift(p: Polynomial, n: int) -> Polynomial:
     """Pullback along the n-th shift automorphism of the family:
     ``T1 -> T1 + n*P + n^2*T2``, ``P -> P + 2*n*T2``, ``T2 -> T2``."""
-    if not isinstance(n, int):
-        raise ValueError(f"shift amount must be an integer, got {n!r}")
-    return _shifted(p, n)
+    return _shifted(p, _require_int(n, "shift amount must be an integer"))
 
 
 def half_shift(p: Polynomial) -> Polynomial:
@@ -283,9 +280,8 @@ class RingContext:
         of degree ``g`` and d-grade ``l``, each ``T1^i P^j T2^k`` weighted by
         ``g!/(i! j! k!)``, built when asked."""
         g = self.genus
-        if type(l) is not int or not -g <= l <= g:
-            raise ValueError(f"d-grade must be an integer with -{g} <= l <= {g}, got {l!r}")
-        return Polynomial(RING_VARS, {e: binomial(g, e[1]) * binomial(g - e[1], e[2]) for e in _block(g, l)})
+        _require_int(l, f"d-grade must be an integer with -{g} <= l <= {g}", -g, g)
+        return Polynomial._raw(RING_VARS, {e: Fraction(comb(g, e[1]) * comb(g - e[1], e[2])) for e in _block(g, l)})
 
     @property
     def relations(self) -> tuple[Polynomial, ...]:
@@ -446,10 +442,10 @@ class RingContext:
         min(k, 2g-2-k)`` give the d-grade parts their sizes and partition the
         ``C(m+2, 2)`` monomials of that degree, none once ``m < 0``."""
         _require_degree(k)
-        if l is not None and type(l) is not int:
-            raise ValueError(f"d-grade must be an integer, got {l!r}")
+        if l is not None:
+            return self._rank(k, _require_int(l, "d-grade must be an integer"))
         m = min(k, 2 * self.genus - 2 - k)
-        return self._rank(k, l) if l is not None else max(m + 1, 0) * (m + 2) // 2
+        return max(m + 1, 0) * (m + 2) // 2
 
     def socle_pushforward(self, p: Polynomial) -> Fraction:
         """Pushforward of a top-degree class to the base, as an exact rational.
@@ -474,12 +470,13 @@ class RingContext:
 
     def _gram(self, rows: Sequence[Exponents], cols: Sequence[Exponents]) -> list[list[int]]:
         """The matrix ``phi(r*c)`` over two monomial lists of complementary degrees: 0 where the d-grades do not cancel,
-        else ``h`` of half the product's ``P``-exponent, as its ``T1`` and ``T2`` exponents are then equal."""
-        return [[self._h((r[2] + c[2]) // 2) if r[1] - r[3] == c[3] - c[1] else 0 for c in cols] for r in rows]
+        else ``h`` of half the product's ``P``-exponent, as its ``T1`` and ``T2`` exponents are then equal.  That half
+        is at most ``g-1``, so the ``g`` values ``h(0..g-1)`` are made once per call."""
+        h = [self._h(a) for a in range(self.genus)]
+        return [[h[(r[2] + c[2]) // 2] if r[1] - r[3] == c[3] - c[1] else 0 for c in cols] for r in rows]
 
     def _require_offset(self, k: int) -> None:
-        if type(k) is not int or not 0 <= k <= self.genus - 1:
-            raise ValueError(f"pairing offset must be an integer with 0 <= k <= {self.genus - 1}, got {k!r}")
+        _require_int(k, f"pairing offset must be an integer with 0 <= k <= {self.genus - 1}", 0, self.genus - 1)
 
     def pairing_gram(self, k: int) -> list[list[int]]:
         """Multiplication pairing between degrees ``g-1-k`` and ``g-1+k``, as

@@ -25,7 +25,7 @@ from math import comb, lcm
 from operator import add, sub
 from typing import Callable
 
-from .arith import _require_genus, bernoulli, double_factorial, factorial
+from .arith import _require_genus, _require_int, bernoulli, double_factorial, factorial
 from .poly import INVARIANT_VARS, Exponents, Polynomial, RING_VARS, _from_numerators, _numerators, format_polynomial
 from .ring import (
     RingContext, _level_sums, _shift_parts, _shifted, degree_triples, extra_shift_invariant, invariant_generators,
@@ -55,8 +55,8 @@ __all__ = [
 
 
 def _validate_triple(a: int, b: int, c: int) -> None:
-    if a < 0 or b < 0 or c < 0:
-        raise ValueError(f"coefficient indices must be nonnegative, got {(a, b, c)}")
+    for index in (a, b, c):
+        _require_int(index, "coefficient indices must be nonnegative integers", 0)
 
 
 def alpha(a: int, b: int, c: int) -> Fraction:
@@ -142,9 +142,9 @@ def coefficient_table(genus: int) -> CoefficientTable:
 def maple_inner_sum(g: int, h: int, l: int) -> Fraction:
     """The alternating inner sum
     ``sum_{c=l}^{h} (-1)^c 4^c (2g-2c)! / ((g-c)! (c-l)! (g-h-c)! (h-c)!)``
-    (defined for ``0 <= l <= h <= g`` with ``g - h >= h``)."""
-    if not (0 <= l <= h <= g and g - h >= h):
-        raise ValueError(f"need 0 <= l <= h <= g and g - h >= h, got g={g}, h={h}, l={l}")
+    (defined for integers ``0 <= l <= h <= g`` with ``g - h >= h``, that is ``0 <= l <= h <= g // 2``)."""
+    what = "need integers 0 <= l <= h <= g and g - h >= h"
+    _require_int(l, what, 0, _require_int(h, what, 0, _require_int(g, what) // 2))
     total = Fraction(0)
     for c in range(l, h + 1):
         numerator = (-1) ** c * 4 ** c * factorial(2 * g - 2 * c)
@@ -158,6 +158,8 @@ def inner_sum_constant(g: int, h: int) -> Fraction:
 
     Raises ``ArithmeticError`` if the ratio is not independent of ``l``.
     """
+    what = "need integers 0 <= h <= g and g - h >= h"
+    _require_int(h, what, 0, _require_int(g, what) // 2)
     ratios = []
     for l in range(h + 1):
         reference = Fraction((-1) ** l * 4 ** l * factorial(l), factorial(g - l - h) * factorial(h - l) * factorial(2 * l))

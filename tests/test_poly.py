@@ -46,6 +46,9 @@ def test_bad_exponents_rejected():
         Polynomial(RING_VARS, {(1, 0, 0): 1})
     with pytest.raises(ValueError):
         Polynomial(RING_VARS, {(-1, 0, 0, 0): 1})
+    for exponent in (2.0, True):  # T1^2.0 would print as text that parse refuses
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            Polynomial.monomial(RING_VARS, (0, exponent, 0, 0))
 
 
 def test_immutability():
@@ -228,6 +231,16 @@ def test_json_round_trip_random():
     for _ in range(20):
         p = random_poly(rng)
         assert polynomial_from_json(format_polynomial(p, "json")) == p
+
+
+@pytest.mark.parametrize("exponent", [1.9, True, "2"], ids=repr)
+def test_json_refuses_exponents_that_are_not_ints(exponent):
+    # int() would read these as 1, 1 and 2.  A true after an equal 1 would
+    # merge into that term's key, so the exponents are checked as read.
+    for terms in ([], [{"coeff": "1", "exps": [0, 1, 0, 0]}]):
+        payload = {"vars": list(RING_VARS), "terms": [*terms, {"coeff": "1", "exps": [0, exponent, 0, 0]}]}
+        with pytest.raises(ValueError, match="exponents must be nonnegative integers"):
+            polynomial_from_json(payload)
 
 
 def test_evaluate_requires_all_variables():
